@@ -91,6 +91,17 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _unit_interval_arg(value: str) -> float:
+    """A probability strictly between 0 and 1 (quantile levels, alpha)."""
+    try:
+        v = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+    if not 0.0 < v < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
+    return v
+
+
 def _mass_arg(value: str):
     if value == "fixed2":
         return "fixed"
@@ -222,6 +233,9 @@ def cmd_coverage(args) -> int:
 def cmd_graph(args) -> int:
     if bool(args.report) == bool(args.stats):
         raise DataError("exactly one of --report or --stats is required")
+    if args.critical is not None and not args.critical.startswith("fixed:"):
+        print("error: graph takes --critical fixed:<c> only", file=sys.stderr)
+        return EXIT_USAGE
     if args.report:
         with open(args.report) as fh:
             payload = json.load(fh)
@@ -268,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tp = sub.add_parser("tpdm", help="estimate the TPDM and its inverse")
     tp.add_argument("--input", required=True)
-    tp.add_argument("--radial-quantile", type=float, default=0.95)
+    tp.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.95)
     tp.add_argument("--mode", choices=("pairwise", "global"), default="pairwise")
     tp.add_argument("--mass", type=_mass_arg, default="fixed2")
     tp.add_argument("--out-prefix", required=True)
@@ -276,10 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("ptc-test", help="all-pairs partial tail correlation test")
     pt.add_argument("--input", required=True)
-    pt.add_argument("--radial-quantile", type=float, default=0.95)
-    pt.add_argument("--pred-quantile", type=float, default=0.98)
-    pt.add_argument("--res-quantile", type=float, default=0.98)
-    pt.add_argument("--alpha", type=float, default=0.05)
+    pt.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.95)
+    pt.add_argument("--pred-quantile", type=_unit_interval_arg, default=0.98)
+    pt.add_argument("--res-quantile", type=_unit_interval_arg, default=0.98)
+    pt.add_argument("--alpha", type=_unit_interval_arg, default=0.05)
     pt.add_argument("--critical", type=_critical_arg, default="bonferroni")
     pt.add_argument("--mode", choices=("pairwise", "global"), default="pairwise")
     pt.add_argument("--mass", type=_mass_arg, default="fixed2")
@@ -290,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--phi", type=float, default=0.7)
     cov.add_argument("--n", type=int, default=10_000)
     cov.add_argument("--reps", type=int, default=500)
-    cov.add_argument("--radial-quantile", type=float, default=0.98)
-    cov.add_argument("--level", type=float, default=0.95)
+    cov.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.98)
+    cov.add_argument("--level", type=_unit_interval_arg, default=0.95)
     cov.add_argument("--seed", type=int, default=None)
     cov.add_argument("--out", required=True)
     cov.set_defaults(func=cmd_coverage)

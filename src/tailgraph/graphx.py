@@ -103,21 +103,3 @@ def to_adjacency(graph: ExtremalGraph) -> dict:
         "skipped_pairs": [[i, j, why] for i, j, why in graph.skipped],
     }
 
-
-def parse_dot(text: str):
-    """Recover the node and edge multisets from DOT text emitted here."""
-    nodes = []
-    edges = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("//") or line.startswith("graph") or line == "}":
-            continue
-        if line.startswith("node ["):
-            continue
-        if "--" in line:
-            left, rest = line.split("--", 1)
-            right = rest.split("[", 1)[0]
-            edges.append((left.strip().strip('";'), right.strip().strip('";')))
-        elif line.endswith(";"):
-            nodes.append(line.rstrip(";").strip().strip('"'))
-    return nodes, edges

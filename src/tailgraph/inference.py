@@ -10,50 +10,36 @@ from the iid angular products, and
 
 is referred to a t distribution with k - 1 degrees of freedom under the null
 of zero partial tail correlation.
+
+The all-pairs test reads every pair off one precision matrix: with
+``Theta = Gamma^-1`` and ``Z = t^-1(X) Theta`` computed once, the pair T has
+conditional inner product matrix ``C = (Theta_TT)^-1`` and residuals
+``U = Z[:, T] C``, which equal the complement-solve residuals above.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 from scipy import stats
 
+from . import project
 from .errors import (
+    ConditioningError,
     DegenerateVarianceError,
     DimensionError,
     DomainError,
     InsufficientExceedancesError,
     TailgraphError,
 )
-from .project import Partition, conditional_ipm, ptc_matrix, solve_b
+# ptc_matrix stays importable from this module for existing callers.
+from .project import (Partition, conditional_ipm, ptc_matrix,  # noqa: F401
+                      ptc_matrix_from_inverse, solve_b)
 from .rvsim import RvNoiseSpec, ar1_matrix, construct, sample_noise, theoretical_ipm
 from .tpdm import MIN_EXCEEDANCES, TailSample, estimate_tpdm
 from .xlinear import softplus, softplus_inv
-
-
-def max_workers(threads=None) -> int:
-    """Worker cap: explicit argument, else the TAILGRAPH_THREADS env var, else 1."""
-    if threads is None:
-        env = os.environ.get("TAILGRAPH_THREADS", "").strip()
-        threads = int(env) if env.isdigit() else 1
-    return max(1, int(threads))
-
-
-def _run_indexed(fn, count, threads):
-    """Evaluate fn(i) for i in range(count), optionally on a thread pool.
-
-    Results come back ordered by index, so aggregation does not depend on
-    completion order.
-    """
-    workers = max_workers(threads)
-    if workers == 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 @dataclass
@@ -103,7 +89,11 @@ def residuals(sample, part: Partition, b, q_pred: float = 0.98,
         pred_r = np.sqrt(np.sum(pred ** 2, axis=1))
         keep = pred_r > np.quantile(pred_r, prefilter_quantile)
         U = U[keep]
+    return _retain_exceedances(U, tuple(part.target), B, q_pred, m_trace)
 
+
+def _retain_exceedances(U, pair, b, q_pred: float, m_trace) -> ResidualSample:
+    """Keep the residual rows whose radius exceeds the empirical ``q_pred`` quantile."""
     r = np.sqrt(np.sum(U ** 2, axis=1))
     n_total = r.size
     thr = float(np.quantile(r, q_pred)) if n_total else 0.0
@@ -112,9 +102,8 @@ def residuals(sample, part: Partition, b, q_pred: float = 0.98,
     if k < MIN_EXCEEDANCES:
         raise InsufficientExceedancesError(k, MIN_EXCEEDANCES, "residual radii")
     rk = r[mask]
-    return ResidualSample(u=U[mask], pair=tuple(part.target), b_used=B, r=rk,
-                          w=U[mask] / rk[:, None], n_total=n_total, threshold=thr,
-                          m_trace=m_trace)
+    return ResidualSample(u=U[mask], pair=pair, b_used=b, r=rk, w=U[mask] / rk[:, None],
+                          n_total=n_total, threshold=thr, m_trace=m_trace)
 
 
 def _estimator_mask(res: ResidualSample, q_res: float | None):
@@ -305,50 +294,92 @@ class PtcTestReport:
                    r.error or "")
 
 
-def _pair_stats(sample: TailSample, sigma_hat, i: int, j: int, q_pred, q_res):
-    part = Partition.pair(i, j, sample.p)
-    b = solve_b(sigma_hat, part)
-    cond = conditional_ipm(sigma_hat, part)
-    res = residuals(sample, part, b, q_pred=q_pred, m_trace=cond.trace)
+def _studentize(res: ResidualSample, q_res):
+    """``(sigma_u, tau2, k, t)`` from retained residuals, with trace mass."""
     sigma_u, m_tilde, k = estimate_sigma_u(res, q_res=q_res, mass="trace")
     tau2 = estimate_tau2(res, m_tilde, q_res=q_res)
     return sigma_u, tau2, k, t_statistic(sigma_u, tau2, k)
 
 
+def _pair_stats(sample: TailSample, sigma_hat, pair, q_pred, q_res):
+    """Reference path for one pair: complement factorization, weights, residuals.
+
+    Returns ``(C, sigma_u, tau2, k, t)`` with C the 2 x 2 conditional IPM.
+    """
+    part = Partition.pair(*pair, sample.p)
+    b = solve_b(sigma_hat, part)
+    cond = conditional_ipm(sigma_hat, part)
+    res = residuals(sample, part, b, q_pred=q_pred, m_trace=cond.trace)
+    return (cond.matrix, *_studentize(res, q_res))
+
+
+def _precision_pair_stats(theta, Z, pair, q_pred, q_res):
+    """One pair read off ``Theta = Gamma^-1`` and ``Z = t^-1(X) Theta``: O(n) work.
+
+    ``C = (Theta_TT)^-1`` is the Schur complement of the complement block,
+    the weights are ``b = -Theta_RT C`` and the residuals ``U = Z[:, T] C``.
+    """
+    T = list(pair)
+    a, c, d = theta[T[0], T[0]], theta[T[0], T[1]], theta[T[1], T[1]]
+    C = np.array([[d, -c], [-c, a]]) / (a * d - c * c)
+    rest = [k for k in range(theta.shape[0]) if k not in pair]
+    b = -theta[np.ix_(rest, T)] @ C
+    res = _retain_exceedances(Z[:, T] @ C, tuple(pair), b, q_pred, float(np.trace(C)))
+    return (C, *_studentize(res, q_res))
+
+
+def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
+    """``(Theta, fit)`` where ``fit(pair)`` returns ``(C, sigma_u, tau2, k, t)``.
+
+    Theta and Z are computed once.  Interlacing bounds every complement
+    block's condition number by Gamma's, so no pair can fail the complement
+    gate on this path.  When Gamma itself fails the inversion gate, Theta is
+    None and each pair takes the reference path, which still tests the pairs
+    whose complement block is well conditioned.
+    """
+    try:
+        # looked up on the module, so a wrapper installed on project.invert_ipm sees it
+        theta = project.invert_ipm(sigma_hat).entries
+    except ConditioningError:
+        return None, lambda pair: _pair_stats(sample, sigma_hat, pair, q_pred, q_res)
+    Z = softplus_inv(sample.data) @ theta
+    return theta, lambda pair: _precision_pair_stats(theta, Z, pair, q_pred, q_res)
+
+
 def ptc_test_all_pairs(sample: TailSample, q_radial: float = 0.95, q_pred: float = 0.98,
                        q_res: float | None = None, cv_method="bonferroni",
                        alpha: float = 0.05, tpdm_mode: str = "pairwise",
-                       tpdm_mass="fixed", threads=None) -> PtcTestReport:
+                       tpdm_mass="fixed") -> PtcTestReport:
     """Test every pair for zero partial tail correlation.
 
-    Estimates the TPDM once, then per pair: prediction weights from the
-    complement block, preimage residuals thresholded at ``q_pred``, the
-    angular-moment estimate and its variance, and the t statistic.  One
-    global critical value is applied; per-pair failures are recorded in the
-    report instead of aborting the run.
+    Estimates the TPDM once, then per pair: the conditional IPM and preimage
+    residuals from the precision matrix (see :func:`_pair_pipeline`),
+    thresholded at ``q_pred``, the angular-moment estimate and its variance,
+    and the t statistic.  One global critical value is applied; per-pair
+    failures are recorded in the report instead of aborting the run.
     """
     if sample.p < 3:
         raise DomainError("need at least 3 variables (a pair plus one conditioning variable)")
+    if not 0.0 < q_pred < 1.0:
+        raise DomainError("q_pred must lie in (0, 1)")
+    if q_res is not None and not 0.0 < q_res < 1.0:
+        raise DomainError("q_res must lie in (0, 1)")
     sigma_hat = estimate_tpdm(sample, q_radial=q_radial, mode=tpdm_mode, mass=tpdm_mass)
-    pairs = list(combinations(range(sample.p), 2))
-
-    def run_pair(idx):
-        i, j = pairs[idx]
+    theta, fit = _pair_pipeline(sample, sigma_hat, q_pred, q_res)
+    records = []
+    for i, j in combinations(range(sample.p), 2):
         rec = PairRecord(i=i, j=j, names=(sample.columns[i], sample.columns[j]))
         try:
-            rec.sigma_u, rec.tau2, rec.k, rec.t_stat = _pair_stats(
-                sample, sigma_hat, i, j, q_pred, q_res)
+            _, rec.sigma_u, rec.tau2, rec.k, rec.t_stat = fit((i, j))
         except TailgraphError as exc:
             rec.error = f"{type(exc).__name__}: {exc}"
-        return rec
-
-    records = _run_indexed(run_pair, len(pairs), threads)
+        records.append(rec)
     ok = [r for r in records if r.error is None]
     if isinstance(cv_method, str) and cv_method in ("bonferroni", "none"):
         if not ok:
             raise DegenerateVarianceError("every pair failed; no critical value available")
         df = min(r.k for r in ok) - 1
-        cv = critical_value(cv_method, alpha=alpha, n_pairs=len(pairs), df=df)
+        cv = critical_value(cv_method, alpha=alpha, n_pairs=len(records), df=df)
         adjustment = cv_method
     else:
         # externally supplied reference value (e.g. a studentized-range
@@ -358,14 +389,10 @@ def ptc_test_all_pairs(sample: TailSample, q_radial: float = 0.95, q_pred: float
     for r in ok:
         r.reject = bool(abs(r.t_stat) > cv)
 
-    try:
-        ptc_vals = ptc_matrix(sigma_hat)
-    except TailgraphError:
-        ptc_vals = None
     return PtcTestReport(records=records, critical_value=cv, adjustment=adjustment,
                          alpha=alpha, columns=list(sample.columns),
                          quantiles={"radial": q_radial, "pred": q_pred, "res": q_res},
-                         ptc=ptc_vals)
+                         ptc=None if theta is None else ptc_matrix_from_inverse(theta))
 
 
 @dataclass
@@ -402,8 +429,8 @@ class CoverageResult:
 
 def coverage_study(phi: float = 0.7, n: int = 10_000, reps: int = 500,
                    q_radial: float = 0.98, level: float = 0.95, seed=0,
-                   noise: RvNoiseSpec | None = None, target=(1, 3), p: int = 4,
-                   threads=None) -> CoverageResult:
+                   noise: RvNoiseSpec | None = None, target=(1, 3),
+                   p: int = 4) -> CoverageResult:
     """Confidence-interval coverage for one conditional off-diagonal entry.
 
     Simulates the autoregressive model, estimates the TPDM from the largest
@@ -427,18 +454,15 @@ def coverage_study(phi: float = 0.7, n: int = 10_000, reps: int = 500,
         X = construct(A, sample_noise(p, n, spec, seeds[rep]))
         sample = TailSample(X, margin="raw")
         sigma_hat = estimate_tpdm(sample, q_radial=q_radial, mode="global", mass="estimate")
-        b = solve_b(sigma_hat, part)
-        cond = conditional_ipm(sigma_hat, part)
-        res = residuals(sample, part, b, q_pred=q_radial, m_trace=cond.trace)
-        sigma_u, m_tilde, k = estimate_sigma_u(res, mass="trace")
-        tau2 = estimate_tau2(res, m_tilde)
+        _, fit = _pair_pipeline(sample, sigma_hat, q_pred=q_radial, q_res=None)
+        C, sigma_u, tau2, k, t_val = fit(part.target)
         lo, hi = confidence_interval(sigma_u, tau2, k, level)
-        t_val = t_statistic(sigma_u, tau2, k)
-        return (lo <= true_c <= hi, cond.matrix[0, 1], sigma_u, k, t_val)
+        return (lo <= true_c <= hi, C[0, 1], sigma_u, k, t_val)
 
     covered, part_est, res_est, ks, ts = [], [], [], [], []
     failed = 0
-    for out in _run_indexed(lambda r: _safe_rep(run_rep, r), reps, threads):
+    for rep in range(reps):
+        out = _safe_rep(run_rep, rep)
         if out is None:
             failed += 1
             continue

@@ -78,7 +78,7 @@ def _spd_factor(G: np.ndarray, context: str):
     eig = np.linalg.eigvalsh((G + G.T) / 2.0)
     lo, hi = eig[0], eig[-1]
     if lo <= 0.0:
-        raise ConditioningError(np.inf if lo <= 0 else hi / lo, COND_LIMIT, context)
+        raise ConditioningError(np.inf, COND_LIMIT, context)
     cond = hi / lo
     if cond > COND_LIMIT:
         raise ConditioningError(cond, COND_LIMIT, context)
@@ -181,17 +181,18 @@ def invert_ipm(gamma) -> IPMatrix:
     return IPMatrix(inv, kind=kind)
 
 
+def ptc_matrix_from_inverse(gamma_inv) -> np.ndarray:
+    """All-pairs ``-G_ij / sqrt(G_ii G_jj)`` for an inverse G; diagonal entries are NaN."""
+    G = as_matrix(gamma_inv)
+    d = np.diag(G)
+    out = -G / np.sqrt(np.outer(d, d))
+    np.fill_diagonal(out, np.nan)
+    return out
+
+
 def ptc_matrix(gamma) -> np.ndarray:
     """All-pairs partial tail correlations; diagonal entries are NaN."""
-    G = as_matrix(gamma)
-    p = G.shape[0]
-    inv = invert_ipm(G).entries
-    out = np.full((p, p), np.nan)
-    for i in range(p):
-        for j in range(p):
-            if i != j:
-                out[i, j] = -inv[i, j] / np.sqrt(inv[i, i] * inv[j, j])
-    return out
+    return ptc_matrix_from_inverse(invert_ipm(gamma))
 
 
 def project_onto_span(x_coefs, A2):

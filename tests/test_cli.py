@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,16 @@ NO2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "no2_tstats.csv")
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter; returns (exit code, stderr)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
+    proc = subprocess.run([sys.executable, "-m", "tailgraph.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr
 
 
 @pytest.fixture()
@@ -151,6 +163,26 @@ class TestPtcTestCmd:
         dot = (tmp_path / "none_graph.dot").read_text()
         assert "--" not in dot
 
+    @pytest.mark.parametrize("flag, value", [("--pred-quantile", "1.5"),
+                                             ("--res-quantile", "0"),
+                                             ("--radial-quantile", "-0.2"),
+                                             ("--alpha", "1"),
+                                             ("--pred-quantile", "nan")])
+    def test_quantile_outside_unit_interval_is_usage_error(self, tmp_path, capsys,
+                                                           flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run("ptc-test", "--input", tmp_path / "absent.csv", flag, value,
+                "--out-prefix", tmp_path / "r")
+        assert exc.value.code == 2
+        assert "must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_usage_error_prints_no_traceback(self, tmp_path):
+        code, err = run_process("ptc-test", "--input", tmp_path / "absent.csv",
+                                "--pred-quantile", "1.5", "--out-prefix", tmp_path / "r")
+        assert code == 2
+        assert "must lie in (0, 1)" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_report_csv_schema(self, tmp_path, bigger_sim):
         prep = tmp_path / "prep.csv"
         run("preprocess", "--input", bigger_sim, "--output", prep)
@@ -198,6 +230,26 @@ class TestGraphCmd:
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert run("graph", "--out", tmp_path / "g.dot") == 3
+
+    @pytest.mark.parametrize("source", ["--report", "--stats"])
+    def test_non_fixed_critical_is_usage_error(self, tmp_path, capsys, source):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"columns": ["a", "b", "c"], "critical_value": 3.0,
+                                    "pairs": []}))
+        assert run("graph", source, path, "--critical", "bonferroni",
+                   "--out", tmp_path / "g.dot") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "fixed:<c>" in err
+        assert not (tmp_path / "g.dot").exists()
+
+    def test_report_with_bonferroni_prints_no_traceback(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"columns": ["a", "b", "c"], "critical_value": 3.0,
+                                    "pairs": []}))
+        code, err = run_process("graph", "--report", path, "--critical", "bonferroni",
+                                "--out", tmp_path / "g.dot")
+        assert code == 2
+        assert "Traceback" not in err
 
     def test_stats_requires_critical(self, tmp_path):
         assert run("graph", "--stats", NO2_FIXTURE, "--out", tmp_path / "g.dot") == 3

@@ -12,10 +12,28 @@ from tailgraph import (
     to_adjacency,
 )
 from tailgraph.cli import read_csv_matrix
-from tailgraph.graphx import parse_dot
 
 NO2_EDGES = {(0, 4), (1, 2), (1, 3), (3, 4)}
 DANUBE_EDGES = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (7, 8), (8, 9)}
+
+
+def parse_dot(text: str):
+    """Recover the node and edge multisets from DOT text written by emit_dot."""
+    nodes = []
+    edges = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("//") or line.startswith("graph") or line == "}":
+            continue
+        if line.startswith("node ["):
+            continue
+        if "--" in line:
+            left, rest = line.split("--", 1)
+            right = rest.split("[", 1)[0]
+            edges.append((left.strip().strip('";'), right.strip().strip('";')))
+        elif line.endswith(";"):
+            nodes.append(line.rstrip(";").strip().strip('"'))
+    return nodes, edges
 
 
 @pytest.fixture(scope="module")

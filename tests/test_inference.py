@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,6 +11,7 @@ from tailgraph import (
     Partition,
     ResidualSample,
     TailSample,
+    TailgraphError,
     ar1_matrix,
     conditional_ipm,
     confidence_interval,
@@ -25,6 +28,7 @@ from tailgraph import (
     solve_b,
     t_statistic,
 )
+from tailgraph.inference import _pair_stats
 
 
 @pytest.fixture(scope="module")
@@ -316,14 +320,62 @@ class TestPtcTestAllPairs:
         rows = list(report.to_csv_rows())
         assert len(rows) == 6 and len(rows[0]) == len(report.csv_header)
 
-    def test_threaded_run_matches_serial(self, ar1_sample, monkeypatch):
-        serial = ptc_test_all_pairs(ar1_sample, q_radial=0.98, q_pred=0.98,
-                                    tpdm_mode="global", tpdm_mass="estimate")
-        monkeypatch.setenv("TAILGRAPH_THREADS", "4")
-        threaded = ptc_test_all_pairs(ar1_sample, q_radial=0.98, q_pred=0.98,
-                                      tpdm_mode="global", tpdm_mass="estimate")
-        for a, b in zip(serial.records, threaded.records):
-            assert a.t_stat == b.t_stat
+    @pytest.mark.parametrize("q_pred, q_res", [(1.5, None), (0.0, None), (0.98, 1.0),
+                                               (0.98, -0.1)])
+    def test_quantiles_validated_up_front(self, ar1_sample, q_pred, q_res):
+        with pytest.raises(DomainError, match="must lie in"):
+            ptc_test_all_pairs(ar1_sample, q_pred=q_pred, q_res=q_res)
+
+
+def _reference_records(sample, q_radial, q_pred, q_res, mode, mass):
+    """All pairs through the per-pair complement solve, with a Bonferroni cut."""
+    sigma = estimate_tpdm(sample, q_radial=q_radial, mode=mode, mass=mass)
+    rows = []
+    for pair in combinations(range(sample.p), 2):
+        try:
+            _, _, _, k, t = _pair_stats(sample, sigma, pair, q_pred, q_res)
+            rows.append((pair, k, t, None))
+        except TailgraphError as exc:
+            rows.append((pair, None, None, f"{type(exc).__name__}: {exc}"))
+    df = min(k for _, k, _, err in rows if err is None) - 1
+    cv = critical_value("bonferroni", n_pairs=len(rows), df=df)
+    return [(pair, k, t, None if err else bool(abs(t) > cv), err)
+            for pair, k, t, err in rows], cv
+
+
+def _duplicated_column_sample():
+    base = construct(ar1_matrix(0.6, 7), sample_noise(7, 4000, seed=13))
+    return TailSample(np.column_stack([base, base[:, 2]]), margin="raw")
+
+
+class TestPrecisionPathAgreement:
+    """The precision-matrix runner against the per-pair complement solve."""
+
+    @pytest.fixture(scope="class")
+    def ar1_p8(self):
+        X = construct(ar1_matrix(0.7, 8), sample_noise(8, 6000, seed=17))
+        return TailSample(X, margin="raw")
+
+    @pytest.mark.parametrize("q_res", [None, 0.98])
+    @pytest.mark.parametrize("mode, mass, q_radial", [("global", "estimate", 0.98),
+                                                      ("pairwise", "fixed", 0.95)])
+    @pytest.mark.parametrize("which", ["ar1_p8", "duplicated"])
+    def test_matches_per_pair_reference(self, ar1_p8, which, mode, mass, q_radial, q_res):
+        sample = ar1_p8 if which == "ar1_p8" else _duplicated_column_sample()
+        report = ptc_test_all_pairs(sample, q_radial=q_radial, q_pred=0.98, q_res=q_res,
+                                    tpdm_mode=mode, tpdm_mass=mass)
+        want, cv = _reference_records(sample, q_radial, 0.98, q_res, mode, mass)
+        # the duplicated column makes the TPDM singular: the runner falls back
+        assert (report.ptc is None) == (which == "duplicated")
+        assert report.critical_value == pytest.approx(cv, rel=1e-12)
+        assert len(report.records) == len(want)
+        for rec, (pair, k, t, reject, err) in zip(report.records, want):
+            assert (rec.i, rec.j) == pair
+            assert (rec.k, rec.reject, rec.error) == (k, reject, err)
+            if t is not None:
+                assert abs(rec.t_stat - t) <= 1e-12 * max(1.0, abs(t))
+        if which == "duplicated":
+            assert any(r.error is None for r in report.records)
 
 
 class TestCoverageStudy:
@@ -341,12 +393,6 @@ class TestCoverageStudy:
         res = coverage_study(phi=0.7, n=10 ** 4, reps=500, q_radial=0.98,
                              level=0.5, seed=42)
         assert res.coverage == pytest.approx(0.5, abs=0.05)
-
-    def test_threaded_matches_serial(self, monkeypatch):
-        serial = coverage_study(phi=0.7, n=2000, reps=30, q_radial=0.95, seed=8)
-        monkeypatch.setenv("TAILGRAPH_THREADS", "3")
-        threaded = coverage_study(phi=0.7, n=2000, reps=30, q_radial=0.95, seed=8)
-        np.testing.assert_array_equal(serial.residual_estimates, threaded.residual_estimates)
 
     def test_rejects_zero_reps(self):
         with pytest.raises(DomainError):

@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from . import graphx, inference, rvsim, tpdm
+from . import graphx, inference, project, rvsim, tpdm
 from .errors import DataError, NumericalError, TailgraphError
 from .tpdm import TailSample
 
@@ -91,15 +91,24 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _unit_interval_arg(value: str) -> float:
-    """A probability strictly between 0 and 1 (quantile levels, alpha)."""
-    try:
-        v = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
-    if not 0.0 < v < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
-    return v
+def _checked_arg(convert, valid, requirement: str):
+    """Argparse type: ``convert`` the value, then require ``valid`` of it."""
+    def parse(value: str):
+        try:
+            v = convert(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {value!r}") from None
+        if not valid(v):
+            raise argparse.ArgumentTypeError(f"must {requirement}, got {value}")
+        return v
+    return parse
+
+
+# counts of observations and variables; quantile levels, alpha and level; scales
+_positive_int_arg = _checked_arg(int, lambda v: v >= 1, "be a positive integer")
+_unit_interval_arg = _checked_arg(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+_positive_float_arg = _checked_arg(float, lambda v: v > 0.0, "be positive")
 
 
 def _mass_arg(value: str):
@@ -111,13 +120,14 @@ def _mass_arg(value: str):
 
 
 def _critical_arg(value: str):
-    if value in ("bonferroni", "none") or value.startswith("fixed:"):
-        if value.startswith("fixed:"):
-            try:
-                float(value.split(":", 1)[1])
-            except ValueError:
-                raise argparse.ArgumentTypeError("fixed critical value must be numeric") from None
+    """'bonferroni' or 'none' as given; 'fixed:<c>' as the float c."""
+    if value in ("bonferroni", "none"):
         return value
+    if value.startswith("fixed:"):
+        try:
+            return float(value.split(":", 1)[1])
+        except ValueError:
+            raise argparse.ArgumentTypeError("fixed critical value must be numeric") from None
     raise argparse.ArgumentTypeError("critical must be 'bonferroni', 'none' or 'fixed:<c>'")
 
 
@@ -153,16 +163,9 @@ def cmd_preprocess(args) -> int:
 
 
 def _load_sample(path: str) -> TailSample:
+    # the preprocess sidecar is not read: no estimate depends on delta or margin
     columns, data = read_csv_matrix(path)
-    sidecar = path + ".json"
-    delta = None
-    margin = "raw"
-    if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            meta = json.load(fh)
-        delta = meta.get("delta")
-        margin = meta.get("margin", "raw")
-    return TailSample(data, margin=margin, delta=delta, columns=columns)
+    return TailSample(data, columns=columns)
 
 
 def cmd_tpdm(args) -> int:
@@ -178,21 +181,16 @@ def cmd_tpdm(args) -> int:
         "k_used": None if sigma.k_used is None else np.asarray(sigma.k_used).tolist(),
         "entries": sigma.entries.tolist(),
     }
-    from .project import invert_ipm
-
     try:
-        inverse = invert_ipm(sigma)
-        cond = float(np.linalg.cond(sigma.entries))
-        _atomic_write(prefix + "_inverse.csv",
-                      _format_matrix_csv(inverse.entries, sample.columns))
-        meta["condition_number"] = cond
-        meta["inverse"] = inverse.entries.tolist()
-        _atomic_write(prefix + "_tpdm.json", json.dumps(meta, indent=2) + "\n")
+        inverse = project.invert_ipm(sigma)
     except NumericalError as exc:
-        meta["condition_number"] = None
-        meta["inverse_error"] = str(exc)
+        meta.update(condition_number=None, inverse_error=str(exc))
         _atomic_write(prefix + "_tpdm.json", json.dumps(meta, indent=2) + "\n")
         raise
+    meta.update(condition_number=float(np.linalg.cond(sigma.entries)),
+                inverse=inverse.entries.tolist())
+    _atomic_write(prefix + "_inverse.csv", _format_matrix_csv(inverse.entries, sample.columns))
+    _atomic_write(prefix + "_tpdm.json", json.dumps(meta, indent=2) + "\n")
     print(f"wrote TPDM and inverse with prefix {prefix}")
     return 0
 
@@ -226,32 +224,30 @@ def cmd_coverage(args) -> int:
         level=args.level, seed=seed)
     _atomic_write(args.out, json.dumps(result.to_dict(), indent=2) + "\n")
     print(f"coverage {result.coverage:.4f} at level {args.level} "
-          f"({result.reps} replications) -> {args.out}")
+          f"({result.reps} replications, {result.failed} failed) -> {args.out}")
     return 0
 
 
 def cmd_graph(args) -> int:
     if bool(args.report) == bool(args.stats):
         raise DataError("exactly one of --report or --stats is required")
-    if args.critical is not None and not args.critical.startswith("fixed:"):
+    if args.critical in ("bonferroni", "none"):
         print("error: graph takes --critical fixed:<c> only", file=sys.stderr)
         return EXIT_USAGE
     if args.report:
-        with open(args.report) as fh:
-            payload = json.load(fh)
-        critical = float(args.critical.split(":", 1)[1]) if args.critical else payload["critical_value"]
-        T = np.zeros((len(payload["columns"]),) * 2)
-        for rec in payload["pairs"]:
-            if rec.get("error"):
-                continue
-            T[rec["i"], rec["j"]] = T[rec["j"], rec["i"]] = rec["t"] or 0.0
-        graph = graphx.graph_from_stats(T, payload["columns"], critical)
+        try:
+            with open(args.report) as fh:
+                report = inference.PtcTestReport.from_dict(json.load(fh))
+        except ValueError as exc:  # bad JSON, or a malformed report (a DataError)
+            raise DataError(f"{args.report}: {exc}") from None
+        if args.critical is not None:
+            report.critical_value = args.critical
+        graph = graphx.build_graph(report)
     else:
         columns, T = read_csv_matrix(args.stats)
-        if not args.critical:
+        if args.critical is None:
             raise DataError("--critical fixed:<c> is required with --stats")
-        critical = float(args.critical.split(":", 1)[1])
-        graph = graphx.graph_from_stats(T, columns, critical)
+        graph = graphx.graph_from_stats(T, columns, args.critical)
     _atomic_write(args.out, graphx.emit_dot(graph, width_scale=args.width_scale))
     if args.json:
         _atomic_write(args.json, json.dumps(graphx.to_adjacency(graph), indent=2) + "\n")
@@ -259,16 +255,23 @@ def cmd_graph(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, without the usage block, and exits 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tailgraph",
         description="Tail dependence estimation, partial tail correlation tests and extremal graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="simulate the autoregressive tail model")
     sim.add_argument("--phi", type=float, default=0.7)
-    sim.add_argument("--p", type=int, default=4)
-    sim.add_argument("--n", type=int, default=10_000)
+    sim.add_argument("--p", type=_positive_int_arg, default=4)
+    sim.add_argument("--n", type=_positive_int_arg, default=10_000)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--noise", choices=("shifted-pareto", "frechet"), default="shifted-pareto")
     sim.add_argument("--a-matrix", default=None, help="CSV coefficient matrix instead of the AR model")
@@ -302,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cov = sub.add_parser("coverage", help="confidence-interval coverage simulation")
     cov.add_argument("--phi", type=float, default=0.7)
-    cov.add_argument("--n", type=int, default=10_000)
+    cov.add_argument("--n", type=_positive_int_arg, default=10_000)
     cov.add_argument("--reps", type=int, default=500)
     cov.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.98)
     cov.add_argument("--level", type=_unit_interval_arg, default=0.95)
@@ -314,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--report", default=None, help="report JSON from ptc-test")
     gr.add_argument("--stats", default=None, help="square CSV of test statistics")
     gr.add_argument("--critical", type=_critical_arg, default=None)
-    gr.add_argument("--width-scale", type=float, default=4.0)
+    gr.add_argument("--width-scale", type=_positive_float_arg, default=4.0)
     gr.add_argument("--out", required=True)
     gr.add_argument("--json", default=None, help="also write JSON adjacency here")
     gr.set_defaults(func=cmd_graph)

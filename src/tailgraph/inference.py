@@ -28,18 +28,20 @@ from scipy import stats
 from . import project
 from .errors import (
     ConditioningError,
+    DataError,
     DegenerateVarianceError,
     DimensionError,
     DomainError,
-    InsufficientExceedancesError,
+    NumericalError,
     TailgraphError,
 )
 # ptc_matrix stays importable from this module for existing callers.
 from .project import (Partition, conditional_ipm, ptc_matrix,  # noqa: F401
                       ptc_matrix_from_inverse, solve_b)
 from .rvsim import RvNoiseSpec, ar1_matrix, construct, sample_noise, theoretical_ipm
-from .tpdm import MIN_EXCEEDANCES, TailSample, estimate_tpdm
-from .xlinear import softplus, softplus_inv
+from .tpdm import (TailSample, _exceedance_mask, _resolve_mass, _strict_exceedances,
+                   estimate_tpdm)
+from .xlinear import softplus_inv
 
 
 @dataclass
@@ -47,8 +49,6 @@ class ResidualSample:
     """Retained preimage residuals for one pair, with polar decomposition."""
 
     u: np.ndarray                 # (k, 2) residual rows above the radius threshold
-    pair: tuple[int, int]
-    b_used: np.ndarray
     r: np.ndarray                 # (k,) radii
     w: np.ndarray                 # (k, 2) unit angles
     n_total: int                  # residual rows before thresholding
@@ -60,14 +60,11 @@ class ResidualSample:
 
 
 def residuals(sample, part: Partition, b, q_pred: float = 0.98,
-              m_trace: float | None = None, prefilter_quantile: float | None = None,
-              ) -> ResidualSample:
+              m_trace: float | None = None) -> ResidualSample:
     """Compute preimage residuals and retain radius exceedances.
 
     Residuals are computed for every observation; rows whose residual radius
-    exceeds the empirical ``q_pred`` quantile are retained.  When
-    ``prefilter_quantile`` is set, rows are first restricted to those whose
-    predicted pair has a large radius (an optional variant, off by default).
+    exceeds the empirical ``q_pred`` quantile are retained.
     """
     data = sample.data if isinstance(sample, TailSample) else np.asarray(sample, dtype=float)
     if len(part.target) != 2:
@@ -80,30 +77,17 @@ def residuals(sample, part: Partition, b, q_pred: float = 0.98,
     if B.shape != (len(part.complement), 2):
         raise DimensionError(f"weights must be ({len(part.complement)}, 2), got {B.shape}")
     Y = softplus_inv(data)
-    Y1 = Y[:, list(part.target)]
-    Y2 = Y[:, list(part.complement)]
-    U = Y1 - Y2 @ B
-
-    if prefilter_quantile is not None:
-        pred = softplus(Y2 @ B)
-        pred_r = np.sqrt(np.sum(pred ** 2, axis=1))
-        keep = pred_r > np.quantile(pred_r, prefilter_quantile)
-        U = U[keep]
-    return _retain_exceedances(U, tuple(part.target), B, q_pred, m_trace)
+    U = Y[:, list(part.target)] - Y[:, list(part.complement)] @ B
+    return _retain_exceedances(U, q_pred, m_trace)
 
 
-def _retain_exceedances(U, pair, b, q_pred: float, m_trace) -> ResidualSample:
+def _retain_exceedances(U, q_pred: float, m_trace) -> ResidualSample:
     """Keep the residual rows whose radius exceeds the empirical ``q_pred`` quantile."""
     r = np.sqrt(np.sum(U ** 2, axis=1))
-    n_total = r.size
-    thr = float(np.quantile(r, q_pred)) if n_total else 0.0
-    mask = r > thr
-    k = int(mask.sum())
-    if k < MIN_EXCEEDANCES:
-        raise InsufficientExceedancesError(k, MIN_EXCEEDANCES, "residual radii")
-    rk = r[mask]
-    return ResidualSample(u=U[mask], pair=pair, b_used=b, r=rk, w=U[mask] / rk[:, None],
-                          n_total=n_total, threshold=thr, m_trace=m_trace)
+    mask, _, thr = _exceedance_mask(r, q_pred, "residual radii")
+    u, r_exc = U[mask], r[mask]
+    return ResidualSample(u=u, r=r_exc, w=u / r_exc[:, None], n_total=r.size, threshold=thr,
+                          m_trace=m_trace)
 
 
 def _estimator_mask(res: ResidualSample, q_res: float | None):
@@ -115,37 +99,17 @@ def _estimator_mask(res: ResidualSample, q_res: float | None):
     that count it is used whole, else it is re-thresholded at the matching
     upper order statistic (strict, ties dropped).
     """
-    if q_res is None:
-        k = len(res)
-        return np.ones(k, dtype=bool), k, float(res.r.min())
-    if not 0.0 < q_res < 1.0:
+    if q_res is not None and not 0.0 < q_res < 1.0:
         raise DomainError("q_res must lie in (0, 1)")
-    k_target = int(np.floor((1.0 - q_res) * res.n_total + 1e-9))
-    if k_target >= len(res):
-        k = len(res)
+    k = len(res)
+    k_target = k if q_res is None else int(np.floor((1.0 - q_res) * res.n_total + 1e-9))
+    if k_target >= k:
         return np.ones(k, dtype=bool), k, float(res.r.min())
     # threshold at the (k+1)-th upper order statistic so the strict
     # exceedance count equals k (absent ties, which are dropped)
     cut = res.r.size - k_target - 1
-    order_stat = np.partition(res.r, cut)[cut]
-    mask = res.r > order_stat
-    k = int(mask.sum())
-    if k < MIN_EXCEEDANCES:
-        raise InsufficientExceedancesError(k, MIN_EXCEEDANCES, "residual estimator")
+    mask, k = _strict_exceedances(res.r, np.partition(res.r, cut)[cut], "residual estimator")
     return mask, k, float(res.r[mask].min())
-
-
-def _resolve_residual_mass(res: ResidualSample, mass, r_k: float, k: int) -> float:
-    if mass == "trace":
-        if res.m_trace is None:
-            raise DomainError("mass='trace' needs the conditional-IPM trace on the sample")
-        return float(res.m_trace)
-    if mass == "estimate":
-        return r_k ** 2 / res.n_total * k
-    m = float(mass)
-    if m <= 0:
-        raise DomainError("fixed mass must be positive")
-    return m
 
 
 def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trace"):
@@ -156,7 +120,7 @@ def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trac
     (``(R_(k)^2/n) k`` on the residual radii) or a positive number.
     """
     mask, k, r_k = _estimator_mask(res, q_res)
-    m = _resolve_residual_mass(res, mass, r_k, k)
+    m = _resolve_mass(mass, r_k, k, res.n_total, "trace", res.m_trace)
     prod = res.w[mask, 0] * res.w[mask, 1]
     return m / k * float(prod.sum()), m, k
 
@@ -200,6 +164,9 @@ def confidence_interval(sigma_u_hat: float, tau2_hat: float, k: int, level: floa
     return float(sigma_u_hat - half), float(sigma_u_hat + half)
 
 
+_ADJUSTED = ("bonferroni", "none")  # critical values computed from the pairs' df
+
+
 def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
                    df: int | None = None) -> float:
     """Global critical value for the all-pairs test.
@@ -211,7 +178,12 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
     if isinstance(method, (int, float)):
         return float(method)
     if isinstance(method, str) and method.startswith("fixed:"):
-        return float(method.split(":", 1)[1])
+        try:
+            return float(method.split(":", 1)[1])
+        except ValueError:
+            raise DomainError(f"fixed critical value must be numeric, got {method!r}") from None
+    if method not in _ADJUSTED:
+        raise DomainError(f"unknown critical value method {method!r}")
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
     if df is None or df < 2:
@@ -220,9 +192,7 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
         if not n_pairs or n_pairs < 1:
             raise DomainError("bonferroni needs the number of pairs")
         return float(stats.t.ppf(1.0 - alpha / (2.0 * n_pairs), df))
-    if method == "none":
-        return float(stats.t.ppf(1.0 - alpha / 2.0, df))
-    raise DomainError(f"unknown critical value method {method!r}")
+    return float(stats.t.ppf(1.0 - alpha / 2.0, df))
 
 
 @dataclass
@@ -281,6 +251,30 @@ class PtcTestReport:
             ],
         }
 
+    @classmethod
+    def from_dict(cls, payload) -> PtcTestReport:
+        """Rebuild a report from :meth:`to_dict` output (``ptc`` is not read back).
+
+        Raises :class:`DataError` when a key is missing or a value is unusable.
+        """
+        try:
+            columns = list(payload["columns"])
+            records = []
+            for d in payload["pairs"]:
+                rec = PairRecord(i=int(d["i"]), j=int(d["j"]), names=tuple(d["names"]),
+                                 sigma_u=d["sigma_u"], tau2=d["tau2"], k=d["k"],
+                                 t_stat=None if d["t"] is None else float(d["t"]),
+                                 reject=d["reject"], error=d["error"])
+                if not (0 <= rec.i < rec.j < len(columns)
+                        and (rec.t_stat is None) != (rec.error is None)):
+                    raise ValueError(f"inconsistent pair record {d}")
+                records.append(rec)
+            return cls(records=records, critical_value=float(payload["critical_value"]),
+                       adjustment=payload["adjustment"], alpha=payload["alpha"],
+                       columns=columns, quantiles=dict(payload["quantiles"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed report: {type(exc).__name__}: {exc}") from None
+
     csv_header = ("i", "j", "name_i", "name_j", "sigma_u", "tau2", "k", "t", "reject", "error")
 
     def to_csv_rows(self):
@@ -316,15 +310,13 @@ def _pair_stats(sample: TailSample, sigma_hat, pair, q_pred, q_res):
 def _precision_pair_stats(theta, Z, pair, q_pred, q_res):
     """One pair read off ``Theta = Gamma^-1`` and ``Z = t^-1(X) Theta``: O(n) work.
 
-    ``C = (Theta_TT)^-1`` is the Schur complement of the complement block,
-    the weights are ``b = -Theta_RT C`` and the residuals ``U = Z[:, T] C``.
+    ``C = (Theta_TT)^-1`` is the Schur complement of the complement block and
+    the residuals are ``U = Z[:, T] C``.
     """
     T = list(pair)
     a, c, d = theta[T[0], T[0]], theta[T[0], T[1]], theta[T[1], T[1]]
     C = np.array([[d, -c], [-c, a]]) / (a * d - c * c)
-    rest = [k for k in range(theta.shape[0]) if k not in pair]
-    b = -theta[np.ix_(rest, T)] @ C
-    res = _retain_exceedances(Z[:, T] @ C, tuple(pair), b, q_pred, float(np.trace(C)))
+    res = _retain_exceedances(Z[:, T] @ C, q_pred, float(np.trace(C)))
     return (C, *_studentize(res, q_res))
 
 
@@ -364,6 +356,12 @@ def ptc_test_all_pairs(sample: TailSample, q_radial: float = 0.95, q_pred: float
         raise DomainError("q_pred must lie in (0, 1)")
     if q_res is not None and not 0.0 < q_res < 1.0:
         raise DomainError("q_res must lie in (0, 1)")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError("alpha must lie in (0, 1)")
+    adjusted = isinstance(cv_method, str) and cv_method in _ADJUSTED
+    # an unknown method fails here, before any pair is fitted; a fixed value (e.g.
+    # a studentized-range critical value computed elsewhere) is used verbatim
+    cv = None if adjusted else critical_value(cv_method)
     sigma_hat = estimate_tpdm(sample, q_radial=q_radial, mode=tpdm_mode, mass=tpdm_mass)
     theta, fit = _pair_pipeline(sample, sigma_hat, q_pred, q_res)
     records = []
@@ -375,21 +373,16 @@ def ptc_test_all_pairs(sample: TailSample, q_radial: float = 0.95, q_pred: float
             rec.error = f"{type(exc).__name__}: {exc}"
         records.append(rec)
     ok = [r for r in records if r.error is None]
-    if isinstance(cv_method, str) and cv_method in ("bonferroni", "none"):
+    if adjusted:
         if not ok:
             raise DegenerateVarianceError("every pair failed; no critical value available")
         df = min(r.k for r in ok) - 1
         cv = critical_value(cv_method, alpha=alpha, n_pairs=len(records), df=df)
-        adjustment = cv_method
-    else:
-        # externally supplied reference value (e.g. a studentized-range
-        # critical value computed elsewhere), used verbatim
-        cv = critical_value(cv_method)
-        adjustment = "tukey-reference"
     for r in ok:
         r.reject = bool(abs(r.t_stat) > cv)
 
-    return PtcTestReport(records=records, critical_value=cv, adjustment=adjustment,
+    return PtcTestReport(records=records, critical_value=cv,
+                         adjustment=cv_method if adjusted else "tukey-reference",
                          alpha=alpha, columns=list(sample.columns),
                          quantiles={"radial": q_radial, "pred": q_pred, "res": q_res},
                          ptc=None if theta is None else ptc_matrix_from_inverse(theta))
@@ -459,31 +452,17 @@ def coverage_study(phi: float = 0.7, n: int = 10_000, reps: int = 500,
         lo, hi = confidence_interval(sigma_u, tau2, k, level)
         return (lo <= true_c <= hi, C[0, 1], sigma_u, k, t_val)
 
-    covered, part_est, res_est, ks, ts = [], [], [], [], []
-    failed = 0
+    rows = []
     for rep in range(reps):
-        out = _safe_rep(run_rep, rep)
-        if out is None:
-            failed += 1
-            continue
-        c, pe, re_, k, tv = out
-        covered.append(c)
-        part_est.append(pe)
-        res_est.append(re_)
-        ks.append(k)
-        ts.append(tv)
-    covered = np.asarray(covered, dtype=bool)
-    coverage = float(covered.mean()) if covered.size else float("nan")
-    return CoverageResult(coverage=coverage, level=level, reps=reps, n=n, phi=phi,
+        try:
+            rows.append(run_rep(rep))
+        except TailgraphError as exc:
+            last_error = exc
+    if not rows:
+        raise NumericalError(f"every replication failed; no coverage estimate (last: "
+                             f"{type(last_error).__name__}: {last_error})")
+    covered, part_est, res_est, ks, ts = (np.asarray(col) for col in zip(*rows))
+    return CoverageResult(coverage=float(covered.mean()), level=level, reps=reps, n=n, phi=phi,
                           true_value=float(true_c), covered=covered,
-                          partition_estimates=np.asarray(part_est),
-                          residual_estimates=np.asarray(res_est),
-                          k_values=np.asarray(ks), t_values=np.asarray(ts),
-                          failed=failed)
-
-
-def _safe_rep(fn, rep):
-    try:
-        return fn(rep)
-    except TailgraphError:
-        return None
+                          partition_estimates=part_est, residual_estimates=res_est,
+                          k_values=ks, t_values=ts, failed=reps - len(rows))

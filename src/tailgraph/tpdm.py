@@ -50,7 +50,7 @@ class TailSample:
         if self.data.ndim != 2:
             raise DimensionError("sample must be a 2-D array (observations x variables)")
         if not np.all(np.isfinite(self.data)) or np.any(self.data <= 0.0):
-            raise DomainError("sample entries must be finite and strictly positive")
+            raise DataError("sample entries must be finite and strictly positive")
         if self.columns is None:
             self.columns = [f"X{i + 1}" for i in range(self.data.shape[1])]
         elif len(self.columns) != self.data.shape[1]:
@@ -174,20 +174,24 @@ def polar2(xi, xj):
     return r, w
 
 
-def _exceedance_mask(r: np.ndarray, q: float, context: str = ""):
-    """Strict exceedances of the empirical q-quantile of r.
+def _strict_exceedances(r: np.ndarray, thr, context: str = ""):
+    """``(mask, k)`` of the radii strictly above ``thr``; ties at it are excluded.
 
-    Ties at the threshold are excluded.  Returns (mask, k, r_k) where r_k is
-    the smallest retained radius, i.e. the k-th upper order statistic.
+    Raises :class:`InsufficientExceedancesError` when k < MIN_EXCEEDANCES.
     """
-    if not 0.0 < q < 1.0:
-        raise DomainError("radial quantile must lie in (0, 1)")
-    thr = np.quantile(r, q)
     mask = r > thr
     k = int(mask.sum())
     if k < MIN_EXCEEDANCES:
         raise InsufficientExceedancesError(k, MIN_EXCEEDANCES, context)
-    return mask, k, float(r[mask].min())
+    return mask, k
+
+
+def _exceedance_mask(r: np.ndarray, q: float, context: str = ""):
+    """Strict exceedances of the empirical q-quantile of r: (mask, k, threshold)."""
+    if not 0.0 < q < 1.0:
+        raise DomainError("radial quantile must lie in (0, 1)")
+    thr = float(np.quantile(r, q)) if r.size else 0.0
+    return (*_strict_exceedances(r, thr, context), thr)
 
 
 def estimate_mass(r, k: int, n: int) -> float:
@@ -196,14 +200,23 @@ def estimate_mass(r, k: int, n: int) -> float:
     if not 1 <= k <= n or k > radii.size:
         raise DomainError("need 1 <= k <= n")
     r_k = np.partition(radii, radii.size - k)[radii.size - k]
-    return float(r_k ** 2 / n * k)
+    return float(_resolve_mass("estimate", r_k, k, n))
 
 
-def _resolve_mass(mass, r_k: float, k: int, n: int, fixed_default: float) -> float:
+def _resolve_mass(mass, r_k: float, k: int, n: int, name: str = "fixed", value=None) -> float:
+    """Total angular mass m of the estimator ``(m/k) sum w_1 w_2``.
+
+    ``mass`` is "estimate" (``(r_(k)^2/n) k`` from the k-th largest of n
+    radii), the caller's ``name`` for its own ``value`` (the fixed mass of
+    the TPDM, the conditional-IPM trace of the residual test), or a positive
+    number used verbatim.
+    """
     if mass == "estimate":
         return r_k ** 2 / n * k
-    if mass == "fixed":
-        return fixed_default
+    if mass == name:
+        if value is None:
+            raise DomainError(f"mass={name!r} needs a value for this sample")
+        return float(value)
     m = float(mass)
     if m <= 0:
         raise DomainError("fixed mass must be positive")
@@ -222,8 +235,8 @@ def estimate_sigma_pair(xi, xj, q_radial: float = 0.95, mass="fixed"):
     n = r.size
     if n < 50:
         raise DataError("need at least 50 paired observations")
-    mask, k, r_k = _exceedance_mask(r, q_radial, "pair estimate")
-    m = _resolve_mass(mass, r_k, k, n, 2.0)
+    mask, k, _ = _exceedance_mask(r, q_radial, "pair estimate")
+    m = _resolve_mass(mass, float(r[mask].min()), k, n, "fixed", 2.0)
     wk = w[mask]
     sigma = m / k * float(np.sum(wk[:, 0] * wk[:, 1]))
     return sigma, k, wk
@@ -243,8 +256,8 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
     n, p = X.shape
     if mode == "global":
         r = np.sqrt(np.sum(X ** 2, axis=1))
-        mask, k, r_k = _exceedance_mask(r, q_radial, "global TPDM")
-        m = _resolve_mass(mass, r_k, k, n, float(p))
+        mask, k, _ = _exceedance_mask(r, q_radial, "global TPDM")
+        m = _resolve_mass(mass, float(r[mask].min()), k, n, "fixed", p)
         W = X[mask] / r[mask, None]
         S = (m / k) * (W.T @ W)
         return IPMatrix(S, kind="estimated", k_used=np.full((p, p), k), mass=m)

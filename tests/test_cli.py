@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from tailgraph.cli import main, read_csv_matrix
+from tailgraph import PairRecord, PtcTestReport, ar1_matrix, construct, sample_noise
+from tailgraph.cli import _format_matrix_csv, main, read_csv_matrix
 
 NO2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "no2_tstats.csv")
 
@@ -16,13 +17,13 @@ def run(*argv):
 
 
 def run_process(*argv):
-    """The CLI in a fresh interpreter; returns (exit code, stderr)."""
+    """The CLI in a fresh interpreter; returns (exit code, stderr, stdout)."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
     proc = subprocess.run([sys.executable, "-m", "tailgraph.cli", *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=120)
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stderr, proc.stdout
 
 
 @pytest.fixture()
@@ -177,7 +178,7 @@ class TestPtcTestCmd:
         assert "must lie in (0, 1)" in capsys.readouterr().err
 
     def test_usage_error_prints_no_traceback(self, tmp_path):
-        code, err = run_process("ptc-test", "--input", tmp_path / "absent.csv",
+        code, err, _ = run_process("ptc-test", "--input", tmp_path / "absent.csv",
                                 "--pred-quantile", "1.5", "--out-prefix", tmp_path / "r")
         assert code == 2
         assert "must lie in (0, 1)" in err and "Traceback" not in err
@@ -228,6 +229,36 @@ class TestGraphCmd:
         assert run("graph", "--report", tmp_path / "r_report.json", "--out", out) == 0
         assert (tmp_path / "r_graph.dot").read_text() == out.read_text()
 
+    def test_from_report_keeps_skipped_pairs(self, tmp_path):
+        # a duplicated column makes some pairs error; their comment lines must survive
+        X = construct(ar1_matrix(0.6, 5), sample_noise(5, 4000, seed=13))
+        X = np.column_stack([X, X[:, 2]])
+        src = tmp_path / "dup.csv"
+        src.write_text(_format_matrix_csv(X, [f"X{i + 1}" for i in range(6)]))
+        assert run("ptc-test", "--input", src, "--mode", "global", "--mass", "estimate",
+                   "--critical", "fixed:0.01", "--out-prefix", tmp_path / "r") == 0
+        out = tmp_path / "fromreport.dot"
+        assert run("graph", "--report", tmp_path / "r_report.json", "--out", out) == 0
+        dot = out.read_text()
+        assert "// skipped pair" in dot and "--" in dot
+        assert (tmp_path / "r_graph.dot").read_text() == dot
+
+    def test_report_with_fixed_critical_override(self, tmp_path):
+        path = tmp_path / "r.json"
+        report = PtcTestReport(
+            records=[PairRecord(0, 1, ("a", "b"), t_stat=5.0, k=40, reject=True),
+                     PairRecord(0, 2, ("a", "c"), t_stat=-2.0, k=40, reject=False),
+                     PairRecord(1, 2, ("b", "c"), error="ConditioningError: x")],
+            critical_value=3.0, adjustment="none", alpha=0.05, columns=["a", "b", "c"])
+        path.write_text(json.dumps(report.to_dict()))
+        adj = tmp_path / "g.json"
+        assert run("graph", "--report", path, "--critical", "fixed:1.5",
+                   "--out", tmp_path / "g.dot", "--json", adj) == 0
+        payload = json.loads(adj.read_text())
+        assert payload["critical_value"] == 1.5
+        assert [e[:2] for e in payload["edges"]] == [[0, 1], [0, 2]]
+        assert payload["skipped_pairs"] == [[1, 2, "ConditioningError: x"]]
+
     def test_needs_exactly_one_source(self, tmp_path):
         assert run("graph", "--out", tmp_path / "g.dot") == 3
 
@@ -246,10 +277,77 @@ class TestGraphCmd:
         path = tmp_path / "r.json"
         path.write_text(json.dumps({"columns": ["a", "b", "c"], "critical_value": 3.0,
                                     "pairs": []}))
-        code, err = run_process("graph", "--report", path, "--critical", "bonferroni",
+        code, err, _ = run_process("graph", "--report", path, "--critical", "bonferroni",
                                 "--out", tmp_path / "g.dot")
         assert code == 2
         assert "Traceback" not in err
 
     def test_stats_requires_critical(self, tmp_path):
         assert run("graph", "--stats", NO2_FIXTURE, "--out", tmp_path / "g.dot") == 3
+
+
+def _write_inputs(tmp_path, case):
+    """Input files for one failure-table case; returns the CLI arguments."""
+    prep = tmp_path / "prep.csv"
+    if case in ("malformed sidecar", "non-positive cell", "nan cell"):
+        X = construct(ar1_matrix(0.7, 3), sample_noise(3, 600, seed=1))
+        if case == "non-positive cell":
+            X[7, 1] = -1.0
+        elif case == "nan cell":
+            X[7, 1] = np.nan
+        prep.write_text(_format_matrix_csv(X, ["a", "b", "c"]))
+        (tmp_path / "prep.csv.json").write_text("{bad")
+    report = tmp_path / "r_report.json"
+    if case == "malformed report":
+        report.write_text("{bad")
+    elif case == "report without critical value":
+        report.write_text(json.dumps({"columns": ["a", "b", "c"], "pairs": []}))
+    return {
+        "malformed sidecar": ["tpdm", "--input", prep, "--out-prefix", tmp_path / "t"],
+        "non-positive cell": ["tpdm", "--input", prep, "--out-prefix", tmp_path / "t"],
+        "nan cell": ["ptc-test", "--input", prep, "--out-prefix", tmp_path / "t"],
+        "malformed report": ["graph", "--report", report, "--out", tmp_path / "g.dot"],
+        "report without critical value": ["graph", "--report", report,
+                                          "--out", tmp_path / "g.dot"],
+        "simulate --n 0": ["simulate", "--n", 0, "--out", tmp_path / "s.csv"],
+        "simulate --p 0": ["simulate", "--p", 0, "--out", tmp_path / "s.csv"],
+        "coverage --n 0": ["coverage", "--n", 0, "--out", tmp_path / "c.json"],
+        "graph --width-scale 0": ["graph", "--stats", NO2_FIXTURE, "--critical", "fixed:4.8",
+                                  "--width-scale", 0, "--out", tmp_path / "g.dot"],
+        "unknown method": ["ptc-test", "--input", prep, "--critical", "holm",
+                           "--out-prefix", tmp_path / "t"],
+        "every replication fails": ["coverage", "--n", 5, "--reps", 100, "--seed", 0,
+                                    "--out", tmp_path / "c.json"],
+    }[case]
+
+
+FAILURE_TABLE = [
+    # (case, exit code); the sidecar is not read, so a malformed one is harmless
+    ("malformed sidecar", 0),
+    ("malformed report", 3),
+    ("report without critical value", 3),
+    ("non-positive cell", 3),
+    ("nan cell", 3),
+    ("simulate --n 0", 2),
+    ("simulate --p 0", 2),
+    ("coverage --n 0", 2),
+    ("graph --width-scale 0", 2),
+    ("unknown method", 2),
+    ("every replication fails", 4),
+]
+
+
+@pytest.mark.parametrize("case, code", FAILURE_TABLE, ids=[c for c, _ in FAILURE_TABLE])
+def test_failure_table(tmp_path, case, code):
+    """Bad input exits 2/3/4 with one stderr line, no traceback and no output file."""
+    argv = _write_inputs(tmp_path, case)
+    before = set(tmp_path.iterdir())
+    got, err, out = run_process(*argv)
+    assert got == code, err
+    assert "Traceback" not in err
+    assert "seed:" not in out  # usage errors stop before a seed is drawn
+    if code == 0:
+        assert err == ""
+        return
+    assert len(err.splitlines()) == 1 and "error:" in err
+    assert set(tmp_path.iterdir()) == before

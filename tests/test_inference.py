@@ -5,10 +5,13 @@ import pytest
 from scipy import stats
 
 from tailgraph import (
+    DataError,
     DegenerateVarianceError,
     DomainError,
     InsufficientExceedancesError,
+    NumericalError,
     Partition,
+    PtcTestReport,
     ResidualSample,
     TailSample,
     TailgraphError,
@@ -50,8 +53,8 @@ def make_residual_sample(w, n_total=None, m_trace=1.0, radii=None):
     w = np.asarray(w, dtype=float)
     r = np.ones(len(w)) if radii is None else np.asarray(radii, dtype=float)
     u = w * r[:, None]
-    return ResidualSample(u=u, pair=(0, 1), b_used=np.zeros((2, 2)), r=r, w=w,
-                          n_total=n_total or len(w), threshold=0.0, m_trace=m_trace)
+    return ResidualSample(u=u, r=r, w=w, n_total=n_total or len(w), threshold=0.0,
+                          m_trace=m_trace)
 
 
 DIAG = 1 / np.sqrt(2)
@@ -90,11 +93,6 @@ class TestResiduals:
         np.testing.assert_allclose(res.w * res.r[:, None], res.u, atol=1e-10)
         assert res.n_total == ar1_sample.n
         assert len(res) == int((1 - 0.98) * ar1_sample.n)
-
-    def test_prefilter_restricts_rows(self, ar1_sample, ar1_fit):
-        part, b, _ = ar1_fit
-        res = residuals(ar1_sample, part, b, q_pred=0.9, prefilter_quantile=0.5)
-        assert res.n_total == pytest.approx(ar1_sample.n / 2, rel=0.01)
 
     def test_quantile_domain(self, ar1_sample, ar1_fit):
         part, b, _ = ar1_fit
@@ -256,6 +254,11 @@ class TestCriticalValue:
         with pytest.raises(DomainError):
             critical_value("sidak", alpha=0.05, n_pairs=10, df=100)
 
+    @pytest.mark.parametrize("method", ["holm", "fixed:abc"])
+    def test_unknown_method_named_without_df(self, method):
+        with pytest.raises(DomainError, match="unknown|numeric"):
+            critical_value(method)
+
 
 class TestPtcTestAllPairs:
     def test_ar1_structure_detected(self, ar1_sample):
@@ -325,6 +328,44 @@ class TestPtcTestAllPairs:
     def test_quantiles_validated_up_front(self, ar1_sample, q_pred, q_res):
         with pytest.raises(DomainError, match="must lie in"):
             ptc_test_all_pairs(ar1_sample, q_pred=q_pred, q_res=q_res)
+
+    @pytest.mark.parametrize("kwargs, match", [({"cv_method": "holm"}, "unknown"),
+                                               ({"cv_method": "fixed:x"}, "numeric"),
+                                               ({"alpha": 1.5}, "alpha"),
+                                               ({"alpha": 0.0, "cv_method": 3.0}, "alpha")])
+    def test_critical_value_arguments_validated_up_front(self, ar1_sample, monkeypatch,
+                                                         kwargs, match):
+        def no_tpdm(*args, **kw):
+            raise AssertionError("the TPDM was estimated before validation")
+
+        monkeypatch.setattr("tailgraph.inference.estimate_tpdm", no_tpdm)
+        with pytest.raises(DomainError, match=match):
+            ptc_test_all_pairs(ar1_sample, **kwargs)
+
+    def test_report_dict_round_trip(self, ar1_sample):
+        report = ptc_test_all_pairs(ar1_sample, q_radial=0.98, q_pred=0.98,
+                                    tpdm_mode="global", tpdm_mass="estimate")
+        payload = report.to_dict()
+        back = PtcTestReport.from_dict(payload).to_dict()
+        assert back == dict(payload, ptc=None)
+
+    @pytest.mark.parametrize("breakage", ["no_cv", "cv_text", "pair_index", "t_missing",
+                                          "not_a_dict"])
+    def test_malformed_report_dict_is_data_error(self, ar1_sample, breakage):
+        payload = ptc_test_all_pairs(ar1_sample, q_radial=0.98, q_pred=0.98,
+                                     tpdm_mode="global", tpdm_mass="estimate").to_dict()
+        if breakage == "no_cv":
+            del payload["critical_value"]
+        elif breakage == "cv_text":
+            payload["critical_value"] = "high"
+        elif breakage == "pair_index":
+            payload["pairs"][0]["j"] = 9
+        elif breakage == "t_missing":
+            payload["pairs"][0]["t"] = None
+        else:
+            payload = [payload]
+        with pytest.raises(DataError, match="malformed report"):
+            PtcTestReport.from_dict(payload)
 
 
 def _reference_records(sample, q_radial, q_pred, q_res, mode, mass):
@@ -397,3 +438,7 @@ class TestCoverageStudy:
     def test_rejects_zero_reps(self):
         with pytest.raises(DomainError):
             coverage_study(reps=0)
+
+    def test_every_replication_failing_raises(self):
+        with pytest.raises(NumericalError, match="every replication failed"):
+            coverage_study(n=5, reps=3, seed=0)

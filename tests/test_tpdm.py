@@ -5,6 +5,7 @@ from tailgraph import (
     DataError,
     DegenerateMarginError,
     DimensionError,
+    DomainError,
     InsufficientExceedancesError,
     TailSample,
     ar1_matrix,
@@ -18,7 +19,16 @@ from tailgraph import (
     softplus_inv,
     solve_delta,
 )
-from tailgraph.tpdm import _preimage_mean
+from tailgraph.tpdm import _preimage_mean, _resolve_mass
+
+
+class TestTailSample:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_entry_is_data_error(self, bad):
+        X = np.ones((5, 2))
+        X[3, 1] = bad
+        with pytest.raises(DataError, match="finite and strictly positive"):
+            TailSample(X)
 
 
 class TestSolveDelta:
@@ -161,6 +171,28 @@ class TestEstimateMass:
     def test_scale_equivariance(self):
         r = np.random.default_rng(1).random(500) + 0.5
         assert estimate_mass(2 * r, 50, 500) == pytest.approx(4 * estimate_mass(r, 50, 500))
+
+    def test_global_tpdm_uses_the_same_estimate(self):
+        X = construct(ar1_matrix(0.7, 3), sample_noise(3, 5000, seed=8))
+        S = estimate_tpdm(TailSample(X), 0.95, mode="global", mass="estimate")
+        r = np.sqrt(np.sum(X ** 2, axis=1))
+        assert S.mass == estimate_mass(r, int(S.k_used[0, 0]), r.size)
+
+
+class TestResolveMass:
+    def test_named_value_and_number_verbatim(self):
+        assert _resolve_mass("fixed", 3.0, 10, 100, "fixed", 2.0) == 2.0
+        assert _resolve_mass("trace", 3.0, 10, 100, "trace", 1.25) == 1.25
+        assert _resolve_mass(0.5, 3.0, 10, 100) == 0.5
+
+    def test_estimate_formula(self):
+        assert _resolve_mass("estimate", 3.0, 10, 100, "trace", None) == 9.0 / 100 * 10
+
+    @pytest.mark.parametrize("mass, name, value", [("trace", "trace", None), (0.0, "fixed", 2.0),
+                                                   (-1.0, "fixed", 2.0)])
+    def test_missing_or_non_positive_mass(self, mass, name, value):
+        with pytest.raises(DomainError):
+            _resolve_mass(mass, 3.0, 10, 100, name, value)
 
 
 class TestEstimateTpdm:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -42,13 +43,36 @@ def _atomic_write(path: str, text: str):
 
 def _format_matrix_csv(matrix: np.ndarray, columns) -> str:
     rows = [",".join(columns)]
-    for row in np.asarray(matrix):
-        rows.append(",".join(repr(float(v)) for v in row))
+    rows.extend(",".join(map(repr, row)) for row in np.asarray(matrix, dtype=float).tolist())
     return "\n".join(rows) + "\n"
 
 
 def read_csv_matrix(path: str):
-    """Read a numeric CSV with a header row; returns (columns, n x p array)."""
+    """Read a numeric CSV with a header row; returns (columns, n x p array).
+
+    The body goes through numpy's C parser.  A file that parser rejects (a
+    blank-celled or ragged row, a quoted cell, a spelling only ``float``
+    accepts such as ``1_000``) is read again by :func:`_read_csv_checked`,
+    which defines the accepted dialect and names the bad line.
+    """
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+            body = fh.read()
+        if header is not None and body and not body.isspace():
+            columns = [h.strip() for h in header]
+            data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+            if data.shape[1] == len(columns):
+                return columns, data
+    except (ValueError, csv.Error):
+        pass
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return _read_csv_checked(path)
+
+
+def _read_csv_checked(path: str):
+    """Row-by-row reader: skips blank rows, parses every cell with ``float``."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import project
 from .errors import (
@@ -160,7 +160,7 @@ def confidence_interval(sigma_u_hat: float, tau2_hat: float, k: int, level: floa
         raise DegenerateVarianceError("tau2 must be positive")
     if k < 2:
         raise DomainError("need k >= 2")
-    half = stats.t.ppf((1.0 + level) / 2.0, k - 1) * np.sqrt(tau2_hat / k)
+    half = special.stdtrit(k - 1, (1.0 + level) / 2.0) * np.sqrt(tau2_hat / k)
     return float(sigma_u_hat - half), float(sigma_u_hat + half)
 
 
@@ -191,8 +191,8 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
     if method == "bonferroni":
         if not n_pairs or n_pairs < 1:
             raise DomainError("bonferroni needs the number of pairs")
-        return float(stats.t.ppf(1.0 - alpha / (2.0 * n_pairs), df))
-    return float(stats.t.ppf(1.0 - alpha / 2.0, df))
+        return float(special.stdtrit(df, 1.0 - alpha / (2.0 * n_pairs)))
+    return float(special.stdtrit(df, 1.0 - alpha / 2.0))
 
 
 @dataclass

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, stats
 
 from .errors import (
     DataError,
@@ -103,6 +102,8 @@ def _preimage_mean(delta: float) -> float:
     # log(exp(x - delta) - 1) * 2 x^-3 over (1, inf).  Requires delta < 1 so
     # the shifted support stays positive.  Split at 2 because the integrand
     # steepens near the lower endpoint as delta approaches 1.
+    from scipy import integrate  # loaded by its only user; see solve_delta
+
     def integrand(x):
         return softplus_inv(x - delta) * 2.0 * x ** -3
 
@@ -120,10 +121,29 @@ def solve_delta() -> float:
     Solves ``E[t^-1(1/sqrt(1-U) - delta)] = 0`` by bracketed root finding on
     adaptive quadrature; the root is ~0.9352.
     """
+    # scipy.optimize and scipy.integrate load on the first call, so that a
+    # command which never needs delta does not pay for importing them.
+    from scipy import optimize
+
     root = float(optimize.brentq(_preimage_mean, 0.2, 0.999, xtol=1e-10))
     if abs(_preimage_mean(root)) >= 1e-8:
         raise NumericalError("root residual above 1e-8")
     return root
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of a 1-D array, tied values sharing the mean of their ranks.
+
+    Equal, bit for bit, to scipy's ``rankdata(x, method="average")``.
+    """
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    first = np.concatenate(([True], s[1:] != s[:-1]))
+    dense = np.cumsum(first)  # tie group of each sorted value, from 1
+    count = np.concatenate((np.flatnonzero(first), [x.size]))  # count[g]: values in groups 1..g
+    ranks = np.empty(x.size)
+    ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
+    return ranks
 
 
 def marginal_transform(raw, columns=None) -> TailSample:
@@ -149,7 +169,7 @@ def marginal_transform(raw, columns=None) -> TailSample:
         col = arr[:, j]
         if np.ptp(col) == 0.0:
             raise DegenerateMarginError(f"column {j} is constant")
-        fhat = stats.rankdata(col, method="average") / (n + 1)
+        fhat = _average_ranks(col) / (n + 1)
         out[:, j] = 1.0 / np.sqrt(1.0 - fhat) - delta
     return TailSample(out, margin="shifted-pareto", delta=delta, columns=columns)
 
@@ -217,7 +237,11 @@ def _resolve_mass(mass, r_k: float, k: int, n: int, name: str = "fixed", value=N
         if value is None:
             raise DomainError(f"mass={name!r} needs a value for this sample")
         return float(value)
-    m = float(mass)
+    try:
+        m = float(mass)
+    except (TypeError, ValueError):
+        raise DomainError(f"mass must be 'estimate', {name!r} or a positive number, "
+                          f"got {mass!r}") from None
     if m <= 0:
         raise DomainError("fixed mass must be positive")
     return m

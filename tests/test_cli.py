@@ -5,9 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailgraph import PairRecord, PtcTestReport, ar1_matrix, construct, sample_noise
-from tailgraph.cli import _format_matrix_csv, main, read_csv_matrix
+from tailgraph import cli
+from tailgraph.cli import _format_matrix_csv, _read_csv_checked, main, read_csv_matrix
 
 NO2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "no2_tstats.csv")
 
@@ -16,12 +19,13 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def run_process(*argv):
-    """The CLI in a fresh interpreter; returns (exit code, stderr, stdout)."""
+def run_process(*argv, python_args=("-m", "tailgraph.cli")):
+    """The CLI (or other ``python_args``) in a fresh interpreter; returns
+    (exit code, stderr, stdout)."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
-    proc = subprocess.run([sys.executable, "-m", "tailgraph.cli", *map(str, argv)],
+    proc = subprocess.run([sys.executable, *python_args, *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stderr, proc.stdout
 
@@ -351,3 +355,121 @@ def test_failure_table(tmp_path, case, code):
         return
     assert len(err.splitlines()) == 1 and "error:" in err
     assert set(tmp_path.iterdir()) == before
+
+
+class TestCsvCodec:
+    """The numpy fast path of ``read_csv_matrix`` against the checked parser."""
+
+    @staticmethod
+    def outcome(reader, path):
+        try:
+            columns, data = reader(str(path))
+        except Exception as exc:  # the error type and message must match too
+            return type(exc), str(exc)
+        return columns, data.shape, data.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n1.5,2\n3,4e-3\n",
+        "a,b\r\n1.5,2\r\n3,4e-3\r\n",
+        "a,b\n\n1.5,2\n\n3,4e-3",
+        "x\n1\n2\n",
+        '"x,y",z\n-1,nan\n',
+    ])
+    def test_clean_file_skips_checked_parser(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        want = self.outcome(_read_csv_checked, path)
+
+        def fail(path):
+            raise AssertionError("fast path fell back")
+
+        monkeypatch.setattr(cli, "_read_csv_checked", fail)
+        assert self.outcome(read_csv_matrix, path) == want
+
+    def test_format_matches_float_repr(self):
+        M = np.array([[0.1, -0.0, 5e-324], [np.nan, -np.inf, 1e300]])
+        want = "a,b,c\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in M)
+        assert _format_matrix_csv(M, ["a", "b", "c"]) == want
+        assert _format_matrix_csv(np.array([[1, 2]]), ["a", "b"]) == "a,b\n1.0,2.0\n"
+
+
+_GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-1000, 1000).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-Infinity", "+1.5", "1e5", " 2.5 ", "-0.0",
+                     ".5", "1.", "1e500", "4.9e-324"]),
+)
+_ODD_CELLS = st.sampled_from(["", "  ", "1_000", "\u0661\u0662", "#1", "# 2", "1#2",
+                              '"1.5"', '"1,5"', "abc", "0x10", "1d3", "\t3", "1 2"])
+_HEADER_CELLS = st.sampled_from(["a", " b ", "X1", '"x,y"', '"q"'])
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text built from a cell vocabulary: mostly well-formed, sometimes not."""
+    kind = draw(st.sampled_from(["rows", "rows", "rows", "header only", "empty"]))
+    if kind == "empty":
+        return ""
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    p = draw(st.integers(1, 4))
+    header = ",".join(draw(st.lists(_HEADER_CELLS, min_size=p, max_size=p)))
+    if kind == "header only":
+        return header + draw(st.sampled_from(["", eol]))
+    good_row = st.lists(_GOOD_CELLS, min_size=p, max_size=p).map(",".join)
+    odd_row = st.one_of(
+        st.lists(st.one_of(_GOOD_CELLS, _ODD_CELLS), min_size=p, max_size=p).map(",".join),
+        st.lists(_GOOD_CELLS, min_size=max(p - 1, 1), max_size=p + 1).map(",".join),
+        st.sampled_from(["", "   ", ", ,", "\t"]),
+    )
+    rows = draw(st.lists(st.one_of(good_row, good_row, good_row, odd_row), max_size=8))
+    return eol.join([header, *rows]) + draw(st.sampled_from(["", eol]))
+
+
+@settings(max_examples=300)
+@given(text=_csv_files())
+@example(text="")
+@example(text="a,b\n")
+@example(text='"x,y",z\r\n1,2\r\n\r\n3,4\r\n')
+@example(text="a,b\n1,#2\n")
+@example(text="a,b\n#1,2\n3,4\n")
+@example(text="a\n3\n1#2\n")
+@example(text="a,b\n1_000,2\n")
+@example(text="a,b\n\u0661,2\n")
+@example(text='a,b\n"1",2\n')
+@example(text="a,b\n1,2\n3\n")
+@example(text="a,b\n1,2\n , \n")
+@example(text="a\n  \n1\n")
+def test_read_csv_matrix_matches_checked_parser(tmp_path_factory, text):
+    """Same columns and bits as the checked parser, or the same error."""
+    path = tmp_path_factory.getbasetemp() / "codec.csv"
+    path.write_bytes(text.encode())
+    assert (TestCsvCodec.outcome(read_csv_matrix, path)
+            == TestCsvCodec.outcome(_read_csv_checked, path))
+
+
+def test_import_budget(tmp_path):
+    """Commands that never solve for delta load no scipy.stats, integrate or
+    optimize; solve_delta loads them on demand and finds the same root."""
+    X = construct(ar1_matrix(0.7, 3), sample_noise(3, 2000, seed=1))
+    prep = tmp_path / "prep.csv"
+    prep.write_text(_format_matrix_csv(X, ["a", "b", "c"]))
+    script = """
+import json, sys
+import tailgraph.cli
+heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+loaded = lambda: [m for m in heavy if m in sys.modules]
+out = {"import": loaded()}
+prep, prefix = sys.argv[1:]
+assert tailgraph.cli.main(["ptc-test", "--input", prep, "--out-prefix", prefix]) == 0
+out["ptc-test"] = loaded()
+assert tailgraph.cli.main(["graph", "--report", prefix + "_report.json",
+                           "--out", prefix + ".dot"]) == 0
+out["graph"] = loaded()
+out["delta"] = repr(tailgraph.tpdm.solve_delta())
+print(json.dumps(out))
+"""
+    code, err, stdout = run_process(prep, tmp_path / "r", python_args=("-c", script))
+    assert code == 0, err
+    got = json.loads(stdout.splitlines()[-1])
+    assert got == {"import": [], "ptc-test": [], "graph": [], "delta": "0.9352083872762512"}

@@ -143,6 +143,11 @@ class TestEstimateSigmaU:
         with pytest.raises(DomainError):
             estimate_sigma_u(res, mass="trace")
 
+    def test_unknown_mass_names_accepted_values(self):
+        res = make_residual_sample(np.tile([DIAG, DIAG], (20, 1)))
+        with pytest.raises(DomainError, match="'estimate', 'trace' or a positive number"):
+            estimate_sigma_u(res, mass="bogus")
+
 
 class TestEstimateTau2:
     def test_identical_angles_degenerate(self):
@@ -197,6 +202,10 @@ class TestTStatistic:
             t_statistic(1.0, 1.0, 1)
 
 
+# degrees of freedom for the bit-identity checks against scipy's t distribution
+DF_GRID = [2, 3, 4, 5, 7, 10, 13, 19, 30, 49, 50, 99, 100, 250, 999, 1020, 4999, 10 ** 5]
+
+
 class TestConfidenceInterval:
     def test_widths_increase_with_level(self):
         widths = []
@@ -209,6 +218,13 @@ class TestConfidenceInterval:
         lo, hi = confidence_interval(0.0, 1.0, 10 ** 7, 0.95)
         half = hi * np.sqrt(10 ** 7)
         assert half == pytest.approx(1.959964, abs=1e-4)
+
+    def test_bit_identical_to_t_ppf(self):
+        for k in (df + 1 for df in DF_GRID):
+            for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+                half = stats.t.ppf((1.0 + level) / 2.0, k - 1) * np.sqrt(0.7 / k)
+                assert confidence_interval(0.1, 0.7, k, level) == (float(0.1 - half),
+                                                                   float(0.1 + half))
 
     def test_centered_on_estimate(self):
         lo, hi = confidence_interval(0.42, 1.0, 25, 0.9)
@@ -245,6 +261,16 @@ class TestCriticalValue:
     def test_none_is_plain_quantile(self):
         got = critical_value("none", alpha=0.05, df=1020)
         assert got == pytest.approx(stats.t.ppf(0.975, 1020), abs=1e-12)
+
+    def test_bit_identical_to_t_ppf(self):
+        for df in DF_GRID:
+            for alpha in (0.001, 0.01, 0.05, 0.1, 0.5):
+                assert critical_value("none", alpha=alpha, df=df) == float(
+                    stats.t.ppf(1.0 - alpha / 2.0, df))
+                for n_pairs in (1, 6, 45, 435):
+                    assert critical_value("bonferroni", alpha=alpha, n_pairs=n_pairs,
+                                          df=df) == float(
+                        stats.t.ppf(1.0 - alpha / (2.0 * n_pairs), df))
 
     def test_invalid_level(self):
         with pytest.raises(DomainError):

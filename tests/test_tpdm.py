@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from tailgraph import (
     DataError,
@@ -19,7 +22,7 @@ from tailgraph import (
     softplus_inv,
     solve_delta,
 )
-from tailgraph.tpdm import _preimage_mean, _resolve_mass
+from tailgraph.tpdm import _average_ranks, _preimage_mean, _resolve_mass
 
 
 class TestTailSample:
@@ -78,6 +81,23 @@ class TestMarginalTransform:
     def test_constant_column_rejected(self):
         with pytest.raises(DegenerateMarginError):
             marginal_transform(np.ones((50, 2)))
+
+    @given(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                              st.floats(-1e6, 1e6, allow_nan=False)), min_size=2, max_size=80))
+    @example([1.0, 2.0])
+    @example([2.0, 1.0])
+    @example([5.0, 5.0, 5.0, 5.0, -1.0])
+    @example([-0.0, 0.0, -0.0, 1.0])
+    @example([-7.5, -2.0, -7.5, -2.0, -2.0, -30.0])
+    def test_average_ranks_match_rankdata(self, values):
+        x = np.array(values)
+        assert _average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
+
+    def test_average_ranks_of_strided_heavily_tied_column(self):
+        X = np.random.default_rng(4).integers(0, 5, size=(3000, 3)).astype(float)
+        for j in range(3):
+            assert (_average_ranks(X[:, j]).tobytes()
+                    == rankdata(X[:, j], method="average").tobytes())
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
@@ -193,6 +213,13 @@ class TestResolveMass:
     def test_missing_or_non_positive_mass(self, mass, name, value):
         with pytest.raises(DomainError):
             _resolve_mass(mass, 3.0, 10, 100, name, value)
+
+    @pytest.mark.parametrize("mode", ["global", "pairwise"])
+    @pytest.mark.parametrize("mass", ["bogus", "", None])
+    def test_unknown_mass_names_accepted_values(self, mode, mass):
+        X = construct(ar1_matrix(0.5, 3), sample_noise(3, 2000, seed=10))
+        with pytest.raises(DomainError, match="'estimate', 'fixed' or a positive number"):
+            estimate_tpdm(TailSample(X), 0.9, mode=mode, mass=mass)
 
 
 class TestEstimateTpdm:

@@ -94,6 +94,8 @@ def _read_csv_checked(path: str):
                     raise DataError(f"{path}:{lineno}: non-numeric cell {bad!r}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file: {exc}") from None
     if not data:
         raise DataError(f"{path}: no data rows")
     return columns, np.asarray(data, dtype=float)
@@ -129,10 +131,11 @@ def _checked_arg(convert, valid, requirement: str):
     return parse
 
 
-# counts of observations and variables; quantile levels, alpha and level; scales
+# counts of observations and variables; seeds; quantile levels, alpha and level; scales
 _positive_int_arg = _checked_arg(int, lambda v: v >= 1, "be a positive integer")
+_seed_arg = _checked_arg(int, lambda v: v >= 0, "be a non-negative integer")
 _unit_interval_arg = _checked_arg(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
-_positive_float_arg = _checked_arg(float, lambda v: v > 0.0, "be positive")
+_positive_float_arg = _checked_arg(float, lambda v: 0.0 < v < np.inf, "be positive and finite")
 
 
 def _mass_arg(value: str):
@@ -149,9 +152,12 @@ def _critical_arg(value: str):
         return value
     if value.startswith("fixed:"):
         try:
-            return float(value.split(":", 1)[1])
+            c = float(value.split(":", 1)[1])
         except ValueError:
             raise argparse.ArgumentTypeError("fixed critical value must be numeric") from None
+        if not np.isfinite(c):
+            raise argparse.ArgumentTypeError(f"fixed critical value must be finite, got {c}")
+        return c
     raise argparse.ArgumentTypeError("critical must be 'bonferroni', 'none' or 'fixed:<c>'")
 
 
@@ -296,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--phi", type=float, default=0.7)
     sim.add_argument("--p", type=_positive_int_arg, default=4)
     sim.add_argument("--n", type=_positive_int_arg, default=10_000)
-    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--seed", type=_seed_arg, default=None)
     sim.add_argument("--noise", choices=("shifted-pareto", "frechet"), default="shifted-pareto")
     sim.add_argument("--a-matrix", default=None, help="CSV coefficient matrix instead of the AR model")
     sim.add_argument("--out", required=True)
@@ -333,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--reps", type=int, default=500)
     cov.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.98)
     cov.add_argument("--level", type=_unit_interval_arg, default=0.95)
-    cov.add_argument("--seed", type=int, default=None)
+    cov.add_argument("--seed", type=_seed_arg, default=None)
     cov.add_argument("--out", required=True)
     cov.set_defaults(func=cmd_coverage)
 

@@ -174,14 +174,20 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
     ``method`` is "bonferroni" (two-sided t quantile at alpha/(2 n_pairs)),
     "none" (unadjusted two-sided t quantile), a number, or "fixed:<c>" for a
     value used verbatim (e.g. externally computed studentized-range values).
+    A non-finite fixed value is a :class:`DomainError`; a computed quantile
+    that is not finite (alpha so small that its level rounds to 1) is a
+    :class:`NumericalError`.
     """
-    if isinstance(method, (int, float)):
-        return float(method)
     if isinstance(method, str) and method.startswith("fixed:"):
         try:
-            return float(method.split(":", 1)[1])
+            method = float(method.split(":", 1)[1])
         except ValueError:
             raise DomainError(f"fixed critical value must be numeric, got {method!r}") from None
+    if isinstance(method, (int, float)):
+        cv = float(method)
+        if not np.isfinite(cv):
+            raise DomainError(f"critical value must be finite, got {cv!r}")
+        return cv
     if method not in _ADJUSTED:
         raise DomainError(f"unknown critical value method {method!r}")
     if not 0.0 < alpha < 1.0:
@@ -191,8 +197,14 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
     if method == "bonferroni":
         if not n_pairs or n_pairs < 1:
             raise DomainError("bonferroni needs the number of pairs")
-        return float(special.stdtrit(df, 1.0 - alpha / (2.0 * n_pairs)))
-    return float(special.stdtrit(df, 1.0 - alpha / 2.0))
+        level = 1.0 - alpha / (2.0 * n_pairs)
+    else:
+        level = 1.0 - alpha / 2.0
+    cv = float(special.stdtrit(df, level))
+    if not np.isfinite(cv):
+        raise NumericalError(f"t quantile at level {level!r} (df={df}) is not finite; "
+                             f"alpha={alpha!r} is too small")
+    return cv
 
 
 @dataclass
@@ -266,10 +278,12 @@ class PtcTestReport:
                                  t_stat=None if d["t"] is None else float(d["t"]),
                                  reject=d["reject"], error=d["error"])
                 if not (0 <= rec.i < rec.j < len(columns)
-                        and (rec.t_stat is None) != (rec.error is None)):
+                        and (rec.t_stat is None) != (rec.error is None)
+                        and (rec.t_stat is None or np.isfinite(rec.t_stat))):
                     raise ValueError(f"inconsistent pair record {d}")
                 records.append(rec)
-            return cls(records=records, critical_value=float(payload["critical_value"]),
+            cv = critical_value(float(payload["critical_value"]))  # finite, or a DomainError
+            return cls(records=records, critical_value=cv,
                        adjustment=payload["adjustment"], alpha=payload["alpha"],
                        columns=columns, quantiles=dict(payload["quantiles"]))
         except (KeyError, TypeError, ValueError) as exc:

@@ -26,24 +26,17 @@ _DISTRIBUTIONS = ("shifted-pareto", "frechet")
 class RvNoiseSpec:
     """Noise law for the independent components (tail index fixed at 2).
 
-    ``shifted-pareto`` draws ``1/sqrt(1-U) - shift``; the default shift
-    centers the preimages, which keeps moment estimators on transformed
-    combinations nearly unbiased.  ``frechet`` draws ``(-log U)^(-1/2)``.
+    ``shifted-pareto`` draws ``1/sqrt(1-U) - delta`` with the centering shift
+    :func:`~tailgraph.tpdm.solve_delta`, which keeps moment estimators on
+    transformed combinations nearly unbiased.  ``frechet`` draws
+    ``(-log U)^(-1/2)``.
     """
 
     distribution: str = "shifted-pareto"
-    shift: float | None = None  # None: resolve to the centering shift
 
     def __post_init__(self):
         if self.distribution not in _DISTRIBUTIONS:
             raise DomainError(f"distribution must be one of {_DISTRIBUTIONS}")
-        if self.shift is not None and not -10 < self.shift < 1:
-            raise DomainError("shift must lie below 1 (support must stay positive)")
-
-    def resolved_shift(self) -> float:
-        if self.distribution != "shifted-pareto":
-            return 0.0
-        return solve_delta() if self.shift is None else float(self.shift)
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,7 @@ def sample_noise(q: int, n: int, spec: RvNoiseSpec | None = None, seed=0) -> np.
     if q < 1 or n < 1:
         raise DomainError("q and n must be >= 1")
     spec = spec or RvNoiseSpec()
-    shift = spec.resolved_shift()
+    shift = solve_delta() if spec.distribution == "shifted-pareto" else 0.0
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     cols = []
     for child in root.spawn(q):

@@ -26,9 +26,7 @@ from .errors import (
     DimensionError,
     DomainError,
     InsufficientExceedancesError,
-    NumericalError,
 )
-from .xlinear import softplus_inv
 
 MIN_EXCEEDANCES = 10
 
@@ -97,38 +95,16 @@ def as_matrix(gamma) -> np.ndarray:
     return np.asarray(gamma, dtype=float)
 
 
-def _preimage_mean(delta: float) -> float:
-    # E[t^-1(P - delta)] for P standard Pareto(2): integral of
-    # log(exp(x - delta) - 1) * 2 x^-3 over (1, inf).  Requires delta < 1 so
-    # the shifted support stays positive.  Split at 2 because the integrand
-    # steepens near the lower endpoint as delta approaches 1.
-    from scipy import integrate  # loaded by its only user; see solve_delta
-
-    def integrand(x):
-        return softplus_inv(x - delta) * 2.0 * x ** -3
-
-    v1, e1 = integrate.quad(integrand, 1.0, 2.0, limit=400, epsabs=1e-12, epsrel=1e-12)
-    v2, e2 = integrate.quad(integrand, 2.0, np.inf, limit=400, epsabs=1e-12, epsrel=1e-12)
-    if not np.isfinite(v1 + v2) or e1 + e2 > 1e-9:
-        raise NumericalError(f"quadrature did not converge (err={e1 + e2:.2e})")
-    return v1 + v2
-
-
+# A cached function, not a module constant: perfbench calls cache_clear() on it.
 @functools.lru_cache(maxsize=1)
 def solve_delta() -> float:
     """Shift making the preimage mean of the shifted Pareto zero.
 
-    Solves ``E[t^-1(1/sqrt(1-U) - delta)] = 0`` by bracketed root finding on
-    adaptive quadrature; the root is ~0.9352.
+    The root of ``E[t^-1(1/sqrt(1-U) - delta)] = 0`` for U uniform, a constant
+    of the transform; ``tests/test_tpdm.py::TestSolveDelta`` re-derives it by
+    quadrature and bracketed root finding.
     """
-    # scipy.optimize and scipy.integrate load on the first call, so that a
-    # command which never needs delta does not pay for importing them.
-    from scipy import optimize
-
-    root = float(optimize.brentq(_preimage_mean, 0.2, 0.999, xtol=1e-10))
-    if abs(_preimage_mean(root)) >= 1e-8:
-        raise NumericalError("root residual above 1e-8")
-    return root
+    return 0.9352083872762512
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

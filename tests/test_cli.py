@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -293,7 +295,8 @@ class TestGraphCmd:
 def _write_inputs(tmp_path, case):
     """Input files for one failure-table case; returns the CLI arguments."""
     prep = tmp_path / "prep.csv"
-    if case in ("malformed sidecar", "non-positive cell", "nan cell"):
+    if case in ("malformed sidecar", "non-positive cell", "nan cell", "ptc-test --alpha 1e-300",
+                "ptc-test --critical fixed:nan"):
         X = construct(ar1_matrix(0.7, 3), sample_noise(3, 600, seed=1))
         if case == "non-positive cell":
             X[7, 1] = -1.0
@@ -306,6 +309,10 @@ def _write_inputs(tmp_path, case):
         report.write_text("{bad")
     elif case == "report without critical value":
         report.write_text(json.dumps({"columns": ["a", "b", "c"], "pairs": []}))
+    elif case in ("report with infinite critical value", "graph --critical fixed:inf"):
+        report.write_text(json.dumps({"columns": ["a", "b", "c"], "pairs": [],
+                                      "critical_value": float("inf"), "adjustment": "none",
+                                      "alpha": 1e-300, "quantiles": {}}))
     return {
         "malformed sidecar": ["tpdm", "--input", prep, "--out-prefix", tmp_path / "t"],
         "non-positive cell": ["tpdm", "--input", prep, "--out-prefix", tmp_path / "t"],
@@ -318,10 +325,23 @@ def _write_inputs(tmp_path, case):
         "coverage --n 0": ["coverage", "--n", 0, "--out", tmp_path / "c.json"],
         "graph --width-scale 0": ["graph", "--stats", NO2_FIXTURE, "--critical", "fixed:4.8",
                                   "--width-scale", 0, "--out", tmp_path / "g.dot"],
+        "graph --width-scale inf": ["graph", "--stats", NO2_FIXTURE, "--critical", "fixed:4.8",
+                                    "--width-scale", "inf", "--out", tmp_path / "g.dot"],
         "unknown method": ["ptc-test", "--input", prep, "--critical", "holm",
                            "--out-prefix", tmp_path / "t"],
         "every replication fails": ["coverage", "--n", 5, "--reps", 100, "--seed", 0,
                                     "--out", tmp_path / "c.json"],
+        "simulate --seed -1": ["simulate", "--seed", -1, "--out", tmp_path / "s.csv"],
+        "coverage --seed -5": ["coverage", "--seed", -5, "--out", tmp_path / "c.json"],
+        "ptc-test --critical fixed:nan": ["ptc-test", "--input", prep, "--critical", "fixed:nan",
+                                          "--out-prefix", tmp_path / "t"],
+        "graph --critical fixed:inf": ["graph", "--report", report, "--critical", "fixed:inf",
+                                       "--out", tmp_path / "g.dot", "--json", tmp_path / "g.json"],
+        "ptc-test --alpha 1e-300": ["ptc-test", "--input", prep, "--alpha", 1e-300,
+                                    "--out-prefix", tmp_path / "t"],
+        "report with infinite critical value": ["graph", "--report", report,
+                                                "--out", tmp_path / "g.dot",
+                                                "--json", tmp_path / "g.json"],
     }[case]
 
 
@@ -336,8 +356,15 @@ FAILURE_TABLE = [
     ("simulate --p 0", 2),
     ("coverage --n 0", 2),
     ("graph --width-scale 0", 2),
+    ("graph --width-scale inf", 2),  # every edge would be drawn with penwidth=inf
     ("unknown method", 2),
     ("every replication fails", 4),
+    ("simulate --seed -1", 2),
+    ("coverage --seed -5", 2),
+    ("ptc-test --critical fixed:nan", 2),
+    ("graph --critical fixed:inf", 2),
+    ("ptc-test --alpha 1e-300", 4),  # the Bonferroni t quantile is infinite
+    ("report with infinite critical value", 3),
 ]
 
 
@@ -449,27 +476,150 @@ def test_read_csv_matrix_matches_checked_parser(tmp_path_factory, text):
 
 
 def test_import_budget(tmp_path):
-    """Commands that never solve for delta load no scipy.stats, integrate or
-    optimize; solve_delta loads them on demand and finds the same root."""
-    X = construct(ar1_matrix(0.7, 3), sample_noise(3, 2000, seed=1))
-    prep = tmp_path / "prep.csv"
-    prep.write_text(_format_matrix_csv(X, ["a", "b", "c"]))
+    """No command loads scipy.stats, integrate or optimize: delta is a literal,
+    and simulate, preprocess, ptc-test and graph run on scipy.linalg and
+    scipy.special alone."""
     script = """
 import json, sys
 import tailgraph.cli
 heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
 loaded = lambda: [m for m in heavy if m in sys.modules]
 out = {"import": loaded()}
-prep, prefix = sys.argv[1:]
-assert tailgraph.cli.main(["ptc-test", "--input", prep, "--out-prefix", prefix]) == 0
-out["ptc-test"] = loaded()
-assert tailgraph.cli.main(["graph", "--report", prefix + "_report.json",
-                           "--out", prefix + ".dot"]) == 0
-out["graph"] = loaded()
+base = sys.argv[1]
+for argv in (["simulate", "--p", "3", "--n", "2000", "--seed", "1", "--out", base + "s.csv"],
+             ["preprocess", "--input", base + "s.csv", "--output", base + "p.csv"],
+             ["ptc-test", "--input", base + "p.csv", "--out-prefix", base + "r"],
+             ["graph", "--report", base + "r_report.json", "--out", base + "g.dot"]):
+    assert tailgraph.cli.main(argv) == 0
+    out[argv[0]] = loaded()
 out["delta"] = repr(tailgraph.tpdm.solve_delta())
 print(json.dumps(out))
 """
-    code, err, stdout = run_process(prep, tmp_path / "r", python_args=("-c", script))
+    code, err, stdout = run_process(str(tmp_path) + os.sep, python_args=("-c", script))
     assert code == 0, err
     got = json.loads(stdout.splitlines()[-1])
-    assert got == {"import": [], "ptc-test": [], "graph": [], "delta": "0.9352083872762512"}
+    assert got == {"import": [], "simulate": [], "preprocess": [], "ptc-test": [],
+                   "graph": [], "delta": "0.9352083872762512"}
+
+
+# CLI fuzz: argument vectors drawn from a vocabulary of valid, boundary and
+# malformed values, run in process on a small sample and the report it gives.
+_VALUES = ["0", "-1", "1", "2", str(2 ** 63), "9" * 30, "nan", "inf", "-inf", "1e-300",
+           "1e400", "1.5", "-0.2", "0.5", "0.9", "0.999999", "abc", "", "0x10"]
+_SIZES = ["0", "-1", "1", "2", "3", "5", "60", "nan", "1e3", "abc"]  # --n, always given, and --p
+_CRITICALS = ["bonferroni", "none", "holm", "fixed:", "fixed:2.5", "fixed:-3", "fixed:0",
+              "fixed:nan", "fixed:inf", "fixed:-inf", "fixed:1e400", "fixed:abc"]
+_INPUTS = ["@sim", "@prep", "@report", "@stats", "@amat", "@missing", "@empty", "@header",
+           "@binary", "@dir", "@constant", "@negative", "@inf-report"]
+
+
+def _opt(flag, values, required=False):
+    """``[flag, value]``, or sometimes nothing (always the pair when required)."""
+    pair = st.sampled_from(values).map(lambda v: [flag, v])
+    return pair if required else st.one_of(st.just([]), pair)
+
+
+def _with(values, *valid):
+    return [*valid, *valid, *values]  # the valid values twice as often
+
+
+_COMMANDS = {
+    "simulate": [
+        _opt("--phi", _with(_VALUES, "0.7")), _opt("--p", _SIZES),
+        _opt("--n", _SIZES, required=True),
+        _opt("--seed", _with(_VALUES, "3")), _opt("--noise", ["shifted-pareto", "frechet", "x"]),
+        _opt("--a-matrix", _INPUTS), _opt("--out", ["@out/s.csv"], required=True)],
+    "preprocess": [
+        _opt("--input", _INPUTS, required=True), _opt("--output", ["@out/p.csv"], required=True)],
+    "tpdm": [
+        _opt("--input", _INPUTS, required=True), _opt("--radial-quantile", _with(_VALUES, "0.9")),
+        _opt("--mode", ["pairwise", "global", "x"]), _opt("--mass", ["fixed2", "estimate", "x"]),
+        _opt("--out-prefix", ["@out/t"], required=True)],
+    "ptc-test": [
+        _opt("--input", _INPUTS, required=True), _opt("--radial-quantile", _with(_VALUES, "0.9")),
+        _opt("--pred-quantile", _with(_VALUES, "0.95")),
+        _opt("--res-quantile", _with(_VALUES, "0.95")), _opt("--alpha", _with(_VALUES, "0.05")),
+        _opt("--critical", _CRITICALS), _opt("--mode", ["pairwise", "global"]),
+        _opt("--mass", ["fixed2", "estimate"]), _opt("--out-prefix", ["@out/r"], required=True)],
+    "graph": [
+        _opt("--report", _INPUTS), _opt("--stats", _INPUTS), _opt("--critical", _CRITICALS),
+        _opt("--width-scale", _with(_VALUES, "4")), _opt("--out", ["@out/g.dot"], required=True),
+        _opt("--json", ["@out/g.json"])],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for option in _COMMANDS[command]:
+        argv += draw(option)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Name -> path of every input the fuzz draws: a valid sample (n=800, p=4),
+    its preprocessed form and test report, and missing or wrong files."""
+    d = tmp_path_factory.mktemp("fuzz-inputs")
+    X = construct(ar1_matrix(0.7, 4), sample_noise(4, 800, seed=2))
+    names = ["X1", "X2", "X3", "X4"]
+    paths = {name: d / f"{name}.csv" for name in ("sim", "amat", "empty", "header", "binary",
+                                                  "constant", "negative")}
+    paths["sim"].write_text(_format_matrix_csv(X, names))
+    paths["amat"].write_text("c1,c2\n1.0,0.0\n0.5,1.0\n-1,0.3\n")
+    paths["empty"].write_text("")
+    paths["header"].write_text("a,b\n")
+    paths["binary"].write_bytes(b"a,b\n\xff\xfe,1\n")
+    paths["constant"].write_text("a,b\n1,2\n1,3\n1,4\n")
+    X[5, 2] = -1.0
+    paths["negative"].write_text(_format_matrix_csv(X, names))
+    paths.update(prep=d / "prep.csv", report=d / "r_report.json", stats=NO2_FIXTURE,
+                 missing=d / "absent.csv", dir=d, **{"inf-report": d / "inf.json"})
+    assert run("preprocess", "--input", paths["sim"], "--output", paths["prep"]) == 0
+    assert run("ptc-test", "--input", paths["prep"], "--out-prefix", d / "r") == 0
+    report = json.loads(paths["report"].read_text())
+    paths["inf-report"].write_text(json.dumps(dict(report, critical_value=float("inf"))))
+    return paths
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=400)
+@given(argv=_argv())
+@example(argv=["simulate", "--n", "5", "--seed", "-1", "--out", "@out/s.csv"])
+@example(argv=["ptc-test", "--input", "@prep", "--critical", "fixed:nan",
+               "--out-prefix", "@out/r"])
+@example(argv=["ptc-test", "--input", "@prep", "--alpha", "1e-300", "--out-prefix", "@out/r"])
+@example(argv=["graph", "--report", "@report", "--critical", "fixed:inf", "--out", "@out/g.dot",
+               "--json", "@out/g.json"])
+@example(argv=["tpdm", "--input", "@binary", "--out-prefix", "@out/t"])
+def test_cli_fuzz(fuzz_inputs, tmp_path_factory, argv):
+    """Exit 0/2/3/4, never another exception; a failure prints one stderr line
+    and writes nothing (but tpdm's TPDM on an inversion failure); every JSON
+    file written parses without NaN or Infinity."""
+    out_dir = tmp_path_factory.mktemp("fuzz-out")
+    resolved = [str(fuzz_inputs[a[1:]]) if a in _INPUTS
+                else str(out_dir / a[5:]) if a.startswith("@out/") else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(resolved)
+        except SystemExit as exc:
+            code = exc.code
+    err = stderr.getvalue()
+    written = sorted(p.name for p in out_dir.iterdir())
+    assert code in (0, 2, 3, 4), err
+    if code == 0:
+        for name in written:
+            if name.endswith(".json"):
+                json.loads((out_dir / name).read_text(), parse_constant=_no_constant)
+        return
+    assert len(err.splitlines()) == 1 and "error:" in err, err
+    if argv[0] == "tpdm" and code == 4 and written:  # the TPDM is kept, the inverse is not
+        assert written == ["t_tpdm.csv", "t_tpdm.json"], err
+        assert "inverse_error" in json.loads((out_dir / "t_tpdm.json").read_text())
+    else:
+        assert written == [], err

@@ -285,6 +285,18 @@ class TestCriticalValue:
         with pytest.raises(DomainError, match="unknown|numeric"):
             critical_value(method)
 
+    @pytest.mark.parametrize("method", ["fixed:nan", "fixed:inf", "fixed:-inf", "fixed:1e400",
+                                        np.nan, np.inf, -np.inf])
+    def test_non_finite_fixed_value(self, method):
+        with pytest.raises(DomainError, match="finite"):
+            critical_value(method)
+
+    @pytest.mark.parametrize("method, n_pairs", [("bonferroni", 6), ("none", None)])
+    def test_non_finite_quantile_is_numerical_error(self, method, n_pairs):
+        # 1 - alpha/2 rounds to 1.0, where the t quantile is infinite
+        with pytest.raises(NumericalError, match="not finite"):
+            critical_value(method, alpha=1e-300, n_pairs=n_pairs, df=100)
+
 
 class TestPtcTestAllPairs:
     def test_ar1_structure_detected(self, ar1_sample):
@@ -375,8 +387,8 @@ class TestPtcTestAllPairs:
         back = PtcTestReport.from_dict(payload).to_dict()
         assert back == dict(payload, ptc=None)
 
-    @pytest.mark.parametrize("breakage", ["no_cv", "cv_text", "pair_index", "t_missing",
-                                          "not_a_dict"])
+    @pytest.mark.parametrize("breakage", ["no_cv", "cv_text", "cv_inf", "cv_nan",
+                                          "pair_index", "t_missing", "t_inf", "not_a_dict"])
     def test_malformed_report_dict_is_data_error(self, ar1_sample, breakage):
         payload = ptc_test_all_pairs(ar1_sample, q_radial=0.98, q_pred=0.98,
                                      tpdm_mode="global", tpdm_mass="estimate").to_dict()
@@ -384,10 +396,14 @@ class TestPtcTestAllPairs:
             del payload["critical_value"]
         elif breakage == "cv_text":
             payload["critical_value"] = "high"
+        elif breakage in ("cv_inf", "cv_nan"):
+            payload["critical_value"] = float(breakage[3:])
         elif breakage == "pair_index":
             payload["pairs"][0]["j"] = 9
         elif breakage == "t_missing":
             payload["pairs"][0]["t"] = None
+        elif breakage == "t_inf":
+            payload["pairs"][0]["t"] = -np.inf
         else:
             payload = [payload]
         with pytest.raises(DataError, match="malformed report"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy import integrate, optimize
 from scipy.stats import rankdata
 
 from tailgraph import (
@@ -22,7 +23,23 @@ from tailgraph import (
     softplus_inv,
     solve_delta,
 )
-from tailgraph.tpdm import _average_ranks, _preimage_mean, _resolve_mass
+from tailgraph.tpdm import _average_ranks, _resolve_mass
+
+
+def _preimage_mean(delta: float) -> float:
+    """Reference E[t^-1(P - delta)] for P standard Pareto(2), by quadrature.
+
+    The integral of log(exp(x - delta) - 1) * 2 x^-3 over (1, inf); needs
+    delta < 1 so the shifted support stays positive.  Split at 2 because the
+    integrand steepens near the lower endpoint as delta approaches 1.
+    """
+    def integrand(x):
+        return softplus_inv(x - delta) * 2.0 * x ** -3
+
+    v1, e1 = integrate.quad(integrand, 1.0, 2.0, limit=400, epsabs=1e-12, epsrel=1e-12)
+    v2, e2 = integrate.quad(integrand, 2.0, np.inf, limit=400, epsabs=1e-12, epsrel=1e-12)
+    assert np.isfinite(v1 + v2) and e1 + e2 <= 1e-9, f"quadrature error {e1 + e2:.2e}"
+    return v1 + v2
 
 
 class TestTailSample:
@@ -40,6 +57,11 @@ class TestSolveDelta:
 
     def test_shiftless_preimage_mean_positive(self):
         assert _preimage_mean(0.0) > 0.0
+
+    def test_literal_is_the_root_of_its_definition(self):
+        root = optimize.brentq(_preimage_mean, 0.2, 0.999, xtol=1e-10)
+        assert abs(root - solve_delta()) < 1e-10
+        assert abs(_preimage_mean(solve_delta())) < 1e-8
 
     def test_monte_carlo_centering(self):
         delta = solve_delta()

@@ -30,6 +30,7 @@ from .inference import (
     estimate_tau2,
     ptc_test_all_pairs,
     residuals,
+    size_power_study,
     t_statistic,
 )
 from .project import (

@@ -1,10 +1,10 @@
-"""Command-line workflows: simulate, preprocess, tpdm, ptc-test, coverage, graph.
+"""Command-line workflows: simulate, preprocess, tpdm, ptc-test, coverage, size-power, graph.
 
 CSV files use a comma separator, '.' decimal point and a mandatory header
 row.  All randomness flows from --seed; without the flag a seed is drawn
 from entropy and printed.  Output files are written atomically (temp file
-plus rename).  Exit codes: 0 success, 2 usage error, 3 data error,
-4 numerical error.
+plus rename).  Exit codes: 0 success, 2 usage error (a size no array can
+hold is one), 3 data error, 4 numerical error or failed allocation.
 """
 
 from __future__ import annotations
@@ -39,6 +39,15 @@ def _atomic_write(path: str, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_json(path: str, obj):
+    """Write ``obj`` as indented JSON; NaN or Infinity in it is a NumericalError."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"{path}: {exc}") from None
+    _atomic_write(path, text)
 
 
 def _format_matrix_csv(matrix: np.ndarray, columns) -> str:
@@ -187,7 +196,7 @@ def cmd_preprocess(args) -> int:
         "columns": sample.columns,
         "source": os.path.abspath(args.input),
     }
-    _atomic_write(args.output + ".json", json.dumps(sidecar, indent=2) + "\n")
+    _write_json(args.output + ".json", sidecar)
     print(f"wrote preprocessed sample to {args.output} (delta={sample.delta:.6f})")
     return 0
 
@@ -215,12 +224,12 @@ def cmd_tpdm(args) -> int:
         inverse = project.invert_ipm(sigma)
     except NumericalError as exc:
         meta.update(condition_number=None, inverse_error=str(exc))
-        _atomic_write(prefix + "_tpdm.json", json.dumps(meta, indent=2) + "\n")
+        _write_json(prefix + "_tpdm.json", meta)
         raise
     meta.update(condition_number=float(np.linalg.cond(sigma.entries)),
                 inverse=inverse.entries.tolist())
     _atomic_write(prefix + "_inverse.csv", _format_matrix_csv(inverse.entries, sample.columns))
-    _atomic_write(prefix + "_tpdm.json", json.dumps(meta, indent=2) + "\n")
+    _write_json(prefix + "_tpdm.json", meta)
     print(f"wrote TPDM and inverse with prefix {prefix}")
     return 0
 
@@ -232,7 +241,7 @@ def cmd_ptc_test(args) -> int:
         q_res=args.res_quantile, cv_method=args.critical, alpha=args.alpha,
         tpdm_mode=args.mode, tpdm_mass=args.mass)
     prefix = args.out_prefix
-    _atomic_write(prefix + "_report.json", json.dumps(report.to_dict(), indent=2) + "\n")
+    _write_json(prefix + "_report.json", report.to_dict())
     rows = [",".join(report.csv_header)]
     for row in report.to_csv_rows():
         rows.append(",".join(str(v) for v in row))
@@ -252,9 +261,25 @@ def cmd_coverage(args) -> int:
     result = inference.coverage_study(
         phi=args.phi, n=args.n, reps=args.reps, q_radial=args.radial_quantile,
         level=args.level, seed=seed)
-    _atomic_write(args.out, json.dumps(result.to_dict(), indent=2) + "\n")
+    _write_json(args.out, result.to_dict())
     print(f"coverage {result.coverage:.4f} at level {args.level} "
           f"({result.reps} replications, {result.failed} failed) -> {args.out}")
+    return 0
+
+
+def cmd_size_power(args) -> int:
+    rejections, errors, failures = inference.size_power_study(
+        phi=args.phi, n=args.n, reps=args.reps, p=args.p, q_radial=args.radial_quantile,
+        q_pred=args.pred_quantile, cv_method=args.critical, alpha=args.alpha, seed=_resolve_seed(args))
+    failed = sum(failures.values())
+    _write_json(args.out, {  # pairs named 1-based, rates over the replications that ran
+        "phi": args.phi, "p": args.p, "n": args.n, "seeds": args.reps, "alpha": args.alpha,
+        "critical": args.critical,
+        "rejection_rates": {f"{i + 1}-{j + 1}": c / (args.reps - failed)
+                            for (i, j), c in rejections.items()},
+        "error_counts": {f"{i + 1}-{j + 1}": c for (i, j), c in errors.items()},
+        "failed": failed, "failures": failures})
+    print(f"size and power over {args.reps} replications ({failed} failed) -> {args.out}")
     return 0
 
 
@@ -280,7 +305,7 @@ def cmd_graph(args) -> int:
         graph = graphx.graph_from_stats(T, columns, args.critical)
     _atomic_write(args.out, graphx.emit_dot(graph, width_scale=args.width_scale))
     if args.json:
-        _atomic_write(args.json, json.dumps(graphx.to_adjacency(graph), indent=2) + "\n")
+        _write_json(args.json, graphx.to_adjacency(graph))
     print(f"graph with {len(graph.edges)} edges -> {args.out}")
     return 0
 
@@ -298,14 +323,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tail dependence estimation, partial tail correlation tests and extremal graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="simulate the autoregressive tail model")
-    sim.add_argument("--phi", type=float, default=0.7)
+    model = argparse.ArgumentParser(add_help=False)  # simulate and the simulation studies
+    model.add_argument("--phi", type=float, default=0.7)
+    model.add_argument("--n", type=_positive_int_arg, default=10_000)
+    model.add_argument("--seed", type=_seed_arg, default=None)
+    model.add_argument("--out", required=True)
+
+    sim = sub.add_parser("simulate", parents=[model], help="simulate the autoregressive tail model")
     sim.add_argument("--p", type=_positive_int_arg, default=4)
-    sim.add_argument("--n", type=_positive_int_arg, default=10_000)
-    sim.add_argument("--seed", type=_seed_arg, default=None)
     sim.add_argument("--noise", choices=("shifted-pareto", "frechet"), default="shifted-pareto")
     sim.add_argument("--a-matrix", default=None, help="CSV coefficient matrix instead of the AR model")
-    sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
 
     prep = sub.add_parser("preprocess", help="rank-transform to shifted-Pareto margins")
@@ -333,15 +360,21 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--out-prefix", required=True)
     pt.set_defaults(func=cmd_ptc_test)
 
-    cov = sub.add_parser("coverage", help="confidence-interval coverage simulation")
-    cov.add_argument("--phi", type=float, default=0.7)
-    cov.add_argument("--n", type=_positive_int_arg, default=10_000)
+    cov = sub.add_parser("coverage", parents=[model], help="confidence-interval coverage simulation")
     cov.add_argument("--reps", type=int, default=500)
     cov.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.98)
     cov.add_argument("--level", type=_unit_interval_arg, default=0.95)
-    cov.add_argument("--seed", type=_seed_arg, default=None)
-    cov.add_argument("--out", required=True)
     cov.set_defaults(func=cmd_coverage)
+
+    sp = sub.add_parser("size-power", parents=[model],
+                        help="size and power of the all-pairs test on the autoregressive model")
+    sp.add_argument("--p", type=_positive_int_arg, default=4)
+    sp.add_argument("--reps", type=_positive_int_arg, default=200)
+    sp.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.98)
+    sp.add_argument("--pred-quantile", type=_unit_interval_arg, default=0.98)
+    sp.add_argument("--alpha", type=_unit_interval_arg, default=0.05)
+    sp.add_argument("--critical", type=_critical_arg, default="bonferroni")
+    sp.set_defaults(func=cmd_size_power)
 
     gr = sub.add_parser("graph", help="emit a DOT graph from a report or a statistic matrix")
     gr.add_argument("--report", default=None, help="report JSON from ptc-test")
@@ -358,13 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    n, p = getattr(args, "n", 1), getattr(args, "p", 4)  # coverage samples four variables
+    if 8 * max(n * p, p * p) > np.iinfo(np.intp).max:  # float64 sample, coefficient matrix
+        parser.error(f"--n {n} and --p {p} exceed the largest array size")
     try:
         return args.func(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except TailgraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TailgraphError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,8 +19,9 @@ conditional inner product matrix ``C = (Theta_TT)^-1`` and residuals
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 from scipy import special
@@ -38,7 +39,7 @@ from .errors import (
 # ptc_matrix stays importable from this module for existing callers.
 from .project import (Partition, conditional_ipm, ptc_matrix,  # noqa: F401
                       ptc_matrix_from_inverse, solve_b)
-from .rvsim import RvNoiseSpec, ar1_matrix, construct, sample_noise, theoretical_ipm
+from .rvsim import ar1_matrix, construct, sample_noise, theoretical_ipm
 from .tpdm import (TailSample, _exceedance_mask, _resolve_mass, _strict_exceedances,
                    estimate_tpdm)
 from .xlinear import softplus_inv
@@ -76,9 +77,12 @@ def residuals(sample, part: Partition, b, q_pred: float = 0.98,
         B = B[:, None]
     if B.shape != (len(part.complement), 2):
         raise DimensionError(f"weights must be ({len(part.complement)}, 2), got {B.shape}")
-    Y = softplus_inv(data)
-    U = Y[:, list(part.target)] - Y[:, list(part.complement)] @ B
-    return _retain_exceedances(U, q_pred, m_trace)
+    return _retain_exceedances(_preimage_residuals(softplus_inv(data), part, B), q_pred, m_trace)
+
+
+def _preimage_residuals(Y, part: Partition, B):
+    """``Y[:, T] - Y[:, R] B`` for preimages Y, target T and complement R."""
+    return Y[:, list(part.target)] - Y[:, list(part.complement)] @ B
 
 
 def _retain_exceedances(U, q_pred: float, m_trace) -> ResidualSample:
@@ -119,7 +123,11 @@ def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trac
     taken as the trace of the estimated conditional IPM), "estimate"
     (``(R_(k)^2/n) k`` on the residual radii) or a positive number.
     """
-    mask, k, r_k = _estimator_mask(res, q_res)
+    return _sigma_u(res, _estimator_mask(res, q_res), mass)
+
+
+def _sigma_u(res: ResidualSample, exceedances, mass):
+    mask, k, r_k = exceedances
     m = _resolve_mass(mass, r_k, k, res.n_total, "trace", res.m_trace)
     prod = res.w[mask, 0] * res.w[mask, 1]
     return m / k * float(prod.sum()), m, k
@@ -132,7 +140,11 @@ def estimate_tau2(res: ResidualSample, m_tilde: float, q_res: float | None = Non
     Raises :class:`DegenerateVarianceError` when the result is not positive,
     which happens when the angular products carry no spread.
     """
-    mask, k, _ = _estimator_mask(res, q_res)
+    return _tau2(res, _estimator_mask(res, q_res), m_tilde)
+
+
+def _tau2(res: ResidualSample, exceedances, m_tilde: float) -> float:
+    mask, k, _ = exceedances
     prod = res.w[mask, 0] * res.w[mask, 1]
     e1 = prod.sum() / (k - 1)
     e2 = (prod ** 2).sum() / (k - 1)
@@ -302,54 +314,42 @@ class PtcTestReport:
                    r.error or "")
 
 
-def _studentize(res: ResidualSample, q_res):
-    """``(sigma_u, tau2, k, t)`` from retained residuals, with trace mass."""
-    sigma_u, m_tilde, k = estimate_sigma_u(res, q_res=q_res, mass="trace")
-    tau2 = estimate_tau2(res, m_tilde, q_res=q_res)
-    return sigma_u, tau2, k, t_statistic(sigma_u, tau2, k)
-
-
-def _pair_stats(sample: TailSample, sigma_hat, pair, q_pred, q_res):
-    """Reference path for one pair: complement factorization, weights, residuals.
-
-    Returns ``(C, sigma_u, tau2, k, t)`` with C the 2 x 2 conditional IPM.
-    """
-    part = Partition.pair(*pair, sample.p)
-    b = solve_b(sigma_hat, part)
-    cond = conditional_ipm(sigma_hat, part)
-    res = residuals(sample, part, b, q_pred=q_pred, m_trace=cond.trace)
-    return (cond.matrix, *_studentize(res, q_res))
-
-
-def _precision_pair_stats(theta, Z, pair, q_pred, q_res):
-    """One pair read off ``Theta = Gamma^-1`` and ``Z = t^-1(X) Theta``: O(n) work.
-
-    ``C = (Theta_TT)^-1`` is the Schur complement of the complement block and
-    the residuals are ``U = Z[:, T] C``.
-    """
-    T = list(pair)
-    a, c, d = theta[T[0], T[0]], theta[T[0], T[1]], theta[T[1], T[1]]
-    C = np.array([[d, -c], [-c, a]]) / (a * d - c * c)
-    res = _retain_exceedances(Z[:, T] @ C, q_pred, float(np.trace(C)))
-    return (C, *_studentize(res, q_res))
-
-
 def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
     """``(Theta, fit)`` where ``fit(pair)`` returns ``(C, sigma_u, tau2, k, t)``.
 
-    Theta and Z are computed once.  Interlacing bounds every complement
-    block's condition number by Gamma's, so no pair can fail the complement
-    gate on this path.  When Gamma itself fails the inversion gate, Theta is
-    None and each pair takes the reference path, which still tests the pairs
-    whose complement block is well conditioned.
+    ``Y = t^-1(X)``, ``Theta = Gamma^-1`` and ``Z = Y Theta`` are computed once.
+    The pair T then has ``C = (Theta_TT)^-1``, the Schur complement of the
+    complement block, and residuals ``U = Z[:, T] C``: O(n) work per pair.
+    Interlacing bounds every complement block's condition number by Gamma's,
+    so no pair can fail the complement gate on this path.  When Gamma itself
+    fails the inversion gate, Theta is None and each pair takes the reference
+    path on Y (complement factorization, weights, residuals), which still
+    tests the pairs whose complement block is well conditioned.
     """
+    Y = softplus_inv(sample.data)
     try:
         # looked up on the module, so a wrapper installed on project.invert_ipm sees it
         theta = project.invert_ipm(sigma_hat).entries
+        Z = Y @ theta
     except ConditioningError:
-        return None, lambda pair: _pair_stats(sample, sigma_hat, pair, q_pred, q_res)
-    Z = softplus_inv(sample.data) @ theta
-    return theta, lambda pair: _precision_pair_stats(theta, Z, pair, q_pred, q_res)
+        theta = Z = None
+
+    def fit(pair):
+        if theta is None:
+            part = Partition.pair(*pair, sample.p)
+            U = _preimage_residuals(Y, part, solve_b(sigma_hat, part))
+            C = conditional_ipm(sigma_hat, part).matrix
+        else:
+            (a, c), (_, d) = theta[np.ix_(pair, pair)]
+            C = np.array([[d, -c], [-c, a]]) / (a * d - c * c)
+            U = Z[:, list(pair)] @ C
+        res = _retain_exceedances(U, q_pred, float(np.trace(C)))
+        exceedances = _estimator_mask(res, q_res)  # shared by both moments
+        sigma_u, m_tilde, k = _sigma_u(res, exceedances, "trace")
+        tau2 = _tau2(res, exceedances, m_tilde)
+        return C, sigma_u, tau2, k, t_statistic(sigma_u, tau2, k)
+
+    return theta, fit
 
 
 def ptc_test_all_pairs(sample: TailSample, q_radial: float = 0.95, q_pred: float = 0.98,
@@ -402,6 +402,22 @@ def ptc_test_all_pairs(sample: TailSample, q_radial: float = 0.95, q_pred: float
                          ptc=None if theta is None else ptc_matrix_from_inverse(theta))
 
 
+def _replicate(A, n, seeds, run_rep):
+    """Apply ``run_rep`` to a sample of n rows of ``A (*) Z`` per noise seed.  Returns the
+    rows of the replications that succeeded and a Counter of the failed ones by class."""
+    rows, failures, last = [], Counter(), None
+    for seed in seeds:
+        try:
+            X = construct(A, sample_noise(A.shape[1], n, seed=seed))
+            rows.append(run_rep(TailSample(X, margin="raw")))
+        except TailgraphError as exc:
+            failures[type(exc).__name__] += 1
+            last = exc
+    if not rows:
+        raise NumericalError(f"every replication failed {dict(failures)}; last: {last}")
+    return rows, failures
+
+
 @dataclass
 class CoverageResult:
     """Monte Carlo summary of confidence-interval coverage for one pair."""
@@ -418,6 +434,7 @@ class CoverageResult:
     k_values: np.ndarray
     t_values: np.ndarray
     failed: int = 0
+    failures: dict = field(default_factory=dict)  # exception class -> failed replications
 
     def to_dict(self) -> dict:
         return {
@@ -428,6 +445,7 @@ class CoverageResult:
             "phi": self.phi,
             "true_value": self.true_value,
             "failed": self.failed,
+            "failures": dict(self.failures),
             "mean_k": float(np.mean(self.k_values)) if self.k_values.size else None,
             "partition_estimates": self.partition_estimates.tolist(),
             "residual_estimates": self.residual_estimates.tolist(),
@@ -435,48 +453,60 @@ class CoverageResult:
 
 
 def coverage_study(phi: float = 0.7, n: int = 10_000, reps: int = 500,
-                   q_radial: float = 0.98, level: float = 0.95, seed=0,
-                   noise: RvNoiseSpec | None = None, target=(1, 3),
-                   p: int = 4) -> CoverageResult:
-    """Confidence-interval coverage for one conditional off-diagonal entry.
+                   q_radial: float = 0.98, level: float = 0.95, seed=0) -> CoverageResult:
+    """Confidence-interval coverage for the second and fourth variable of the
+    four-variable autoregressive model given the others (true value 0).
 
-    Simulates the autoregressive model, estimates the TPDM from the largest
-    (1 - q_radial) fraction of full-vector radii, fits prediction weights for
-    the target pair, and builds a per-replication t interval for the
-    conditional off-diagonal from the residual estimator.  Both the
-    partition-based and the residual-based estimates are returned per
-    replication.  The default pair (second and fourth variable given the
-    others) has true value 0.
+    Simulates the model, estimates the TPDM from the largest (1 - q_radial)
+    fraction of full-vector radii, fits prediction weights for the pair, and
+    builds a per-replication t interval for the conditional off-diagonal from
+    the residual estimator.  Both the partition-based and the residual-based
+    estimates are returned per replication.
     """
     if reps < 1:
         raise DomainError("reps must be >= 1")
-    A = ar1_matrix(phi, p)
-    part = Partition(target=tuple(target),
-                     complement=tuple(k for k in range(p) if k not in target))
+    A = ar1_matrix(phi, 4)
+    part = Partition.pair(1, 3, 4)
     true_c = conditional_ipm(theoretical_ipm(A), part).matrix[0, 1]
-    seeds = np.random.SeedSequence(seed).spawn(reps)
-    spec = noise or RvNoiseSpec()
 
-    def run_rep(rep):
-        X = construct(A, sample_noise(p, n, spec, seeds[rep]))
-        sample = TailSample(X, margin="raw")
+    def run_rep(sample):
         sigma_hat = estimate_tpdm(sample, q_radial=q_radial, mode="global", mass="estimate")
         _, fit = _pair_pipeline(sample, sigma_hat, q_pred=q_radial, q_res=None)
         C, sigma_u, tau2, k, t_val = fit(part.target)
         lo, hi = confidence_interval(sigma_u, tau2, k, level)
         return (lo <= true_c <= hi, C[0, 1], sigma_u, k, t_val)
 
-    rows = []
-    for rep in range(reps):
-        try:
-            rows.append(run_rep(rep))
-        except TailgraphError as exc:
-            last_error = exc
-    if not rows:
-        raise NumericalError(f"every replication failed; no coverage estimate (last: "
-                             f"{type(last_error).__name__}: {last_error})")
+    rows, failures = _replicate(A, n, np.random.SeedSequence(seed).spawn(reps), run_rep)
     covered, part_est, res_est, ks, ts = (np.asarray(col) for col in zip(*rows))
     return CoverageResult(coverage=float(covered.mean()), level=level, reps=reps, n=n, phi=phi,
                           true_value=float(true_c), covered=covered,
                           partition_estimates=part_est, residual_estimates=res_est,
-                          k_values=ks, t_values=ts, failed=reps - len(rows))
+                          k_values=ks, t_values=ts, failed=reps - len(rows), failures=failures)
+
+
+def size_power_study(phi: float = 0.7, n: int = 10_000, reps: int = 200, p: int = 4,
+                     q_radial: float = 0.98, q_pred: float = 0.98, cv_method="bonferroni",
+                     alpha: float = 0.05, seed: int = 0):
+    """Size and power of the all-pairs test on the autoregressive model.
+
+    Replication r tests a fresh sample drawn with seed ``seed + r``, using the
+    global TPDM with estimated mass.  The model is a chain: adjacent pairs
+    carry partial tail correlation, so their rejection rates estimate power;
+    pairs at lag two or more carry none, so theirs estimate size.  Returns
+    ``(rejections, errors, failures)``: per pair ``(i, j)`` the replications
+    that rejected it (every pair) and those in which it errored (the pairs
+    that did), and the replications that failed whole, by exception class.
+    """
+    if reps < 1 or p < 3:
+        raise DomainError("need reps >= 1 and p >= 3 (a pair plus one conditioning variable)")
+
+    def run_rep(sample):
+        return ptc_test_all_pairs(sample, q_radial=q_radial, q_pred=q_pred, cv_method=cv_method,
+                                  alpha=alpha, tpdm_mode="global", tpdm_mass="estimate").records
+
+    rows, failures = _replicate(ar1_matrix(phi, p), n, range(seed, seed + reps), run_rep)
+    rejections, errors = dict.fromkeys(combinations(range(p), 2), 0), Counter()
+    for rec in chain.from_iterable(rows):
+        rejections[rec.i, rec.j] += bool(rec.reject)
+        errors[rec.i, rec.j] += rec.error is not None
+    return rejections, +errors, failures

@@ -27,9 +27,9 @@ from tailgraph import (
     project_onto_span,
     ptc,
     ptc_from_inverse,
-    ptc_test_all_pairs,
     residuals,
     sample_noise,
+    size_power_study,
     softplus_inv,
     solve_b,
     solve_delta,
@@ -212,22 +212,15 @@ def test_criterion_9_reference_table_fixtures():
 
 
 def test_criterion_10_size_and_power():
-    A = ar1_matrix(0.7, 4)
-    adjacent = {(0, 1): 0, (1, 2): 0, (2, 3): 0}
-    lagged = {(0, 2): 0, (1, 3): 0, (0, 3): 0}
     seeds = 200
-    for s in range(seeds):
-        X = construct(A, sample_noise(4, 10 ** 4, seed=123000 + s))
-        report = ptc_test_all_pairs(TailSample(X, margin="raw"), q_radial=0.98,
-                                    q_pred=0.98, cv_method="bonferroni", alpha=0.05,
-                                    tpdm_mode="global", tpdm_mass="estimate")
-        for rec in report.records:
-            if rec.reject:
-                key = (rec.i, rec.j)
-                (adjacent if key in adjacent else lagged)[key] += 1
-    power = {k: v / seeds for k, v in adjacent.items()}
-    size = {k: v / seeds for k, v in lagged.items()}
-    ok = all(v >= 0.80 for v in power.values()) and all(v <= 0.10 for v in size.values())
+    rejections, _, failures = size_power_study(phi=0.7, n=10 ** 4, reps=seeds, p=4,
+                                               q_radial=0.98, q_pred=0.98,
+                                               cv_method="bonferroni", alpha=0.05, seed=123000)
+    rates = {pair: count / seeds for pair, count in rejections.items()}
+    power = {k: rates[k] for k in [(0, 1), (1, 2), (2, 3)]}
+    size = {k: rates[k] for k in [(0, 2), (1, 3), (0, 3)]}
+    ok = (all(v >= 0.80 for v in power.values()) and all(v <= 0.10 for v in size.values())
+          and not failures)
     assert announce(10, ok, f"adjacent rejection rates {power}; lag>=2 rates {size}")
 
 

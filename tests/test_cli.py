@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tailgraph import PairRecord, PtcTestReport, ar1_matrix, construct, sample_noise
+from tailgraph import (CoverageResult, PairRecord, PtcTestReport, ar1_matrix, construct,
+                       sample_noise)
 from tailgraph import cli
 from tailgraph.cli import _format_matrix_csv, _read_csv_checked, main, read_csv_matrix
 
@@ -209,10 +210,54 @@ class TestCoverageCmd:
         payload = json.loads(a.read_text())
         assert 0.0 <= payload["coverage"] <= 1.0
         assert len(payload["residual_estimates"]) == 100
+        assert payload["failed"] == 0 and payload["failures"] == {}
 
     def test_too_few_reps_rejected(self, tmp_path):
         assert run("coverage", "--reps", 10, "--out", tmp_path / "c.json",
                    "--seed", 1) == 3
+
+    def test_non_finite_result_writes_no_json(self, tmp_path, monkeypatch, capsys):
+        def nan_study(**kwargs):
+            empty = np.array([])
+            return CoverageResult(coverage=float("nan"), level=0.95, reps=100, n=10, phi=0.7,
+                                  true_value=0.0, covered=empty, partition_estimates=empty,
+                                  residual_estimates=empty, k_values=empty, t_values=empty)
+
+        monkeypatch.setattr(cli.inference, "coverage_study", nan_study)
+        assert run("coverage", "--reps", 100, "--seed", 1, "--out", tmp_path / "c.json") == 4
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
+class TestSizePowerCmd:
+    def test_reproducible_summary(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (a, b):
+            assert run("size-power", "--n", 2000, "--reps", 3, "--seed", 4, "--p", 5,
+                       "--radial-quantile", 0.95, "--critical", "fixed:2.5", "--out", out) == 0
+        assert a.read_bytes() == b.read_bytes()
+        payload = json.loads(a.read_text())
+        assert list(payload) == ["phi", "p", "n", "seeds", "alpha", "critical",
+                                 "rejection_rates", "error_counts", "failed", "failures"]
+        assert (payload["p"], payload["seeds"], payload["critical"]) == (5, 3, 2.5)
+        assert list(payload["rejection_rates"])[:5] == ["1-2", "1-3", "1-4", "1-5", "2-3"]
+        assert payload["rejection_rates"]["1-2"] == 1.0
+
+    def test_seed_drawn_and_printed(self, tmp_path, capsys):
+        assert run("size-power", "--n", 1000, "--reps", 1, "--radial-quantile", 0.9,
+                   "--out", tmp_path / "s.json") == 0
+        assert capsys.readouterr().out.startswith("seed: ")
+
+
+def test_allocation_failure_is_numerical_error(tmp_path, monkeypatch, capsys):
+    """An allocation failure exits 4 with one line; the sampler is stubbed, nothing is allocated."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli.rvsim, "sample_noise", no_memory)
+    assert run("simulate", "--n", 10, "--seed", 1, "--out", tmp_path / "s.csv") == 4
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not list(tmp_path.iterdir())
 
 
 class TestGraphCmd:
@@ -342,6 +387,15 @@ def _write_inputs(tmp_path, case):
         "report with infinite critical value": ["graph", "--report", report,
                                                 "--out", tmp_path / "g.dot",
                                                 "--json", tmp_path / "g.json"],
+        "simulate --n 10**30": ["simulate", "--n", 10 ** 30, "--out", tmp_path / "s.csv"],
+        "simulate --p 10**30": ["simulate", "--p", 10 ** 30, "--n", 5, "--out", tmp_path / "s.csv"],
+        "simulate --p 3000000000": ["simulate", "--p", 3_000_000_000, "--out", tmp_path / "s.csv"],
+        "coverage --n 10**30": ["coverage", "--n", 10 ** 30, "--out", tmp_path / "c.json"],
+        "size-power --n 10**30": ["size-power", "--n", 10 ** 30, "--out", tmp_path / "s.json"],
+        "size-power --p 2": ["size-power", "--p", 2, "--seed", 0, "--out", tmp_path / "s.json"],
+        "size-power --reps 0": ["size-power", "--reps", 0, "--out", tmp_path / "s.json"],
+        "size-power every replication fails": ["size-power", "--n", 20, "--reps", 3, "--seed", 0,
+                                               "--out", tmp_path / "s.json"],
     }[case]
 
 
@@ -365,6 +419,15 @@ FAILURE_TABLE = [
     ("graph --critical fixed:inf", 2),
     ("ptc-test --alpha 1e-300", 4),  # the Bonferroni t quantile is infinite
     ("report with infinite critical value", 3),
+    # a float64 sample (n x p) or coefficient matrix (p x p) larger than any array
+    ("simulate --n 10**30", 2),
+    ("simulate --p 10**30", 2),
+    ("simulate --p 3000000000", 2),
+    ("coverage --n 10**30", 2),
+    ("size-power --n 10**30", 2),
+    ("size-power --p 2", 4),  # no pair has a conditioning variable
+    ("size-power --reps 0", 2),
+    ("size-power every replication fails", 4),
 ]
 
 
@@ -506,7 +569,10 @@ print(json.dumps(out))
 # malformed values, run in process on a small sample and the report it gives.
 _VALUES = ["0", "-1", "1", "2", str(2 ** 63), "9" * 30, "nan", "inf", "-inf", "1e-300",
            "1e400", "1.5", "-0.2", "0.5", "0.9", "0.999999", "abc", "", "0x10"]
-_SIZES = ["0", "-1", "1", "2", "3", "5", "60", "nan", "1e3", "abc"]  # --n, always given, and --p
+_SIZES = ["0", "-1", "1", "2", "3", "5", "60", "nan", "1e3", "abc",  # --n, always given, and --p
+          str(2 ** 63), "9" * 30]  # no array is that large: usage errors, nothing allocated
+_STUDY_SIZES = ["0", "-1", "1", "20", "900", "abc", str(2 ** 63), "9" * 30]  # size-power --n
+_REPS = ["0", "-1", "1", "2", "abc"]
 _CRITICALS = ["bonferroni", "none", "holm", "fixed:", "fixed:2.5", "fixed:-3", "fixed:0",
               "fixed:nan", "fixed:inf", "fixed:-inf", "fixed:1e400", "fixed:abc"]
 _INPUTS = ["@sim", "@prep", "@report", "@stats", "@amat", "@missing", "@empty", "@header",
@@ -541,6 +607,13 @@ _COMMANDS = {
         _opt("--res-quantile", _with(_VALUES, "0.95")), _opt("--alpha", _with(_VALUES, "0.05")),
         _opt("--critical", _CRITICALS), _opt("--mode", ["pairwise", "global"]),
         _opt("--mass", ["fixed2", "estimate"]), _opt("--out-prefix", ["@out/r"], required=True)],
+    "size-power": [
+        _opt("--phi", _with(_VALUES, "0.7")), _opt("--p", _SIZES),
+        _opt("--n", _STUDY_SIZES, required=True), _opt("--reps", _REPS, required=True),
+        _opt("--radial-quantile", _with(_VALUES, "0.9")),
+        _opt("--pred-quantile", _with(_VALUES, "0.9")), _opt("--alpha", _with(_VALUES, "0.05")),
+        _opt("--critical", _CRITICALS), _opt("--seed", _with(_VALUES, "3")),
+        _opt("--out", ["@out/sp.json"], required=True)],
     "graph": [
         _opt("--report", _INPUTS), _opt("--stats", _INPUTS), _opt("--critical", _CRITICALS),
         _opt("--width-scale", _with(_VALUES, "4")), _opt("--out", ["@out/g.dot"], required=True),

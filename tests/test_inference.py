@@ -18,6 +18,7 @@ from tailgraph import (
     ar1_matrix,
     conditional_ipm,
     confidence_interval,
+    ConditioningError,
     construct,
     coverage_study,
     critical_value,
@@ -27,11 +28,12 @@ from tailgraph import (
     ptc_test_all_pairs,
     residuals,
     sample_noise,
+    size_power_study,
     softplus_inv,
     solve_b,
     t_statistic,
 )
-from tailgraph.inference import _pair_stats
+from tailgraph import inference
 
 
 @pytest.fixture(scope="module")
@@ -411,12 +413,17 @@ class TestPtcTestAllPairs:
 
 
 def _reference_records(sample, q_radial, q_pred, q_res, mode, mass):
-    """All pairs through the per-pair complement solve, with a Bonferroni cut."""
+    """All pairs through the per-pair complement solve and the public residual
+    estimators, with a Bonferroni cut."""
     sigma = estimate_tpdm(sample, q_radial=q_radial, mode=mode, mass=mass)
     rows = []
     for pair in combinations(range(sample.p), 2):
         try:
-            _, _, _, k, t = _pair_stats(sample, sigma, pair, q_pred, q_res)
+            part = Partition.pair(*pair, sample.p)
+            res = residuals(sample, part, solve_b(sigma, part), q_pred=q_pred,
+                            m_trace=conditional_ipm(sigma, part).trace)
+            sigma_u, m_tilde, k = estimate_sigma_u(res, q_res=q_res, mass="trace")
+            t = t_statistic(sigma_u, estimate_tau2(res, m_tilde, q_res=q_res), k)
             rows.append((pair, k, t, None))
         except TailgraphError as exc:
             rows.append((pair, None, None, f"{type(exc).__name__}: {exc}"))
@@ -443,10 +450,15 @@ class TestPrecisionPathAgreement:
     @pytest.mark.parametrize("mode, mass, q_radial", [("global", "estimate", 0.98),
                                                       ("pairwise", "fixed", 0.95)])
     @pytest.mark.parametrize("which", ["ar1_p8", "duplicated"])
-    def test_matches_per_pair_reference(self, ar1_p8, which, mode, mass, q_radial, q_res):
+    def test_matches_per_pair_reference(self, ar1_p8, monkeypatch, which, mode, mass, q_radial,
+                                        q_res):
         sample = ar1_p8 if which == "ar1_p8" else _duplicated_column_sample()
+        calls = []
+        monkeypatch.setattr(inference, "softplus_inv",
+                            lambda x, real=softplus_inv: calls.append(x) or real(x))
         report = ptc_test_all_pairs(sample, q_radial=q_radial, q_pred=0.98, q_res=q_res,
                                     tpdm_mode=mode, tpdm_mass=mass)
+        assert len(calls) == 1  # one preimage per run, on either path
         want, cv = _reference_records(sample, q_radial, 0.98, q_res, mode, mass)
         # the duplicated column makes the TPDM singular: the runner falls back
         assert (report.ptc is None) == (which == "duplicated")
@@ -455,10 +467,23 @@ class TestPrecisionPathAgreement:
         for rec, (pair, k, t, reject, err) in zip(report.records, want):
             assert (rec.i, rec.j) == pair
             assert (rec.k, rec.reject, rec.error) == (k, reject, err)
-            if t is not None:
+            if t is not None and which == "duplicated":  # same arithmetic: same bits
+                assert rec.t_stat == t
+            elif t is not None:
                 assert abs(rec.t_stat - t) <= 1e-12 * max(1.0, abs(t))
         if which == "duplicated":
             assert any(r.error is None for r in report.records)
+
+    def test_estimator_exceedances_found_once_per_pair(self, monkeypatch):
+        X = construct(ar1_matrix(0.7, 6), sample_noise(6, 6000, seed=3))
+        calls = []
+        real = inference._estimator_mask
+        monkeypatch.setattr(inference, "_estimator_mask",
+                            lambda res, q_res: calls.append(q_res) or real(res, q_res))
+        report = ptc_test_all_pairs(TailSample(X, margin="raw"), q_radial=0.98, q_pred=0.98,
+                                    q_res=0.99, tpdm_mode="global", tpdm_mass="estimate")
+        assert all(r.error is None for r in report.records)
+        assert calls == [0.99] * len(report.records) == [0.99] * 15
 
 
 class TestCoverageStudy:
@@ -484,3 +509,48 @@ class TestCoverageStudy:
     def test_every_replication_failing_raises(self):
         with pytest.raises(NumericalError, match="every replication failed"):
             coverage_study(n=5, reps=3, seed=0)
+
+
+class TestSizePowerStudy:
+    def test_counts_match_reference_loop(self):
+        A = ar1_matrix(0.7, 4)
+        want = dict.fromkeys(combinations(range(4), 2), 0)
+        for s in range(10):
+            X = construct(A, sample_noise(4, 10 ** 4, seed=123000 + s))
+            report = ptc_test_all_pairs(TailSample(X, margin="raw"), q_radial=0.98,
+                                        q_pred=0.98, cv_method="bonferroni", alpha=0.05,
+                                        tpdm_mode="global", tpdm_mass="estimate")
+            for rec in report.records:
+                want[rec.i, rec.j] += bool(rec.reject)
+        rejections, errors, failures = size_power_study(
+            phi=0.7, n=10 ** 4, reps=10, p=4, q_radial=0.98, q_pred=0.98,
+            cv_method="bonferroni", alpha=0.05, seed=123000)
+        assert rejections == want
+        assert errors == {} and failures == {}
+
+    def test_failures_and_pair_errors_are_tallied(self, monkeypatch):
+        real, calls = inference.ptc_test_all_pairs, []
+
+        def flaky(sample, **kwargs):
+            calls.append(sample)
+            if len(calls) % 3 == 0:
+                raise ConditioningError(1e13)
+            report = real(sample, **kwargs)
+            report.record(0, 3).error, report.record(0, 3).reject = "DegenerateVarianceError", None
+            return report
+
+        monkeypatch.setattr(inference, "ptc_test_all_pairs", flaky)
+        rejections, errors, failures = size_power_study(n=3000, reps=6, q_radial=0.95,
+                                                        q_pred=0.95, seed=8)
+        assert failures == {"ConditioningError": 2}
+        assert errors == {(0, 3): 4}
+        assert rejections[0, 3] == 0 and rejections[0, 1] == 4
+
+    def test_every_replication_failing_raises(self):
+        with pytest.raises(NumericalError, match="every replication failed.*InsufficientExceed"):
+            size_power_study(n=20, reps=3, seed=0)
+
+    @pytest.mark.parametrize("kwargs", [{"p": 2}, {"reps": 0}])
+    def test_arguments_validated_up_front(self, kwargs):
+        with pytest.raises(DomainError, match="p >= 3"):
+            size_power_study(**kwargs)

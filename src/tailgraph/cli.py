@@ -2,15 +2,18 @@
 
 CSV files use a comma separator, '.' decimal point and a mandatory header
 row.  All randomness flows from --seed; without the flag a seed is drawn
-from entropy and printed.  Output files are written atomically (temp file
-plus rename).  Exit codes: 0 success, 2 usage error (a size no array can
-hold is one), 3 data error, 4 numerical error or failed allocation.
+from entropy and printed.  A command's output files are written as one set:
+every text is rendered, then written to temp files that are renamed into
+place only when all are written.  Exit codes: 0 success, 2 usage error (a
+size no array can hold is one), 3 data error, 4 numerical error or failed
+allocation.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -20,7 +23,7 @@ import tempfile
 import numpy as np
 
 from . import graphx, inference, project, rvsim, tpdm
-from .errors import DataError, NumericalError, TailgraphError
+from .errors import DataError, DomainError, NumericalError, TailgraphError
 from .tpdm import TailSample
 
 EXIT_USAGE = 2
@@ -28,26 +31,44 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, text: str, staged: list):
+    """Write ``text`` to a temp file beside ``path`` and record ``(tmp, path)`` in
+    ``staged``; :func:`_write_outputs` renames the set into place."""
+    if os.path.isdir(path):  # caught here, not by a rename after others were renamed
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tailgraph-")
+    staged.append((tmp, path))
+    with os.fdopen(fd, "w", newline="") as fh:
+        fh.write(text)
+
+
+def _write_outputs(*files):
+    """Write every ``(path, text)`` of a command as one set.
+
+    All texts are rendered before this is called.  Each goes to a temp file
+    beside its path; the temps are renamed into place only once every one is
+    written, and are removed on any failure.
+    """
+    staged = []
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files:
+            _atomic_write(path, text, staged)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
-def _write_json(path: str, obj):
-    """Write ``obj`` as indented JSON; NaN or Infinity in it is a NumericalError."""
+def _json_text(path: str, obj) -> str:
+    """``obj`` as indented JSON for ``path``; NaN or Infinity in it is a NumericalError."""
     try:
-        text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericalError(f"{path}: {exc}") from None
-    _atomic_write(path, text)
 
 
 def _format_matrix_csv(matrix: np.ndarray, columns) -> str:
@@ -156,18 +177,15 @@ def _mass_arg(value: str):
 
 
 def _critical_arg(value: str):
-    """'bonferroni' or 'none' as given; 'fixed:<c>' as the float c."""
+    """'bonferroni' or 'none' as given; 'fixed:<c>' as the float c, parsed by the library."""
     if value in ("bonferroni", "none"):
         return value
-    if value.startswith("fixed:"):
-        try:
-            c = float(value.split(":", 1)[1])
-        except ValueError:
-            raise argparse.ArgumentTypeError("fixed critical value must be numeric") from None
-        if not np.isfinite(c):
-            raise argparse.ArgumentTypeError(f"fixed critical value must be finite, got {c}")
-        return c
-    raise argparse.ArgumentTypeError("critical must be 'bonferroni', 'none' or 'fixed:<c>'")
+    if not value.startswith("fixed:"):
+        raise argparse.ArgumentTypeError("critical must be 'bonferroni', 'none' or 'fixed:<c>'")
+    try:
+        return inference.critical_value(value)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_simulate(args) -> int:
@@ -180,7 +198,7 @@ def cmd_simulate(args) -> int:
     Z = rvsim.sample_noise(A.shape[1], args.n, spec, seed)
     X = rvsim.construct(A, Z)
     columns = [f"X{i + 1}" for i in range(X.shape[1])]
-    _atomic_write(args.out, _format_matrix_csv(X, columns))
+    _write_outputs((args.out, _format_matrix_csv(X, columns)))
     print(f"wrote {args.n} x {X.shape[1]} sample to {args.out}")
     return 0
 
@@ -188,7 +206,6 @@ def cmd_simulate(args) -> int:
 def cmd_preprocess(args) -> int:
     columns, raw = read_csv_matrix(args.input)
     sample = tpdm.marginal_transform(raw, columns=columns)
-    _atomic_write(args.output, _format_matrix_csv(sample.data, sample.columns))
     sidecar = {
         "delta": sample.delta,
         "margin": sample.margin,
@@ -196,7 +213,8 @@ def cmd_preprocess(args) -> int:
         "columns": sample.columns,
         "source": os.path.abspath(args.input),
     }
-    _write_json(args.output + ".json", sidecar)
+    _write_outputs((args.output, _format_matrix_csv(sample.data, sample.columns)),
+                   (args.output + ".json", _json_text(args.output + ".json", sidecar)))
     print(f"wrote preprocessed sample to {args.output} (delta={sample.delta:.6f})")
     return 0
 
@@ -212,7 +230,7 @@ def cmd_tpdm(args) -> int:
     sigma = tpdm.estimate_tpdm(sample, q_radial=args.radial_quantile,
                                mode=args.mode, mass=args.mass)
     prefix = args.out_prefix
-    _atomic_write(prefix + "_tpdm.csv", _format_matrix_csv(sigma.entries, sample.columns))
+    tpdm_csv = (prefix + "_tpdm.csv", _format_matrix_csv(sigma.entries, sample.columns))
     meta = {
         "columns": sample.columns,
         "mode": args.mode,
@@ -222,14 +240,15 @@ def cmd_tpdm(args) -> int:
     }
     try:
         inverse = project.invert_ipm(sigma)
-    except NumericalError as exc:
+    except NumericalError as exc:  # the TPDM and its JSON are still written
         meta.update(condition_number=None, inverse_error=str(exc))
-        _write_json(prefix + "_tpdm.json", meta)
+        _write_outputs(tpdm_csv, (prefix + "_tpdm.json", _json_text(prefix + "_tpdm.json", meta)))
         raise
     meta.update(condition_number=float(np.linalg.cond(sigma.entries)),
                 inverse=inverse.entries.tolist())
-    _atomic_write(prefix + "_inverse.csv", _format_matrix_csv(inverse.entries, sample.columns))
-    _write_json(prefix + "_tpdm.json", meta)
+    _write_outputs(tpdm_csv,
+                   (prefix + "_inverse.csv", _format_matrix_csv(inverse.entries, sample.columns)),
+                   (prefix + "_tpdm.json", _json_text(prefix + "_tpdm.json", meta)))
     print(f"wrote TPDM and inverse with prefix {prefix}")
     return 0
 
@@ -241,13 +260,13 @@ def cmd_ptc_test(args) -> int:
         q_res=args.res_quantile, cv_method=args.critical, alpha=args.alpha,
         tpdm_mode=args.mode, tpdm_mass=args.mass)
     prefix = args.out_prefix
-    _write_json(prefix + "_report.json", report.to_dict())
     rows = [",".join(report.csv_header)]
     for row in report.to_csv_rows():
         rows.append(",".join(str(v) for v in row))
-    _atomic_write(prefix + "_report.csv", "\n".join(rows) + "\n")
     graph = graphx.build_graph(report)
-    _atomic_write(prefix + "_graph.dot", graphx.emit_dot(graph))
+    _write_outputs((prefix + "_report.json", _json_text(prefix + "_report.json", report.to_dict())),
+                   (prefix + "_report.csv", "\n".join(rows) + "\n"),
+                   (prefix + "_graph.dot", graphx.emit_dot(graph)))
     n_err = sum(1 for r in report.records if r.error)
     print(f"tested {len(report.records)} pairs: {report.n_rejected()} rejected, "
           f"{n_err} errored (critical value {report.critical_value:.4f})")
@@ -261,7 +280,7 @@ def cmd_coverage(args) -> int:
     result = inference.coverage_study(
         phi=args.phi, n=args.n, reps=args.reps, q_radial=args.radial_quantile,
         level=args.level, seed=seed)
-    _write_json(args.out, result.to_dict())
+    _write_outputs((args.out, _json_text(args.out, result.to_dict())))
     print(f"coverage {result.coverage:.4f} at level {args.level} "
           f"({result.reps} replications, {result.failed} failed) -> {args.out}")
     return 0
@@ -272,13 +291,13 @@ def cmd_size_power(args) -> int:
         phi=args.phi, n=args.n, reps=args.reps, p=args.p, q_radial=args.radial_quantile,
         q_pred=args.pred_quantile, cv_method=args.critical, alpha=args.alpha, seed=_resolve_seed(args))
     failed = sum(failures.values())
-    _write_json(args.out, {  # pairs named 1-based, rates over the replications that ran
+    _write_outputs((args.out, _json_text(args.out, {  # pairs 1-based, rates over the reps that ran
         "phi": args.phi, "p": args.p, "n": args.n, "seeds": args.reps, "alpha": args.alpha,
         "critical": args.critical,
         "rejection_rates": {f"{i + 1}-{j + 1}": c / (args.reps - failed)
                             for (i, j), c in rejections.items()},
         "error_counts": {f"{i + 1}-{j + 1}": c for (i, j), c in errors.items()},
-        "failed": failed, "failures": failures})
+        "failed": failed, "failures": failures})))
     print(f"size and power over {args.reps} replications ({failed} failed) -> {args.out}")
     return 0
 
@@ -303,9 +322,10 @@ def cmd_graph(args) -> int:
         if args.critical is None:
             raise DataError("--critical fixed:<c> is required with --stats")
         graph = graphx.graph_from_stats(T, columns, args.critical)
-    _atomic_write(args.out, graphx.emit_dot(graph, width_scale=args.width_scale))
+    outputs = [(args.out, graphx.emit_dot(graph, width_scale=args.width_scale))]
     if args.json:
-        _write_json(args.json, graphx.to_adjacency(graph))
+        outputs.append((args.json, _json_text(args.json, graphx.to_adjacency(graph))))
+    _write_outputs(*outputs)
     print(f"graph with {len(graph.edges)} edges -> {args.out}")
     return 0
 

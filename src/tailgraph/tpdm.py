@@ -10,11 +10,23 @@ is summarized by second angular moments of threshold exceedances:
 with polar coordinates (r, w) per observation, r_(k) the k-th upper order
 statistic and m the total angular mass (2 per pair after preprocessing,
 ``(r_(k)^2/n) k`` when estimated from raw-scale radii).
+
+The pairwise TPDM reads only tail candidates.  Entries are positive, so a
+pair radius is at least each coordinate and the pair's radius at rank
+``lo = floor((n-1) q)`` is at least ``max(a_i, a_j)``, the columns' own
+order statistics at that rank.  A row with every coordinate below
+``0.7 a`` has a radius below ``0.7 sqrt(2) max(a_i, a_j)``, so it can neither
+set the quantile nor exceed it.  One partition of the sample finds ``a``;
+each pair then works on the union of its two columns' candidates, in row
+order, and gives the bits of the full computation.  The arithmetic costs
+O(np + sum of candidates) instead of O(np^2); what stays linear in n per
+pair is the union of two byte masks.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +41,9 @@ from .errors import (
 )
 
 MIN_EXCEEDANCES = 10
+# A little below 1/sqrt(2), so that rounding in hypot or in the product cannot
+# drop a row that reaches a pair's threshold (see the module docstring).
+CANDIDATE_FACTOR = 0.7
 
 
 @dataclass
@@ -156,6 +171,12 @@ def polar2(xi, xj):
     Returns ``(r, w)`` with r the L2 radius and w the n x 2 unit angles.
     Rows with zero radius are dropped with a warning.
     """
+    a, b, r = _pair_radii(xi, xj)
+    return r, np.column_stack((a / r, b / r))
+
+
+def _pair_radii(xi, xj):
+    """``(a, b, r)``: paired coordinates and their L2 radii, zero-radius rows dropped."""
     a = np.asarray(xi, dtype=float)
     b = np.asarray(xj, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -164,10 +185,9 @@ def polar2(xi, xj):
     keep = r > 0.0
     if not np.all(keep):
         warnings.warn(f"dropping {int((~keep).sum())} zero observations before polar transform",
-                      stacklevel=2)
+                      stacklevel=3)
         a, b, r = a[keep], b[keep], r[keep]
-    w = np.column_stack((a / r, b / r))
-    return r, w
+    return a, b, r
 
 
 def _strict_exceedances(r: np.ndarray, thr, context: str = ""):
@@ -182,11 +202,27 @@ def _strict_exceedances(r: np.ndarray, thr, context: str = ""):
     return mask, k
 
 
-def _exceedance_mask(r: np.ndarray, q: float, context: str = ""):
-    """Strict exceedances of the empirical q-quantile of r: (mask, k, threshold)."""
+def _exceedance_mask(r: np.ndarray, q: float, context: str = "", n: int | None = None):
+    """Strict exceedances of the empirical q-quantile of n radii: (mask, k, threshold).
+
+    ``r`` holds, in any order, every radius at or above the ``floor((n-1) q)``-th
+    smallest of the n (by default ``r`` is all n of them), and no NaN.  The
+    threshold is numpy's ``linear`` quantile, bit for bit: the two order
+    statistics it interpolates come from one partition, shifted by the
+    ``n - r.size`` radii left out, and are blended as numpy's ``_lerp`` does.
+    """
     if not 0.0 < q < 1.0:
         raise DomainError("radial quantile must lie in (0, 1)")
-    thr = float(np.quantile(r, q)) if r.size else 0.0
+    thr = 0.0
+    if r.size:
+        n = r.size if n is None else n
+        v = (n - 1) * q  # numpy's virtual index; a rewritten form changes the last bit
+        lo = math.floor(v)
+        g = v - lo
+        skip = n - r.size  # radii left out, all below the lo-th smallest
+        kth = [lo - skip, min(lo + 1, n - 1) - skip]
+        a, b = np.partition(r, kth)[kth].tolist()
+        thr = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g  # numpy's _lerp
     return (*_strict_exceedances(r, thr, context), thr)
 
 
@@ -223,23 +259,45 @@ def _resolve_mass(mass, r_k: float, k: int, n: int, name: str = "fixed", value=N
     return m
 
 
+def _pair_moment(a, b, r, n: int, q_radial: float, mass):
+    """``(sigma, k, angles)`` of one TPDM entry from the coordinates (a, b) and
+    radii r of rows holding every exceedance of the pair's n radii (see
+    :func:`_exceedance_mask`).  Angles are formed for the exceedances only."""
+    mask, k, _ = _exceedance_mask(r, q_radial, "pair estimate", n)
+    rk = r[mask]
+    m = _resolve_mass(mass, float(rk.min()), k, n, "fixed", 2.0)
+    wk = np.column_stack((a[mask], b[mask])) / rk[:, None]
+    return m / k * float(np.sum(wk[:, 0] * wk[:, 1])), k, wk
+
+
 def estimate_sigma_pair(xi, xj, q_radial: float = 0.95, mass="fixed"):
     """Pairwise angular-moment estimate of one TPDM entry.
 
     ``mass`` is "fixed" (total mass 2, unit-scale margins), "estimate"
     (``(r_(k)^2/n) k`` from the pair radii), or a positive number used
     verbatim.  Returns ``(sigma_hat, k, angles)`` where ``angles`` are the
-    retained unit vectors, kept for variance estimation.
+    retained unit vectors, kept for variance estimation.  Zero rows are
+    dropped as in :func:`polar2`.
     """
-    r, w = polar2(xi, xj)
-    n = r.size
+    a, b, r = _pair_radii(xi, xj)
+    _check_pair_sample(r.size, q_radial)
+    return _pair_moment(a, b, r, r.size, q_radial, mass)
+
+
+def _check_pair_sample(n: int, q_radial: float):
+    """The pair estimate's argument errors, in its order: too few rows, then q."""
     if n < 50:
         raise DataError("need at least 50 paired observations")
-    mask, k, _ = _exceedance_mask(r, q_radial, "pair estimate")
-    m = _resolve_mass(mass, float(r[mask].min()), k, n, "fixed", 2.0)
-    wk = w[mask]
-    sigma = m / k * float(np.sum(wk[:, 0] * wk[:, 1]))
-    return sigma, k, wk
+    if not 0.0 < q_radial < 1.0:
+        raise DomainError("radial quantile must lie in (0, 1)")
+
+
+def _tail_candidates(X: np.ndarray, q_radial: float) -> np.ndarray:
+    """``(p, n)`` mask of each column's tail candidates: its rows at or above
+    ``CANDIDATE_FACTOR`` times its ``floor((n-1) q)``-th smallest value."""
+    lo = math.floor((X.shape[0] - 1) * q_radial)
+    a = np.partition(X, lo, axis=0)[lo]
+    return np.ascontiguousarray((X >= CANDIDATE_FACTOR * a).T)
 
 
 def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairwise",
@@ -250,7 +308,9 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
     convention for preprocessed data); ``mode="global"`` thresholds once on
     the full p-vector radius (the convention for simulation studies).  With
     ``mass="fixed"`` the total mass is 2 per pair, or p for the global radius,
-    which presumes unit-scale margins.
+    which presumes unit-scale margins.  Each pair reads only its tail
+    candidates and gives the bits of :func:`estimate_sigma_pair` on the
+    whole columns.
     """
     X = sample.data
     n, p = X.shape
@@ -265,9 +325,14 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
         raise DomainError(f"unknown mode {mode!r}")
     S = np.zeros((p, p))
     K = np.zeros((p, p), dtype=int)
+    if p:
+        _check_pair_sample(n, q_radial)
+        cand = _tail_candidates(X, q_radial)
     for i in range(p):
         for j in range(i, p):
-            sigma, k, _ = estimate_sigma_pair(X[:, i], X[:, j], q_radial, mass)
+            rows = np.flatnonzero(cand[i] | cand[j])
+            a, b = X[rows, i], X[rows, j]
+            sigma, k, _ = _pair_moment(a, b, np.hypot(a, b), n, q_radial, mass)
             S[i, j] = S[j, i] = sigma
             K[i, j] = K[j, i] = k
     return IPMatrix(S, kind="estimated", k_used=K, mass=mass)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tailgraph import (CoverageResult, PairRecord, PtcTestReport, ar1_matrix, construct,
-                       sample_noise)
+from tailgraph import (CoverageResult, DomainError, PairRecord, PtcTestReport, ar1_matrix,
+                       construct, critical_value, sample_noise)
 from tailgraph import cli
 from tailgraph.cli import _format_matrix_csv, _read_csv_checked, main, read_csv_matrix
 
@@ -333,6 +333,15 @@ class TestGraphCmd:
         assert code == 2
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["fixed:abc", "fixed:nan", "fixed:inf"])
+    def test_bad_fixed_critical_reads_as_in_the_library(self, tmp_path, capsys, value):
+        with pytest.raises(DomainError) as lib:
+            critical_value(value)
+        with pytest.raises(SystemExit) as exit_info:
+            run("graph", "--stats", NO2_FIXTURE, "--critical", value, "--out", tmp_path / "g.dot")
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"argument --critical: {lib.value}")
+
     def test_stats_requires_critical(self, tmp_path):
         assert run("graph", "--stats", NO2_FIXTURE, "--out", tmp_path / "g.dot") == 3
 
@@ -358,6 +367,12 @@ def _write_inputs(tmp_path, case):
         report.write_text(json.dumps({"columns": ["a", "b", "c"], "pairs": [],
                                       "critical_value": float("inf"), "adjustment": "none",
                                       "alpha": 1e-300, "quantiles": {}}))
+    elif case in ("graph --json into a missing directory", "graph --json onto a directory"):
+        report.write_text(json.dumps({"columns": ["a", "b", "c"], "pairs": [],
+                                      "critical_value": 3.0, "adjustment": "none",
+                                      "alpha": 0.05, "quantiles": {}}))
+    if case == "graph --json onto a directory":
+        (tmp_path / "adir").mkdir()
     return {
         "malformed sidecar": ["tpdm", "--input", prep, "--out-prefix", tmp_path / "t"],
         "non-positive cell": ["tpdm", "--input", prep, "--out-prefix", tmp_path / "t"],
@@ -387,6 +402,11 @@ def _write_inputs(tmp_path, case):
         "report with infinite critical value": ["graph", "--report", report,
                                                 "--out", tmp_path / "g.dot",
                                                 "--json", tmp_path / "g.json"],
+        "graph --json into a missing directory": ["graph", "--report", report,
+                                                  "--out", tmp_path / "g.dot",
+                                                  "--json", tmp_path / "nodir" / "g.json"],
+        "graph --json onto a directory": ["graph", "--report", report, "--out", tmp_path / "g.dot",
+                                          "--json", tmp_path / "adir"],
         "simulate --n 10**30": ["simulate", "--n", 10 ** 30, "--out", tmp_path / "s.csv"],
         "simulate --p 10**30": ["simulate", "--p", 10 ** 30, "--n", 5, "--out", tmp_path / "s.csv"],
         "simulate --p 3000000000": ["simulate", "--p", 3_000_000_000, "--out", tmp_path / "s.csv"],
@@ -419,6 +439,8 @@ FAILURE_TABLE = [
     ("graph --critical fixed:inf", 2),
     ("ptc-test --alpha 1e-300", 4),  # the Bonferroni t quantile is infinite
     ("report with infinite critical value", 3),
+    ("graph --json into a missing directory", 3),  # the DOT file is not written either
+    ("graph --json onto a directory", 3),
     # a float64 sample (n x p) or coefficient matrix (p x p) larger than any array
     ("simulate --n 10**30", 2),
     ("simulate --p 10**30", 2),

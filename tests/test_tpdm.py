@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -23,7 +25,7 @@ from tailgraph import (
     softplus_inv,
     solve_delta,
 )
-from tailgraph.tpdm import _average_ranks, _resolve_mass
+from tailgraph.tpdm import MIN_EXCEEDANCES, _average_ranks, _exceedance_mask, _resolve_mass
 
 
 def _preimage_mean(delta: float) -> float:
@@ -293,3 +295,98 @@ class TestEstimateTpdm:
         Q = invert_ipm(S).entries
         off = max(abs(Q[0, 2]), abs(Q[0, 3]), abs(Q[1, 3]))
         assert off < 0.3
+
+
+class TestExceedanceThreshold:
+    """``_exceedance_mask`` against ``np.quantile`` and its strict mask, bit for bit."""
+
+    @given(n=st.integers(50, 20_000), q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           levels=st.sampled_from([0, 2, 7, 300]), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=7001, q=0.975, levels=0, seed=0)     # the Hyndman-Fan form misses the last bit
+    @example(n=101, q=0.75, levels=0, seed=1)       # integer virtual index 75
+    @example(n=1001, q=0.9506, levels=0, seed=420)  # fraction 0.6, where a + d g is one ulp off
+    @example(n=1001, q=0.9506, levels=7, seed=3)    # the same fraction on tied radii
+    def test_matches_numpy_on_full_and_candidate_radii(self, n, q, levels, seed):
+        rng = np.random.default_rng(seed)
+        r = rng.integers(1, levels + 1, n).astype(float) if levels else rng.pareto(2.0, n) + 1.0
+        thr = np.quantile(r, q)
+        want = r > thr
+        if want.sum() < MIN_EXCEEDANCES:
+            with pytest.raises(InsufficientExceedancesError):
+                _exceedance_mask(r, q)
+            return
+        mask, k, got = _exceedance_mask(r, q)
+        assert np.float64(got).tobytes() == thr.tobytes()
+        assert np.array_equal(mask, want) and k == want.sum()
+        # a candidate subset: every radius at or above the floor((n-1) q)-th smallest, plus others
+        lo = math.floor((n - 1) * q)
+        keep = (r >= np.partition(r, lo)[lo]) | (rng.random(n) < 0.3)
+        sub_mask, sub_k, sub_thr = _exceedance_mask(r[keep], q, n=n)
+        assert np.float64(sub_thr).tobytes() == thr.tobytes()
+        assert sub_k == k and np.array_equal(sub_mask, want[keep])
+
+
+def _reference_pairwise(X, q, mass):
+    """The pairwise TPDM as it was before tail candidates: every pair on its whole columns."""
+    p = X.shape[1]
+    S = np.zeros((p, p))
+    K = np.zeros((p, p), dtype=int)
+    for i in range(p):
+        for j in range(i, p):
+            sigma, k, _ = estimate_sigma_pair(X[:, i], X[:, j], q, mass)
+            S[i, j] = S[j, i] = sigma
+            K[i, j] = K[j, i] = k
+    return S, K
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the class, message and count of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error must match too
+        return type(exc), str(exc), getattr(exc, "k", None)
+
+
+class TestPairwiseCandidates:
+    """The pairwise TPDM on tail candidates against the whole-column pair loop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("p", [5, 12])
+    @pytest.mark.parametrize("kind", ["raw", "preprocessed", "tied"])
+    def test_bit_identical_to_the_pair_loop(self, seed, p, kind):
+        X = construct(ar1_matrix(0.7, p), sample_noise(p, 3000, seed=seed))
+        if kind == "preprocessed":
+            X = marginal_transform(X).data
+        elif kind == "tied":
+            X = np.ceil(X * 2.0) / 2.0  # half-unit grid: most rows share values
+        for q in (0.9, 0.95, 0.975, 0.99):
+            for mass in ("fixed", "estimate"):
+                S = estimate_tpdm(TailSample(X), q, mode="pairwise", mass=mass)
+                want_S, want_K = _reference_pairwise(X, q, mass)
+                assert np.array_equal(S.entries, want_S), (q, mass)
+                assert np.array_equal(S.k_used, want_K), (q, mass)
+
+    @pytest.mark.parametrize("X, q, mass", [
+        (1.0 + np.arange(80.0).reshape(40, 2), 0.95, "fixed"),  # n < 50
+        (1.0 + np.arange(80.0).reshape(40, 2), 1.5, "fixed"),  # n < 50 comes before q
+        (1.0 + np.random.default_rng(0).random((60, 2)), 0.95, "fixed"),  # too few exceedances
+        (np.full((200, 3), 2.0), 0.9, "fixed"),  # constant: every row a candidate, no exceedance
+        (1.0 + np.random.default_rng(1).random((500, 3)), 0.9, "bogus"),  # mass, at the first pair
+        (1.0 + np.random.default_rng(2).random((500, 3)), 1.0, "fixed"),
+    ], ids=["short", "short-and-bad-q", "few-exceedances", "constant", "bad-mass", "bad-q"])
+    def test_errors_match_the_pair_loop(self, X, q, mass):
+        got = _outcome(lambda: estimate_tpdm(TailSample(X), q, mode="pairwise", mass=mass))
+        want = _outcome(_reference_pairwise, X, q, mass)
+        assert isinstance(got, tuple) and got == want
+
+    def test_first_failing_pair_in_loop_order(self):
+        # at n=200, q=0.95 a continuous pair keeps 10 exceedances; (1, 1) keeps 7 (seven
+        # values above a tie of ten), (2, 2) none (its top twenty tie); (1, 1) comes first
+        x = 1.0 + np.random.default_rng(4).pareto(2.0, (200, 3))
+        x[:10, 1] = 500.0
+        x[10:17, 1] = 600.0 + np.arange(7)
+        x[:20, 2] = 1000.0
+        got = _outcome(lambda: estimate_tpdm(TailSample(x), 0.95, mode="pairwise"))
+        assert got == _outcome(_reference_pairwise, x, 0.95, "fixed")
+        assert got == (InsufficientExceedancesError,
+                       "pair estimate: only 7 exceedances (need >= 10)", 7)

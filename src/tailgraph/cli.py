@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import importlib
 import io
 import json
 import os
@@ -22,8 +23,9 @@ import tempfile
 
 import numpy as np
 
-from . import graphx, inference, project, rvsim, tpdm
+from . import tpdm
 from .errors import DataError, DomainError, NumericalError, TailgraphError
+from .report import PtcTestReport, fixed_critical_value
 from .tpdm import TailSample
 
 EXIT_USAGE = 2
@@ -34,7 +36,10 @@ EXIT_NUMERICAL = 4
 def _atomic_write(path: str, text: str, staged: list):
     """Write ``text`` to a temp file beside ``path`` and record ``(tmp, path)`` in
     ``staged``; :func:`_write_outputs` renames the set into place."""
-    if os.path.isdir(path):  # caught here, not by a rename after others were renamed
+    # caught here, not by a rename after others were renamed
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tailgraph-")
@@ -183,12 +188,12 @@ def _critical_arg(value: str):
     if not value.startswith("fixed:"):
         raise argparse.ArgumentTypeError("critical must be 'bonferroni', 'none' or 'fixed:<c>'")
     try:
-        return inference.critical_value(value)
+        return fixed_critical_value(value)
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, rvsim) -> int:
     seed = _resolve_seed(args)
     if args.a_matrix:
         _, A = read_csv_matrix(args.a_matrix)
@@ -225,7 +230,7 @@ def _load_sample(path: str) -> TailSample:
     return TailSample(data, columns=columns)
 
 
-def cmd_tpdm(args) -> int:
+def cmd_tpdm(args, project) -> int:
     sample = _load_sample(args.input)
     sigma = tpdm.estimate_tpdm(sample, q_radial=args.radial_quantile,
                                mode=args.mode, mass=args.mass)
@@ -253,7 +258,7 @@ def cmd_tpdm(args) -> int:
     return 0
 
 
-def cmd_ptc_test(args) -> int:
+def cmd_ptc_test(args, inference, graphx) -> int:
     sample = _load_sample(args.input)
     report = inference.ptc_test_all_pairs(
         sample, q_radial=args.radial_quantile, q_pred=args.pred_quantile,
@@ -273,7 +278,7 @@ def cmd_ptc_test(args) -> int:
     return 0
 
 
-def cmd_coverage(args) -> int:
+def cmd_coverage(args, inference) -> int:
     if args.reps < 100:
         raise DataError("need at least 100 replications for a coverage estimate")
     seed = _resolve_seed(args)
@@ -286,7 +291,7 @@ def cmd_coverage(args) -> int:
     return 0
 
 
-def cmd_size_power(args) -> int:
+def cmd_size_power(args, inference) -> int:
     rejections, errors, failures = inference.size_power_study(
         phi=args.phi, n=args.n, reps=args.reps, p=args.p, q_radial=args.radial_quantile,
         q_pred=args.pred_quantile, cv_method=args.critical, alpha=args.alpha, seed=_resolve_seed(args))
@@ -302,7 +307,7 @@ def cmd_size_power(args) -> int:
     return 0
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args, graphx) -> int:
     if bool(args.report) == bool(args.stats):
         raise DataError("exactly one of --report or --stats is required")
     if args.critical in ("bonferroni", "none"):
@@ -311,7 +316,7 @@ def cmd_graph(args) -> int:
     if args.report:
         try:
             with open(args.report) as fh:
-                report = inference.PtcTestReport.from_dict(json.load(fh))
+                report = PtcTestReport.from_dict(json.load(fh))
         except ValueError as exc:  # bad JSON, or a malformed report (a DataError)
             raise DataError(f"{args.report}: {exc}") from None
         if args.critical is not None:
@@ -328,6 +333,22 @@ def cmd_graph(args) -> int:
     _write_outputs(*outputs)
     print(f"graph with {len(graph.edges)} edges -> {args.out}")
     return 0
+
+
+# command -> (handler, the package modules it is called with).  The one place
+# rvsim, project, inference and graphx are imported: a command loads only
+# what it uses, so simulate, preprocess and graph start without scipy.  The
+# handler is looked up by name when it runs, so a wrapper installed on this
+# module's attribute is the one called.
+COMMANDS = {
+    "simulate": ("cmd_simulate", ("rvsim",)),
+    "preprocess": ("cmd_preprocess", ()),
+    "tpdm": ("cmd_tpdm", ("project",)),
+    "ptc-test": ("cmd_ptc_test", ("inference", "graphx")),
+    "coverage": ("cmd_coverage", ("inference",)),
+    "size-power": ("cmd_size_power", ("inference",)),
+    "graph": ("cmd_graph", ("graphx",)),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -353,12 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--p", type=_positive_int_arg, default=4)
     sim.add_argument("--noise", choices=("shifted-pareto", "frechet"), default="shifted-pareto")
     sim.add_argument("--a-matrix", default=None, help="CSV coefficient matrix instead of the AR model")
-    sim.set_defaults(func=cmd_simulate)
 
     prep = sub.add_parser("preprocess", help="rank-transform to shifted-Pareto margins")
     prep.add_argument("--input", required=True)
     prep.add_argument("--output", required=True)
-    prep.set_defaults(func=cmd_preprocess)
 
     tp = sub.add_parser("tpdm", help="estimate the TPDM and its inverse")
     tp.add_argument("--input", required=True)
@@ -366,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--mode", choices=("pairwise", "global"), default="pairwise")
     tp.add_argument("--mass", type=_mass_arg, default="fixed2")
     tp.add_argument("--out-prefix", required=True)
-    tp.set_defaults(func=cmd_tpdm)
 
     pt = sub.add_parser("ptc-test", help="all-pairs partial tail correlation test")
     pt.add_argument("--input", required=True)
@@ -378,13 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--mode", choices=("pairwise", "global"), default="pairwise")
     pt.add_argument("--mass", type=_mass_arg, default="fixed2")
     pt.add_argument("--out-prefix", required=True)
-    pt.set_defaults(func=cmd_ptc_test)
 
     cov = sub.add_parser("coverage", parents=[model], help="confidence-interval coverage simulation")
     cov.add_argument("--reps", type=int, default=500)
     cov.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.98)
     cov.add_argument("--level", type=_unit_interval_arg, default=0.95)
-    cov.set_defaults(func=cmd_coverage)
 
     sp = sub.add_parser("size-power", parents=[model],
                         help="size and power of the all-pairs test on the autoregressive model")
@@ -394,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pred-quantile", type=_unit_interval_arg, default=0.98)
     sp.add_argument("--alpha", type=_unit_interval_arg, default=0.05)
     sp.add_argument("--critical", type=_critical_arg, default="bonferroni")
-    sp.set_defaults(func=cmd_size_power)
 
     gr = sub.add_parser("graph", help="emit a DOT graph from a report or a statistic matrix")
     gr.add_argument("--report", default=None, help="report JSON from ptc-test")
@@ -403,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--width-scale", type=_positive_float_arg, default=4.0)
     gr.add_argument("--out", required=True)
     gr.add_argument("--json", default=None, help="also write JSON adjacency here")
-    gr.set_defaults(func=cmd_graph)
 
     return parser
 
@@ -414,8 +428,10 @@ def main(argv=None) -> int:
     n, p = getattr(args, "n", 1), getattr(args, "p", 4)  # coverage samples four variables
     if 8 * max(n * p, p * p) > np.iinfo(np.intp).max:  # float64 sample, coefficient matrix
         parser.error(f"--n {n} and --p {p} exceed the largest array size")
+    handler, modules = COMMANDS[args.command]
+    loaded = {m: importlib.import_module(f".{m}", __package__) for m in modules}
     try:
-        return args.func(args)
+        return globals()[handler](args, **loaded)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

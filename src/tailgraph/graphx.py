@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .inference import PtcTestReport
+from .report import PtcTestReport
 
 
 @dataclass

@@ -29,7 +29,6 @@ from scipy import special
 from . import project
 from .errors import (
     ConditioningError,
-    DataError,
     DegenerateVarianceError,
     DimensionError,
     DomainError,
@@ -39,8 +38,9 @@ from .errors import (
 # ptc_matrix stays importable from this module for existing callers.
 from .project import (Partition, conditional_ipm, ptc_matrix,  # noqa: F401
                       ptc_matrix_from_inverse, solve_b)
+from .report import PairRecord, PtcTestReport, fixed_critical_value
 from .rvsim import ar1_matrix, construct, sample_noise, theoretical_ipm
-from .tpdm import (TailSample, _exceedance_mask, _resolve_mass, _strict_exceedances,
+from .tpdm import (TailSample, _radial_exceedances, _resolve_mass, _strict_exceedances,
                    estimate_tpdm)
 from .xlinear import softplus_inv
 
@@ -87,10 +87,8 @@ def _preimage_residuals(Y, part: Partition, B):
 
 def _retain_exceedances(U, q_pred: float, m_trace) -> ResidualSample:
     """Keep the residual rows whose radius exceeds the empirical ``q_pred`` quantile."""
-    r = np.sqrt(np.sum(U ** 2, axis=1))
-    mask, _, thr = _exceedance_mask(r, q_pred, "residual radii")
-    u, r_exc = U[mask], r[mask]
-    return ResidualSample(u=u, r=r_exc, w=u / r_exc[:, None], n_total=r.size, threshold=thr,
+    u, r, _, thr = _radial_exceedances(U, q_pred, "residual radii")
+    return ResidualSample(u=u, r=r, w=u / r[:, None], n_total=U.shape[0], threshold=thr,
                           m_trace=m_trace)
 
 
@@ -190,18 +188,8 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
     that is not finite (alpha so small that its level rounds to 1) is a
     :class:`NumericalError`.
     """
-    if isinstance(method, str) and method.startswith("fixed:"):
-        try:
-            method = float(method.split(":", 1)[1])
-        except ValueError:
-            raise DomainError(f"fixed critical value must be numeric, got {method!r}") from None
-    if isinstance(method, (int, float)):
-        cv = float(method)
-        if not np.isfinite(cv):
-            raise DomainError(f"critical value must be finite, got {cv!r}")
-        return cv
-    if method not in _ADJUSTED:
-        raise DomainError(f"unknown critical value method {method!r}")
+    if not (isinstance(method, str) and method in _ADJUSTED):
+        return fixed_critical_value(method)
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
     if df is None or df < 2:
@@ -217,101 +205,6 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
         raise NumericalError(f"t quantile at level {level!r} (df={df}) is not finite; "
                              f"alpha={alpha!r} is too small")
     return cv
-
-
-@dataclass
-class PairRecord:
-    """Per-pair test outcome; ``error`` is set when the pipeline failed."""
-
-    i: int
-    j: int
-    names: tuple[str, str]
-    sigma_u: float | None = None
-    tau2: float | None = None
-    k: int | None = None
-    t_stat: float | None = None
-    reject: bool | None = None
-    error: str | None = None
-
-
-@dataclass
-class PtcTestReport:
-    """All-pairs test report with one global critical value."""
-
-    records: list[PairRecord]
-    critical_value: float
-    adjustment: str
-    alpha: float
-    columns: list[str]
-    quantiles: dict = field(default_factory=dict)
-    ptc: np.ndarray | None = None
-
-    def record(self, i: int, j: int) -> PairRecord:
-        a, b = min(i, j), max(i, j)
-        for rec in self.records:
-            if (rec.i, rec.j) == (a, b):
-                return rec
-        raise KeyError((i, j))
-
-    def n_rejected(self) -> int:
-        return sum(1 for r in self.records if r.reject)
-
-    def to_dict(self) -> dict:
-        return {
-            "columns": list(self.columns),
-            "alpha": self.alpha,
-            "critical_value": self.critical_value,
-            "adjustment": self.adjustment,
-            "quantiles": dict(self.quantiles),
-            "ptc": None if self.ptc is None else [
-                [None if np.isnan(v) else float(v) for v in row] for row in self.ptc],
-            "pairs": [
-                {
-                    "i": r.i, "j": r.j, "names": list(r.names),
-                    "sigma_u": r.sigma_u, "tau2": r.tau2, "k": r.k,
-                    "t": r.t_stat, "reject": r.reject, "error": r.error,
-                }
-                for r in self.records
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> PtcTestReport:
-        """Rebuild a report from :meth:`to_dict` output (``ptc`` is not read back).
-
-        Raises :class:`DataError` when a key is missing or a value is unusable.
-        """
-        try:
-            columns = list(payload["columns"])
-            records = []
-            for d in payload["pairs"]:
-                rec = PairRecord(i=int(d["i"]), j=int(d["j"]), names=tuple(d["names"]),
-                                 sigma_u=d["sigma_u"], tau2=d["tau2"], k=d["k"],
-                                 t_stat=None if d["t"] is None else float(d["t"]),
-                                 reject=d["reject"], error=d["error"])
-                if not (0 <= rec.i < rec.j < len(columns)
-                        and (rec.t_stat is None) != (rec.error is None)
-                        and (rec.t_stat is None or np.isfinite(rec.t_stat))):
-                    raise ValueError(f"inconsistent pair record {d}")
-                records.append(rec)
-            cv = critical_value(float(payload["critical_value"]))  # finite, or a DomainError
-            return cls(records=records, critical_value=cv,
-                       adjustment=payload["adjustment"], alpha=payload["alpha"],
-                       columns=columns, quantiles=dict(payload["quantiles"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed report: {type(exc).__name__}: {exc}") from None
-
-    csv_header = ("i", "j", "name_i", "name_j", "sigma_u", "tau2", "k", "t", "reject", "error")
-
-    def to_csv_rows(self):
-        for r in self.records:
-            yield (r.i, r.j, r.names[0], r.names[1],
-                   "" if r.sigma_u is None else repr(r.sigma_u),
-                   "" if r.tau2 is None else repr(r.tau2),
-                   "" if r.k is None else r.k,
-                   "" if r.t_stat is None else repr(r.t_stat),
-                   "" if r.reject is None else int(r.reject),
-                   r.error or "")
 
 
 def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):

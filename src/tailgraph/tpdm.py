@@ -38,6 +38,7 @@ from .errors import (
     DimensionError,
     DomainError,
     InsufficientExceedancesError,
+    NumericalError,
 )
 
 MIN_EXCEEDANCES = 10
@@ -206,24 +207,65 @@ def _exceedance_mask(r: np.ndarray, q: float, context: str = "", n: int | None =
     """Strict exceedances of the empirical q-quantile of n radii: (mask, k, threshold).
 
     ``r`` holds, in any order, every radius at or above the ``floor((n-1) q)``-th
-    smallest of the n (by default ``r`` is all n of them), and no NaN.  The
-    threshold is numpy's ``linear`` quantile, bit for bit: the two order
+    smallest of the n (by default ``r`` is all n of them), and no NaN.
+    """
+    thr = _quantile_threshold(r, q, n)
+    return (*_strict_exceedances(r, thr, context), thr)
+
+
+def _quantile_threshold(r: np.ndarray, q: float, n: int | None = None) -> float:
+    """The empirical q-quantile of n radii, of which ``r`` holds those that
+    :func:`_exceedance_mask` needs.
+
+    The threshold is numpy's ``linear`` quantile, bit for bit: the two order
     statistics it interpolates come from one partition, shifted by the
     ``n - r.size`` radii left out, and are blended as numpy's ``_lerp`` does.
     """
     if not 0.0 < q < 1.0:
         raise DomainError("radial quantile must lie in (0, 1)")
-    thr = 0.0
-    if r.size:
-        n = r.size if n is None else n
-        v = (n - 1) * q  # numpy's virtual index; a rewritten form changes the last bit
-        lo = math.floor(v)
-        g = v - lo
-        skip = n - r.size  # radii left out, all below the lo-th smallest
-        kth = [lo - skip, min(lo + 1, n - 1) - skip]
-        a, b = np.partition(r, kth)[kth].tolist()
-        thr = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g  # numpy's _lerp
-    return (*_strict_exceedances(r, thr, context), thr)
+    if not r.size:
+        return 0.0
+    n = r.size if n is None else n
+    v = (n - 1) * q  # numpy's virtual index; a rewritten form changes the last bit
+    lo = math.floor(v)
+    g = v - lo
+    skip = n - r.size  # radii left out, all below the lo-th smallest
+    kth = [lo - skip, min(lo + 1, n - 1) - skip]
+    a, b = np.partition(r, kth)[kth].tolist()
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g  # numpy's _lerp
+
+
+def _radial_exceedances(X: np.ndarray, q: float, context: str = ""):
+    """Rows of X whose L2 radius strictly exceeds the empirical q-quantile of
+    the n radii: ``(rows, radii, k, threshold)``.
+
+    The radius is ``sqrt(sum x^2)``.  Where the squares overflow it is inf,
+    and the row's radius is taken again by :func:`_fix_overflowed_radii`;
+    every other radius keeps the bits of the plain formula.  An overflowed
+    radius ranks above every finite one, so only the retained rows are
+    inspected, unless the threshold itself reaches an overflowed radius.
+    """
+    with np.errstate(over="ignore"):
+        r = np.sqrt(np.sum(X ** 2, axis=1))
+    thr = _quantile_threshold(r, q)
+    if not thr < np.inf:  # inf or NaN: mend every radius and threshold again
+        _fix_overflowed_radii(X, r)
+        thr = _quantile_threshold(r, q)
+    mask, k = _strict_exceedances(r, thr, context)
+    rows, radii = X[mask], r[mask]
+    _fix_overflowed_radii(rows, radii)
+    return rows, radii, k, thr
+
+
+def _fix_overflowed_radii(x: np.ndarray, r: np.ndarray):
+    """Replace, in place, each infinite radius ``r[i]`` of a finite row ``x[i]``
+    by ``s * ||x[i] / s||`` with s the row's largest magnitude."""
+    idx = np.flatnonzero(np.isinf(r))
+    if idx.size:
+        s = np.max(np.abs(x[idx]), axis=1)
+        idx, s = idx[np.isfinite(s)], s[np.isfinite(s)]
+        with np.errstate(over="ignore"):  # a norm past the float64 range stays inf
+            r[idx] = s * np.sqrt(np.sum((x[idx] / s[:, None]) ** 2, axis=1))
 
 
 def estimate_mass(r, k: int, n: int) -> float:
@@ -231,8 +273,8 @@ def estimate_mass(r, k: int, n: int) -> float:
     radii = np.asarray(r, dtype=float)
     if not 1 <= k <= n or k > radii.size:
         raise DomainError("need 1 <= k <= n")
-    r_k = np.partition(radii, radii.size - k)[radii.size - k]
-    return float(_resolve_mass("estimate", r_k, k, n))
+    r_k = float(np.partition(radii, radii.size - k)[radii.size - k])
+    return _resolve_mass("estimate", r_k, k, n)
 
 
 def _resolve_mass(mass, r_k: float, k: int, n: int, name: str = "fixed", value=None) -> float:
@@ -244,7 +286,10 @@ def _resolve_mass(mass, r_k: float, k: int, n: int, name: str = "fixed", value=N
     number used verbatim.
     """
     if mass == "estimate":
-        return r_k ** 2 / n * k
+        try:
+            return r_k ** 2 / n * k
+        except OverflowError:  # r_k past the square root of the float64 range
+            raise NumericalError(f"estimated mass overflows: threshold radius {r_k!r}") from None
     if mass == name:
         if value is None:
             raise DomainError(f"mass={name!r} needs a value for this sample")
@@ -315,10 +360,9 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
     X = sample.data
     n, p = X.shape
     if mode == "global":
-        r = np.sqrt(np.sum(X ** 2, axis=1))
-        mask, k, _ = _exceedance_mask(r, q_radial, "global TPDM")
-        m = _resolve_mass(mass, float(r[mask].min()), k, n, "fixed", p)
-        W = X[mask] / r[mask, None]
+        rows, radii, k, _ = _radial_exceedances(X, q_radial, "global TPDM")
+        m = _resolve_mass(mass, float(radii.min()), k, n, "fixed", p)
+        W = rows / radii[:, None]
         S = (m / k) * (W.T @ W)
         return IPMatrix(S, kind="estimated", k_used=np.full((p, p), k), mass=m)
     if mode != "pairwise":

@@ -223,7 +223,7 @@ class TestCoverageCmd:
                                   true_value=0.0, covered=empty, partition_estimates=empty,
                                   residual_estimates=empty, k_values=empty, t_values=empty)
 
-        monkeypatch.setattr(cli.inference, "coverage_study", nan_study)
+        monkeypatch.setattr("tailgraph.inference.coverage_study", nan_study)
         assert run("coverage", "--reps", 100, "--seed", 1, "--out", tmp_path / "c.json") == 4
         assert "not JSON compliant" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -254,7 +254,7 @@ def test_allocation_failure_is_numerical_error(tmp_path, monkeypatch, capsys):
     def no_memory(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(cli.rvsim, "sample_noise", no_memory)
+    monkeypatch.setattr("tailgraph.rvsim.sample_noise", no_memory)
     assert run("simulate", "--n", 10, "--seed", 1, "--out", tmp_path / "s.csv") == 4
     assert capsys.readouterr().err == "error: out of memory\n"
     assert not list(tmp_path.iterdir())
@@ -561,30 +561,47 @@ def test_read_csv_matrix_matches_checked_parser(tmp_path_factory, text):
 
 
 def test_import_budget(tmp_path):
-    """No command loads scipy.stats, integrate or optimize: delta is a literal,
-    and simulate, preprocess, ptc-test and graph run on scipy.linalg and
-    scipy.special alone."""
+    """Each command in a fresh interpreter.  ``import tailgraph``, simulate,
+    preprocess and graph load no scipy module at all; tpdm, ptc-test and
+    coverage load none of scipy.stats, integrate or optimize (delta is a
+    literal; they run on scipy.linalg and scipy.special alone)."""
+    base = str(tmp_path) + os.sep
+    assert run("simulate", "--p", 3, "--n", 2000, "--seed", 1, "--out", base + "s.csv") == 0
+    assert run("preprocess", "--input", base + "s.csv", "--output", base + "p.csv") == 0
+    assert run("ptc-test", "--input", base + "p.csv", "--out-prefix", base + "r") == 0
     script = """
 import json, sys
-import tailgraph.cli
-heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
-loaded = lambda: [m for m in heavy if m in sys.modules]
-out = {"import": loaded()}
-base = sys.argv[1]
-for argv in (["simulate", "--p", "3", "--n", "2000", "--seed", "1", "--out", base + "s.csv"],
-             ["preprocess", "--input", base + "s.csv", "--output", base + "p.csv"],
-             ["ptc-test", "--input", base + "p.csv", "--out-prefix", base + "r"],
-             ["graph", "--report", base + "r_report.json", "--out", base + "g.dot"]):
-    assert tailgraph.cli.main(argv) == 0
-    out[argv[0]] = loaded()
-out["delta"] = repr(tailgraph.tpdm.solve_delta())
-print(json.dumps(out))
+import tailgraph
+if sys.argv[1:]:
+    assert tailgraph.cli.main(sys.argv[1:]) == 0
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "delta": repr(tailgraph.tpdm.solve_delta())}))
 """
-    code, err, stdout = run_process(str(tmp_path) + os.sep, python_args=("-c", script))
-    assert code == 0, err
-    got = json.loads(stdout.splitlines()[-1])
-    assert got == {"import": [], "simulate": [], "preprocess": [], "ptc-test": [],
-                   "graph": [], "delta": "0.9352083872762512"}
+    no_scipy = [
+        [],
+        ["simulate", "--p", "3", "--n", "2000", "--seed", "1", "--out", base + "s2.csv"],
+        ["preprocess", "--input", base + "s.csv", "--output", base + "p2.csv"],
+        ["graph", "--report", base + "r_report.json", "--out", base + "g1.dot"],
+        ["graph", "--report", base + "r_report.json", "--critical", "fixed:2",
+         "--out", base + "g2.dot"],
+        ["graph", "--stats", NO2_FIXTURE, "--critical", "fixed:2", "--out", base + "g3.dot"],
+    ]
+    no_heavy = [
+        ["tpdm", "--input", base + "p.csv", "--out-prefix", base + "t"],
+        ["ptc-test", "--input", base + "p.csv", "--out-prefix", base + "r2"],
+        ["coverage", "--n", "1000", "--reps", "100", "--seed", "1", "--radial-quantile", "0.9",
+         "--out", base + "c.json"],
+    ]
+    heavy = {"scipy.stats", "scipy.integrate", "scipy.optimize"}
+    for argv in no_scipy + no_heavy:
+        code, err, stdout = run_process(*argv, python_args=("-c", script))
+        assert code == 0, err
+        got = json.loads(stdout.splitlines()[-1])
+        assert got["delta"] == "0.9352083872762512"
+        if argv in no_scipy:
+            assert got["scipy"] == [], argv
+        else:
+            assert not [m for m in got["scipy"] if ".".join(m.split(".")[:2]) in heavy], argv
 
 
 # CLI fuzz: argument vectors drawn from a vocabulary of valid, boundary and
@@ -611,35 +628,40 @@ def _with(values, *valid):
     return [*valid, *valid, *values]  # the valid values twice as often
 
 
+def _outs(name):
+    """Output paths: valid, in a missing directory, an existing directory, empty."""
+    return _with(["@out/nodir/" + name, "@out/isdir", ""], "@out/" + name)
+
+
 _COMMANDS = {
     "simulate": [
         _opt("--phi", _with(_VALUES, "0.7")), _opt("--p", _SIZES),
         _opt("--n", _SIZES, required=True),
         _opt("--seed", _with(_VALUES, "3")), _opt("--noise", ["shifted-pareto", "frechet", "x"]),
-        _opt("--a-matrix", _INPUTS), _opt("--out", ["@out/s.csv"], required=True)],
+        _opt("--a-matrix", _INPUTS), _opt("--out", _outs("s.csv"), required=True)],
     "preprocess": [
-        _opt("--input", _INPUTS, required=True), _opt("--output", ["@out/p.csv"], required=True)],
+        _opt("--input", _INPUTS, required=True), _opt("--output", _outs("p.csv"), required=True)],
     "tpdm": [
         _opt("--input", _INPUTS, required=True), _opt("--radial-quantile", _with(_VALUES, "0.9")),
         _opt("--mode", ["pairwise", "global", "x"]), _opt("--mass", ["fixed2", "estimate", "x"]),
-        _opt("--out-prefix", ["@out/t"], required=True)],
+        _opt("--out-prefix", _outs("t"), required=True)],
     "ptc-test": [
         _opt("--input", _INPUTS, required=True), _opt("--radial-quantile", _with(_VALUES, "0.9")),
         _opt("--pred-quantile", _with(_VALUES, "0.95")),
         _opt("--res-quantile", _with(_VALUES, "0.95")), _opt("--alpha", _with(_VALUES, "0.05")),
         _opt("--critical", _CRITICALS), _opt("--mode", ["pairwise", "global"]),
-        _opt("--mass", ["fixed2", "estimate"]), _opt("--out-prefix", ["@out/r"], required=True)],
+        _opt("--mass", ["fixed2", "estimate"]), _opt("--out-prefix", _outs("r"), required=True)],
     "size-power": [
         _opt("--phi", _with(_VALUES, "0.7")), _opt("--p", _SIZES),
         _opt("--n", _STUDY_SIZES, required=True), _opt("--reps", _REPS, required=True),
         _opt("--radial-quantile", _with(_VALUES, "0.9")),
         _opt("--pred-quantile", _with(_VALUES, "0.9")), _opt("--alpha", _with(_VALUES, "0.05")),
         _opt("--critical", _CRITICALS), _opt("--seed", _with(_VALUES, "3")),
-        _opt("--out", ["@out/sp.json"], required=True)],
+        _opt("--out", _outs("sp.json"), required=True)],
     "graph": [
         _opt("--report", _INPUTS), _opt("--stats", _INPUTS), _opt("--critical", _CRITICALS),
-        _opt("--width-scale", _with(_VALUES, "4")), _opt("--out", ["@out/g.dot"], required=True),
-        _opt("--json", ["@out/g.json"])],
+        _opt("--width-scale", _with(_VALUES, "4")), _opt("--out", _outs("g.dot"), required=True),
+        _opt("--json", _outs("g.json"))],
 }
 
 
@@ -691,30 +713,45 @@ def _no_constant(name):
 @example(argv=["graph", "--report", "@report", "--critical", "fixed:inf", "--out", "@out/g.dot",
                "--json", "@out/g.json"])
 @example(argv=["tpdm", "--input", "@binary", "--out-prefix", "@out/t"])
+@example(argv=["simulate", "--n", "5", "--out", ""])
+@example(argv=["preprocess", "--input", "@sim", "--output", "@out/isdir"])
+@example(argv=["ptc-test", "--input", "@prep", "--out-prefix", "@out/nodir/r"])
+@example(argv=["graph", "--report", "@report", "--out", "@out/g.dot", "--json", "@out/isdir"])
 def test_cli_fuzz(fuzz_inputs, tmp_path_factory, argv):
     """Exit 0/2/3/4, never another exception; a failure prints one stderr line
-    and writes nothing (but tpdm's TPDM on an inversion failure); every JSON
-    file written parses without NaN or Infinity."""
+    and writes nothing (but tpdm's TPDM on an inversion failure), and a failed
+    file operation exits 3; no temp file is left behind; every JSON file
+    written parses without NaN or Infinity."""
     out_dir = tmp_path_factory.mktemp("fuzz-out")
+    (out_dir / "isdir").mkdir()
     resolved = [str(fuzz_inputs[a[1:]]) if a in _INPUTS
                 else str(out_dir / a[5:]) if a.startswith("@out/") else a for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = main(resolved)
-        except SystemExit as exc:
-            code = exc.code
+    cwd = os.getcwd()
+    os.chdir(out_dir)  # where an empty --out-prefix writes
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(resolved)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
     err = stderr.getvalue()
-    written = sorted(p.name for p in out_dir.iterdir())
+    written = sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*") if p.is_file())
     assert code in (0, 2, 3, 4), err
+    assert not [p for d in (out_dir, out_dir / "isdir", out_dir.parent)
+                for p in d.glob(".tailgraph-*")]
     if code == 0:
         for name in written:
             if name.endswith(".json"):
                 json.loads((out_dir / name).read_text(), parse_constant=_no_constant)
         return
     assert len(err.splitlines()) == 1 and "error:" in err, err
+    if "[Errno" in err:  # a path that cannot be read or written
+        assert code == 3, err
     if argv[0] == "tpdm" and code == 4 and written:  # the TPDM is kept, the inverse is not
-        assert written == ["t_tpdm.csv", "t_tpdm.json"], err
-        assert "inverse_error" in json.loads((out_dir / "t_tpdm.json").read_text())
+        assert [w.rsplit("_", 1)[1] for w in written] == ["tpdm.csv", "tpdm.json"], err
+        assert "inverse_error" in json.loads((out_dir / written[1]).read_text())
     else:
         assert written == [], err

@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -95,6 +96,17 @@ class TestResiduals:
         np.testing.assert_allclose(res.w * res.r[:, None], res.u, atol=1e-10)
         assert res.n_total == ar1_sample.n
         assert len(res) == int((1 - 0.98) * ar1_sample.n)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 1000])
+    def test_radii_survive_overflowing_squares(self, overflow_sample, scale):
+        """Squares of the 1e308 rows overflow (scale 1, the retained rows only);
+        at 2^1000 the threshold overflows too."""
+        X = overflow_sample.data if scale == 1.0 else overflow_sample.data.clip(max=100.0) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = residuals(TailSample(X), Partition.pair(1, 2, 4), np.zeros((2, 2)), q_pred=0.98)
+        assert len(res) == 60 and np.all(np.isfinite(res.r))
+        np.testing.assert_allclose(np.hypot(res.w[:, 0], res.w[:, 1]), 1.0, rtol=1e-15)
 
     def test_quantile_domain(self, ar1_sample, ar1_fit):
         part, b, _ = ar1_fit

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tailgraph import (
     DimensionError,
     DomainError,
     InsufficientExceedancesError,
+    NumericalError,
     TailSample,
     ar1_matrix,
     construct,
@@ -216,6 +218,10 @@ class TestEstimateMass:
         r = np.random.default_rng(1).random(500) + 0.5
         assert estimate_mass(2 * r, 50, 500) == pytest.approx(4 * estimate_mass(r, 50, 500))
 
+    def test_past_float_range_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="estimated mass overflows"):
+            estimate_mass(np.full(20, 1e200), 10, 20)
+
     def test_global_tpdm_uses_the_same_estimate(self):
         X = construct(ar1_matrix(0.7, 3), sample_noise(3, 5000, seed=8))
         S = estimate_tpdm(TailSample(X), 0.95, mode="global", mass="estimate")
@@ -276,6 +282,28 @@ class TestEstimateTpdm:
         x = 1.0 / np.sqrt(1.0 - np.random.default_rng(3).random((4000, 2)))
         S = estimate_tpdm(TailSample(x, margin="shifted-pareto"), 0.9, mode="global", mass="fixed")
         assert np.trace(S.entries) == pytest.approx(2.0, rel=1e-12)
+
+    def test_global_radii_survive_overflowing_squares(self, overflow_sample):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = estimate_tpdm(overflow_sample, 0.95, mode="global", mass="estimate")
+        assert np.all(np.isfinite(S.entries))
+        assert np.trace(S.entries) == pytest.approx(S.mass, rel=1e-12)  # unit angles
+
+    @pytest.mark.parametrize("scale", [2.0 ** -520, 2.0 ** 1000])
+    def test_global_fixed_mass_is_scale_free(self, overflow_sample, scale):
+        """A power-of-two rescaling is exact: 2^-520 clears the overflowing rows
+        of the sample, 2^1000 makes every retained row and the threshold overflow."""
+        X = overflow_sample.data if scale < 1 else overflow_sample.data.clip(max=100.0)
+        S = estimate_tpdm(TailSample(X), 0.95, mode="global", mass="fixed")
+        scaled = estimate_tpdm(TailSample(X * scale), 0.95, mode="global", mass="fixed")
+        np.testing.assert_allclose(scaled.entries, S.entries, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["global", "pairwise"])
+    def test_estimated_mass_past_float_range_is_numerical_error(self, overflow_sample, mode):
+        X = overflow_sample.data.clip(max=100.0) * 2.0 ** 1000
+        with pytest.raises(NumericalError, match="estimated mass overflows"):
+            estimate_tpdm(TailSample(X), 0.95, mode=mode, mass="estimate")
 
     def test_unknown_mode(self):
         X = np.ones((100, 2)) + np.random.default_rng(0).random((100, 2))

@@ -1,8 +1,9 @@
 """Command-line workflows: simulate, preprocess, tpdm, ptc-test, coverage, size-power, graph.
 
-CSV files use a comma separator, '.' decimal point and a mandatory header
-row.  All randomness flows from --seed; without the flag a seed is drawn
-from entropy and printed.  A command's output files are written as one set:
+CSV files are UTF-8, with or without a byte order mark, and use a comma
+separator, '.' decimal point and a mandatory header row.  All randomness
+flows from --seed; without the flag a seed is drawn from entropy and
+printed.  A command's output files are written as one set:
 every text is rendered, then written to temp files that are renamed into
 place only when all are written.  Exit codes: 0 success, 2 usage error (a
 size no array can hold is one), 3 data error, 4 numerical error or failed
@@ -91,7 +92,7 @@ def read_csv_matrix(path: str):
     which defines the accepted dialect and names the bad line.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader(fh), None)
             body = fh.read()
         if header is not None and body and not body.isspace():
@@ -109,7 +110,7 @@ def read_csv_matrix(path: str):
 def _read_csv_checked(path: str):
     """Row-by-row reader: skips blank rows, parses every cell with ``float``."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -131,6 +132,8 @@ def _read_csv_checked(path: str):
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not a text file: {exc}") from None
+    except csv.Error as exc:  # a cell past the csv module's field size limit
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if not data:
         raise DataError(f"{path}: no data rows")
     return columns, np.asarray(data, dtype=float)

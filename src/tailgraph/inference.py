@@ -14,7 +14,8 @@ of zero partial tail correlation.
 The all-pairs test reads every pair off one precision matrix: with
 ``Theta = Gamma^-1`` and ``Z = t^-1(X) Theta`` computed once, the pair T has
 conditional inner product matrix ``C = (Theta_TT)^-1`` and residuals
-``U = Z[:, T] C``, which equal the complement-solve residuals above.
+``U = Z[:, T] C``, which equal the complement-solve residuals above.  A pair
+then costs a few O(n) passes over two columns (see :func:`_pair_pipeline`).
 """
 
 from __future__ import annotations
@@ -210,32 +211,45 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
 def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
     """``(Theta, fit)`` where ``fit(pair)`` returns ``(C, sigma_u, tau2, k, t)``.
 
-    ``Y = t^-1(X)``, ``Theta = Gamma^-1`` and ``Z = Y Theta`` are computed once.
-    The pair T then has ``C = (Theta_TT)^-1``, the Schur complement of the
-    complement block, and residuals ``U = Z[:, T] C``: O(n) work per pair.
-    Interlacing bounds every complement block's condition number by Gamma's,
-    so no pair can fail the complement gate on this path.  When Gamma itself
-    fails the inversion gate, Theta is None and each pair takes the reference
-    path on Y (complement factorization, weights, residuals), which still
-    tests the pairs whose complement block is well conditioned.
+    ``Y = t^-1(X)``, ``Theta = Gamma^-1`` and ``Z = Y Theta`` are computed once,
+    Z stored by column.  The pair T then has ``C = (Theta_TT)^-1``, the Schur
+    complement of the complement block, and residuals ``U = Z[:, T] C``.  The
+    work per pair is O(n) in a few passes: the gather of two contiguous
+    columns, one (n, 2) by (2, 2) product, the column-wise radii and one
+    partition for their threshold; the exceedances, about ``(1 - q_pred) n``
+    rows, are taken by index.  Interlacing bounds every complement block's
+    condition number by Gamma's, so no pair can fail the complement gate on
+    this path.
+
+    A pair takes the reference path on Y (complement factorization, weights,
+    residuals) when Gamma fails the inversion gate, in which case Theta is
+    None, or when a column of Z it needs is not finite: cells near the
+    float64 maximum can overflow ``Y Theta`` where the complement solve does
+    not.  The reference path still tests the pairs whose complement block is
+    well conditioned.
     """
     Y = softplus_inv(sample.data)
     try:
         # looked up on the module, so a wrapper installed on project.invert_ipm sees it
         theta = project.invert_ipm(sigma_hat).entries
-        Z = Y @ theta
     except ConditioningError:
-        theta = Z = None
+        theta = None
+        fast = np.zeros(sample.p, dtype=bool)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            Zt = np.ascontiguousarray((Y @ theta).T)
+        fast = np.isfinite(Zt).all(axis=1)  # per column: can a pair read it off Z
 
     def fit(pair):
-        if theta is None:
-            part = Partition.pair(*pair, sample.p)
+        i, j = pair
+        if fast[i] and fast[j]:
+            a, c, d = theta[i, i], theta[i, j], theta[j, j]
+            C = np.array([[d, -c], [-c, a]]) / (a * d - c * c)
+            U = np.stack((Zt[i], Zt[j]), axis=1) @ C  # C-ordered: BLAS bits follow the layout
+        else:
+            part = Partition.pair(i, j, sample.p)
             U = _preimage_residuals(Y, part, solve_b(sigma_hat, part))
             C = conditional_ipm(sigma_hat, part).matrix
-        else:
-            (a, c), (_, d) = theta[np.ix_(pair, pair)]
-            C = np.array([[d, -c], [-c, a]]) / (a * d - c * c)
-            U = Z[:, list(pair)] @ C
         res = _retain_exceedances(U, q_pred, float(np.trace(C)))
         exceedances = _estimator_mask(res, q_res)  # shared by both moments
         sigma_u, m_tilde, k = _sigma_u(res, exceedances, "trace")

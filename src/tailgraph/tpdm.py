@@ -197,7 +197,7 @@ def _strict_exceedances(r: np.ndarray, thr, context: str = ""):
     Raises :class:`InsufficientExceedancesError` when k < MIN_EXCEEDANCES.
     """
     mask = r > thr
-    k = int(mask.sum())
+    k = int(np.count_nonzero(mask))
     if k < MIN_EXCEEDANCES:
         raise InsufficientExceedancesError(k, MIN_EXCEEDANCES, context)
     return mask, k
@@ -217,9 +217,10 @@ def _quantile_threshold(r: np.ndarray, q: float, n: int | None = None) -> float:
     """The empirical q-quantile of n radii, of which ``r`` holds those that
     :func:`_exceedance_mask` needs.
 
-    The threshold is numpy's ``linear`` quantile, bit for bit: the two order
-    statistics it interpolates come from one partition, shifted by the
-    ``n - r.size`` radii left out, and are blended as numpy's ``_lerp`` does.
+    The threshold is numpy's ``linear`` quantile, bit for bit.  One partition
+    at the lower order statistic, shifted by the ``n - r.size`` radii left
+    out, puts every larger radius after it; the upper order statistic is the
+    smallest of those.  The two are blended as numpy's ``_lerp`` does.
     """
     if not 0.0 < q < 1.0:
         raise DomainError("radial quantile must lie in (0, 1)")
@@ -229,9 +230,12 @@ def _quantile_threshold(r: np.ndarray, q: float, n: int | None = None) -> float:
     v = (n - 1) * q  # numpy's virtual index; a rewritten form changes the last bit
     lo = math.floor(v)
     g = v - lo
-    skip = n - r.size  # radii left out, all below the lo-th smallest
-    kth = [lo - skip, min(lo + 1, n - 1) - skip]
-    a, b = np.partition(r, kth)[kth].tolist()
+    kth = lo - (n - r.size)  # the radii left out all lie below the lo-th smallest
+    part = np.partition(r, kth)
+    a = float(part[kth])
+    # fmin skips NaN, which a partition sorts last: a NaN is the upper
+    # statistic only when nothing else lies above the lower one
+    b = float(np.fmin.reduce(part[kth + 1:])) if kth + 1 < r.size else a
     return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g  # numpy's _lerp
 
 
@@ -239,20 +243,27 @@ def _radial_exceedances(X: np.ndarray, q: float, context: str = ""):
     """Rows of X whose L2 radius strictly exceeds the empirical q-quantile of
     the n radii: ``(rows, radii, k, threshold)``.
 
-    The radius is ``sqrt(sum x^2)``.  Where the squares overflow it is inf,
-    and the row's radius is taken again by :func:`_fix_overflowed_radii`;
-    every other radius keeps the bits of the plain formula.  An overflowed
-    radius ranks above every finite one, so only the retained rows are
-    inspected, unless the threshold itself reaches an overflowed radius.
+    The radius is ``sqrt(sum x^2)``.  For two columns it is taken column-wise
+    as ``sqrt(x0^2 + x1^2)``, the bits of numpy's row sum at a tenth of its
+    cost; a wider row keeps the row sum, whose pairwise order a column loop
+    would not reproduce.  Where the squares overflow the radius is inf, and
+    the row's radius is taken again by :func:`_fix_overflowed_radii`; every
+    other radius keeps the bits of the plain formula.  An overflowed radius
+    ranks above every finite one, so only the retained rows are inspected,
+    unless the threshold itself reaches an overflowed radius.
     """
     with np.errstate(over="ignore"):
-        r = np.sqrt(np.sum(X ** 2, axis=1))
+        if X.shape[1] == 2:
+            r = np.sqrt(X[:, 0] ** 2 + X[:, 1] ** 2)
+        else:
+            r = np.sqrt(np.sum(X ** 2, axis=1))
     thr = _quantile_threshold(r, q)
     if not thr < np.inf:  # inf or NaN: mend every radius and threshold again
         _fix_overflowed_radii(X, r)
         thr = _quantile_threshold(r, q)
     mask, k = _strict_exceedances(r, thr, context)
-    rows, radii = X[mask], r[mask]
+    idx = np.flatnonzero(mask)
+    rows, radii = X.take(idx, axis=0), r[idx]
     _fix_overflowed_radii(rows, radii)
     return rows, radii, k, thr
 
@@ -309,9 +320,10 @@ def _pair_moment(a, b, r, n: int, q_radial: float, mass):
     radii r of rows holding every exceedance of the pair's n radii (see
     :func:`_exceedance_mask`).  Angles are formed for the exceedances only."""
     mask, k, _ = _exceedance_mask(r, q_radial, "pair estimate", n)
-    rk = r[mask]
+    idx = np.flatnonzero(mask)
+    rk = r[idx]
     m = _resolve_mass(mass, float(rk.min()), k, n, "fixed", 2.0)
-    wk = np.column_stack((a[mask], b[mask])) / rk[:, None]
+    wk = np.column_stack((a[idx], b[idx])) / rk[:, None]
     return m / k * float(np.sum(wk[:, 0] * wk[:, 1])), k, wk
 
 
@@ -372,10 +384,11 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
     if p:
         _check_pair_sample(n, q_radial)
         cand = _tail_candidates(X, q_radial)
+        cols = np.ascontiguousarray(X.T)  # a pair's gathers read two contiguous rows
     for i in range(p):
         for j in range(i, p):
             rows = np.flatnonzero(cand[i] | cand[j])
-            a, b = X[rows, i], X[rows, j]
+            a, b = cols[i].take(rows), cols[j].take(rows)
             sigma, k, _ = _pair_moment(a, b, np.hypot(a, b), n, q_radial, mass)
             S[i, j] = S[j, i] = sigma
             K[i, j] = K[j, i] = k

@@ -755,3 +755,56 @@ def test_cli_fuzz(fuzz_inputs, tmp_path_factory, argv):
         assert "inverse_error" in json.loads((out_dir / written[1]).read_text())
     else:
         assert written == [], err
+
+
+# CSV bodies for the commands that read a sample: the codec's drawn texts, or
+# 120 valid rows (enough for tpdm and ptc-test at the 0.8 quantiles) with
+# drawn rows spliced in; 400-digit numbers among the cells; sometimes a BOM.
+_LONG_NUMBERS = st.sampled_from(["9" * 400, "-" + "9" * 400, "0." + "0" * 398 + "1",
+                                 "1" + "0" * 399 + ".5"])
+
+
+@st.composite
+def _sample_files(draw):
+    if draw(st.booleans()):
+        text = draw(_csv_files())
+    else:
+        p = draw(st.integers(1, 4))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        lines = [",".join(f"X{j + 1}" for j in range(p))]
+        lines += [",".join(map(repr, row)) for row in (1.0 + rng.pareto(2.0, (120, p))).tolist()]
+        cells = st.one_of(_GOOD_CELLS, _ODD_CELLS, _LONG_NUMBERS)
+        for _ in range(draw(st.integers(0, 2))):
+            row = draw(st.lists(cells, min_size=max(p - 1, 1), max_size=p + 1))
+            lines.insert(draw(st.integers(1, len(lines))), ",".join(row))
+        eol = draw(st.sampled_from(["\n", "\r\n"]))
+        text = eol.join(lines) + eol
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@settings(max_examples=150)
+@given(text=_sample_files())
+@example(text="\ufeffa,b\n")
+@example(text="\ufeffa,b\r\n1,2\r\n3,4\r\n")
+@example(text='a,b,c\n"' + "1" * 200_000 + '",2,3\n')  # past the csv module's field limit
+@example(text="a,b,c\n" + "9" * 400 + ",1,2\n")
+def test_cli_fuzz_csv_bodies(tmp_path_factory, text):
+    """preprocess, tpdm and ptc-test on a drawn CSV body: exit 0, 3 or 4, one
+    stderr line on failure, no temp file left, and a BOM is not part of a name."""
+    d = tmp_path_factory.mktemp("csv-body")
+    src = d / "in.csv"
+    src.write_bytes(text.encode())
+    quantiles = ["--radial-quantile", "0.8"]
+    for argv in (["preprocess", "--input", src, "--output", d / "p.csv"],
+                 ["tpdm", "--input", src, *quantiles, "--out-prefix", d / "t"],
+                 ["ptc-test", "--input", src, *quantiles, "--pred-quantile", "0.8",
+                  "--res-quantile", "0.8", "--out-prefix", d / "r"]):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = run(*argv)
+        err = stderr.getvalue()
+        assert code in (0, 3, 4), (argv[0], err)
+        assert code == 0 or (len(err.splitlines()) == 1 and "error:" in err), (argv[0], err)
+        assert not list(d.glob(".tailgraph-*"))
+    if (d / "p.csv").exists():
+        assert "\ufeff" not in (d / "p.csv").read_text(encoding="utf-8").splitlines()[0]

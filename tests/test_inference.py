@@ -486,6 +486,35 @@ class TestPrecisionPathAgreement:
         if which == "duplicated":
             assert any(r.error is None for r in report.records)
 
+    def test_overflowed_column_takes_the_reference_path(self, overflow_sample, monkeypatch):
+        """Cells near the float64 maximum overflow ``Z = Y Theta`` in the first column:
+        its pairs take the complement solve, which tests them, and the others keep
+        the precision path."""
+        solved = []
+        monkeypatch.setattr(inference, "solve_b",
+                            lambda gamma, part, real=solve_b: solved.append(part.target)
+                            or real(gamma, part))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = ptc_test_all_pairs(overflow_sample, tpdm_mode="global",
+                                        tpdm_mass="estimate")
+        assert [r.error for r in report.records] == [None] * 6
+        assert report.ptc is not None
+        assert solved == [(0, 1), (0, 2), (0, 3)]
+
+        def singular(gamma):
+            raise ConditioningError(np.inf)
+
+        monkeypatch.setattr(inference.project, "invert_ipm", singular)
+        forced = ptc_test_all_pairs(overflow_sample, tpdm_mode="global", tpdm_mass="estimate")
+        for rec, ref in zip(report.records, forced.records):
+            if rec.i == 0:  # the same path: the same bits
+                assert (rec.sigma_u, rec.tau2, rec.k, rec.t_stat) == \
+                    (ref.sigma_u, ref.tau2, ref.k, ref.t_stat)
+            else:
+                assert rec.k == ref.k
+                assert abs(rec.t_stat - ref.t_stat) <= 1e-12 * max(1.0, abs(ref.t_stat))
+
     def test_estimator_exceedances_found_once_per_pair(self, monkeypatch):
         X = construct(ar1_matrix(0.7, 6), sample_noise(6, 6000, seed=3))
         calls = []

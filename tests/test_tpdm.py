@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -27,6 +28,7 @@ from tailgraph import (
     softplus_inv,
     solve_delta,
 )
+from tailgraph import inference, tpdm
 from tailgraph.tpdm import MIN_EXCEEDANCES, _average_ranks, _exceedance_mask, _resolve_mass
 
 
@@ -418,3 +420,95 @@ class TestPairwiseCandidates:
         assert got == _outcome(_reference_pairwise, x, 0.95, "fixed")
         assert got == (InsufficientExceedancesError,
                        "pair estimate: only 7 exceedances (need >= 10)", 7)
+
+
+# The pair kernels as they were before the lean forms, kept as references: both
+# order statistics from one two-kth partition, radii as the row sum of squares,
+# exceedances by boolean mask.
+def _two_kth_threshold(r, q, n=None):
+    if not 0.0 < q < 1.0:
+        raise DomainError("radial quantile must lie in (0, 1)")
+    if not r.size:
+        return 0.0
+    n = r.size if n is None else n
+    v = (n - 1) * q
+    lo = math.floor(v)
+    g = v - lo
+    skip = n - r.size
+    kth = [lo - skip, min(lo + 1, n - 1) - skip]
+    a, b = np.partition(r, kth)[kth].tolist()
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
+def _row_sum_exceedances(X, q, context=""):
+    with np.errstate(over="ignore"):
+        r = np.sqrt(np.sum(X ** 2, axis=1))
+    thr = tpdm._quantile_threshold(r, q)
+    if not thr < np.inf:
+        tpdm._fix_overflowed_radii(X, r)
+        thr = tpdm._quantile_threshold(r, q)
+    mask, k = tpdm._strict_exceedances(r, thr, context)
+    rows, radii = X[mask], r[mask]
+    tpdm._fix_overflowed_radii(rows, radii)
+    return rows, radii, k, thr
+
+
+def _mask_pair_moment(a, b, r, n, q_radial, mass):
+    mask, k, _ = tpdm._exceedance_mask(r, q_radial, "pair estimate", n)
+    rk = r[mask]
+    m = tpdm._resolve_mass(mass, float(rk.min()), k, n, "fixed", 2.0)
+    wk = np.column_stack((a[mask], b[mask])) / rk[:, None]
+    return m / k * float(np.sum(wk[:, 0] * wk[:, 1])), k, wk
+
+
+def _install_reference_kernels(monkeypatch):
+    monkeypatch.setattr(tpdm, "_quantile_threshold", _two_kth_threshold)
+    monkeypatch.setattr(tpdm, "_radial_exceedances", _row_sum_exceedances)
+    monkeypatch.setattr(inference, "_radial_exceedances", _row_sum_exceedances)
+    monkeypatch.setattr(tpdm, "_pair_moment", _mask_pair_moment)
+
+
+def _fit_bytes(sample, gamma, q_pred, q_res):
+    """Every pair's outcome: the bytes of its C, sigma_u, tau2 and t and its k, or its error."""
+    _, fit = inference._pair_pipeline(sample, gamma, q_pred, q_res)
+    out = []
+    for pair in itertools.combinations(range(sample.p), 2):
+        got = _outcome(fit, pair)
+        if not isinstance(got[0], type):  # not an error class: the fit's outputs
+            C, sigma_u, tau2, k, t = got
+            got = (C.tobytes(), np.array([sigma_u, tau2, t]).tobytes(), k)
+        out.append(got)
+    return out
+
+
+class TestLeanKernels:
+    """The TPDM and every pair's statistics against the reference kernels, bit for bit."""
+
+    @pytest.mark.parametrize("kind, mode, mass", [("preprocessed", "pairwise", "fixed"),
+                                                  ("raw", "global", "estimate"),
+                                                  ("tied", "pairwise", "estimate")])
+    @pytest.mark.parametrize("p", [3, 4, 10, 30])
+    @pytest.mark.parametrize("n", [60, 2000, 10_000])
+    def test_bit_identical_to_reference_kernels(self, monkeypatch, n, p, kind, mode, mass):
+        X = construct(ar1_matrix(0.7, p), sample_noise(p, n, seed=n + p))
+        if kind == "preprocessed":
+            X = marginal_transform(X).data
+        elif kind == "tied":
+            X = np.ceil(X * 2.0) / 2.0  # half-unit grid: tied radii
+        sample = TailSample(X)
+        grid = [(q_pred, q_res) for q_pred in (0.9, 0.98) for q_res in (None, 0.98, 0.99)]
+        S = _outcome(lambda: estimate_tpdm(sample, 0.8, mode=mode, mass=mass))
+        got = [] if isinstance(S, tuple) else [_fit_bytes(sample, S, *qs) for qs in grid]
+        _install_reference_kernels(monkeypatch)
+        if mode == "pairwise":
+            want_S = _outcome(_reference_pairwise, X, 0.8, mass)
+        else:
+            want_S = _outcome(lambda: estimate_tpdm(sample, 0.8, mode=mode, mass=mass))
+            want_S = want_S if isinstance(want_S, tuple) else (want_S.entries, want_S.k_used)
+        if isinstance(S, tuple):  # the TPDM failed (tied rows at n=60): so must the reference
+            assert S == want_S
+            return
+        assert S.entries.tobytes() == want_S[0].tobytes()
+        assert np.array_equal(S.k_used, want_S[1])
+        for qs, have in zip(grid, got):
+            assert have == _fit_bytes(sample, S, *qs), qs

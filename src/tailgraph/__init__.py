@@ -4,10 +4,10 @@ Estimation of the tail pairwise dependence matrix, transformed-linear
 prediction via projection, partial tail correlation, a residual-based test
 for zero partial tail correlation, and extremal graph output.
 
-Names are exported lazily (PEP 562): ``import tailgraph`` loads no
-submodule, and ``tailgraph.X`` or ``from tailgraph import X`` imports the
-module that defines X on first use.  So a command that needs neither
-factorisations nor t quantiles never pays for scipy's start-up.
+The package needs numpy alone.  Names are exported lazily (PEP 562):
+``import tailgraph`` loads no submodule, and ``tailgraph.X`` or ``from
+tailgraph import X`` imports the module that defines X on first use, so a
+command loads only the modules it uses.
 """
 
 import importlib

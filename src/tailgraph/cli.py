@@ -77,10 +77,33 @@ def _json_text(path: str, obj) -> str:
         raise NumericalError(f"{path}: {exc}") from None
 
 
+def _csv_line(cells) -> str:
+    """One CSV record with the ``csv`` module's minimal quoting and a "\\n" end.
+
+    The record is written with a "\\r\\n" terminator, so that a cell holding
+    either character is quoted, and that terminator is then replaced.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
 def _format_matrix_csv(matrix: np.ndarray, columns) -> str:
-    rows = [",".join(columns)]
-    rows.extend(",".join(map(repr, row)) for row in np.asarray(matrix, dtype=float).tolist())
-    return "\n".join(rows) + "\n"
+    """The header row and one ``repr`` per cell.
+
+    Cells are keyed on their float64 bit pattern, so -0.0 and 0.0 stay apart.
+    When at most half of them are distinct (a rank-transformed sample holds
+    the same n values in every column), each distinct value is formatted once
+    and the strings are gathered; otherwise row by row.
+    """
+    m = np.ascontiguousarray(matrix, dtype=float)
+    keys, inverse = np.unique(m.view(np.int64).ravel(), return_inverse=True)
+    if 2 * keys.size <= m.size:
+        text = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
+        rows = text[inverse.reshape(m.shape)].tolist()
+    else:
+        rows = (map(repr, row) for row in m.tolist())
+    return _csv_line(columns) + "".join(",".join(row) + "\n" for row in rows)
 
 
 def read_csv_matrix(path: str):
@@ -268,12 +291,10 @@ def cmd_ptc_test(args, inference, graphx) -> int:
         q_res=args.res_quantile, cv_method=args.critical, alpha=args.alpha,
         tpdm_mode=args.mode, tpdm_mass=args.mass)
     prefix = args.out_prefix
-    rows = [",".join(report.csv_header)]
-    for row in report.to_csv_rows():
-        rows.append(",".join(str(v) for v in row))
+    rows = [report.csv_header, *report.to_csv_rows()]
     graph = graphx.build_graph(report)
     _write_outputs((prefix + "_report.json", _json_text(prefix + "_report.json", report.to_dict())),
-                   (prefix + "_report.csv", "\n".join(rows) + "\n"),
+                   (prefix + "_report.csv", "".join(map(_csv_line, rows))),
                    (prefix + "_graph.dot", graphx.emit_dot(graph)))
     n_err = sum(1 for r in report.records if r.error)
     print(f"tested {len(report.records)} pairs: {report.n_rejected()} rejected, "
@@ -340,9 +361,8 @@ def cmd_graph(args, graphx) -> int:
 
 # command -> (handler, the package modules it is called with).  The one place
 # rvsim, project, inference and graphx are imported: a command loads only
-# what it uses, so simulate, preprocess and graph start without scipy.  The
-# handler is looked up by name when it runs, so a wrapper installed on this
-# module's attribute is the one called.
+# what it uses.  The handler is looked up by name when it runs, so a wrapper
+# installed on this module's attribute is the one called.
 COMMANDS = {
     "simulate": ("cmd_simulate", ("rvsim",)),
     "preprocess": ("cmd_preprocess", ()),

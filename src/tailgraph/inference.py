@@ -20,12 +20,13 @@ then costs a few O(n) passes over two columns (see :func:`_pair_pipeline`).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from . import project
 from .errors import (
@@ -163,6 +164,168 @@ def t_statistic(sigma_u_hat: float, tau2_hat: float, k: int) -> float:
     return float(sigma_u_hat / np.sqrt(tau2_hat / k))
 
 
+def _large_a_coefficients(count: int) -> list[float]:
+    """``c_n`` with ``(sinh(v/2) / (v/2))^(-1/2) = sum_n c_n v^(2n)``.
+
+    J. C. P. Miller's rule for the power of a series in ``w = (v/2)^2``, whose
+    base has coefficients ``1 / (2k + 1)!``.
+    """
+    base = [1.0 / math.factorial(2 * k + 1) for k in range(count)]
+    g = [1.0]
+    for n in range(1, count):
+        g.append(sum((0.5 * k - n) * base[k] * g[n - k] for k in range(1, n + 1)) / n)
+    return [gn / 4.0 ** n for n, gn in enumerate(g)]
+
+
+_LARGE_A_COEFFS = _large_a_coefficients(24)
+_LARGE_A_DF = 16  # e^(-2 pi (df/2 - 1/4)) < 1e-21: the expansion reaches double precision
+_EXACT_BETA_DF = 100
+_EPS = 2.0 ** -52
+_NORMAL = NormalDist()
+
+
+def _beta_half(df: int) -> float:
+    """``B(df/2, 1/2)``.
+
+    Exact rationals (times pi for odd df) up to 100 degrees of freedom; above,
+    ``sqrt(pi/a) exp(s(a))`` with ``a = df/2`` and ``s`` the asymptotic series
+    of ``ln(sqrt(a) Gamma(a) / Gamma(a + 1/2))``, whose first omitted term is
+    below 1e-21 there.  An ``lgamma`` difference would lose about
+    ``eps * a ln a`` absolutely, 1e-9 relative at df = 1e6.
+    """
+    m, odd = divmod(df, 2)
+    if df <= _EXACT_BETA_DF:
+        c = math.comb(2 * m, m)
+        return math.pi * (c / 4 ** m) if odd else 4 ** m / (m * c)
+    a = df / 2.0
+    r = 1.0 / (a * a)
+    s = (1 / 8 - (1 / 192 - (1 / 640 - (17 / 14336 - 31 / 18432 * r) * r) * r) * r) / a
+    return math.sqrt(math.pi / a) * math.exp(s)
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
+    """Continued fraction ``r`` with ``I_x(a, b) = x^a y^b r / B(a, b)``, ``y = 1 - x``.
+
+    The contracted form of DiDonato and Morris (1992, ACM TOMS 708, BFRAC),
+    with ``lambda = a - (a + b) x`` taken as ``a y - b x`` so that neither x
+    near 1 nor y near 1 cancels.
+    """
+    c = 1.0 + (a * y - b * x)
+    c0, c1 = b / a, 1.0 + 1.0 / a
+    p, s = 1.0, a + 1.0
+    an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
+    r = c1 / c
+    for n in range(1, 1000):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        e = (1.0 + t) / (c1 + t + t)
+        beta = n + w / s + e * (c + n * (1.0 + y))
+        p = 1.0 + t
+        s += 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0, r = r, anp1 / bnp1
+        if abs(r - r0) <= 0.5 * _EPS * r:
+            break
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
+    return r
+
+
+def _t_tail(t: float, df: int, beta: float) -> float:
+    """``P(T > t) = I_x(df/2, 1/2) / 2``, ``x = df / (df + t^2)``, for ``t >= 0``.
+
+    ``beta`` is ``B(df/2, 1/2)``.  From 16 degrees of freedom on and for
+    ``t^2 < (e - 1) df``, the expansion for large ``a = df/2``: with
+    ``T = a - 1/4`` and ``X = T ln(1 + t^2/df)``,
+    ``I_x(a, 1/2) = sum_n c_n Gamma(1/2 + 2n, X) / (T^(1/2 + 2n) B(a, 1/2))``,
+    the incomplete gammas by upward recursion from ``sqrt(pi) erfc(sqrt X)``.
+    Elsewhere the continued fraction, on ``I_x(a, 1/2)`` for ``t >= 1`` and
+    on its complement ``I_y(1/2, a)``, ``y = 1 - x``, below.
+    """
+    a = df / 2.0
+    t2 = t * t
+    z = math.log1p(t2 / df)  # -ln x
+    if df >= _LARGE_A_DF and z < 1.0:
+        big_t = a - 0.25
+        X = big_t * z
+        g = math.erfc(math.sqrt(X))  # Gamma(s, X) / sqrt(pi), s = 1/2
+        e = math.sqrt(X / math.pi) * math.exp(-X)  # X^s e^-X / sqrt(pi)
+        s, total, scale = 0.5, g, 1.0
+        for c in _LARGE_A_COEFFS[1:]:
+            for _ in range(2):
+                g, e, s = s * g + e, e * X, s + 1.0
+            scale /= big_t * big_t
+            term = c * g * scale
+            total += term
+            if abs(term) <= 0.5 * _EPS * total:
+                break
+        return 0.5 * math.sqrt(math.pi / big_t) / beta * total
+    x, y = df / (df + t2), t2 / (df + t2)
+    front = math.exp(-a * z) * math.sqrt(y) / beta  # x^a y^(1/2) / B(a, 1/2)
+    if t < 1.0:
+        return 0.5 - 0.5 * front * _beta_fraction(0.5, a, y, x)
+    return 0.5 * front * _beta_fraction(a, 0.5, x, y)
+
+
+def _hill_start(df: int, p2: float) -> float:
+    """Hill (1970), CACM Algorithm 396: approximate t with two-sided tail ``p2``."""
+    if df == 2:
+        return math.sqrt(2.0 / (p2 * (2.0 - p2)) - 2.0)
+    n = float(df)
+    a = 1.0 / (n - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * n
+    y = (d * p2) ** (2.0 / n)
+    if y > 0.05 + a:  # from the normal deviate
+        x = -_NORMAL.inv_cdf(p2 / 2.0)
+        y = x * x
+        if df < 5:
+            c += 0.3 * (n - 4.5) * (x + 0.6)
+        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
+        y = math.expm1(a * y * y)
+    else:
+        y = ((1.0 / (((n + 6.0) / (n * y) - 0.089 * d - 0.822) * (n + 2.0) * 3.0)
+              + 0.5 / (n + 4.0)) * y - 1.0) * (n + 1.0) / (n + 2.0) + 1.0 / y
+    return math.sqrt(n * y)
+
+
+def _t_upper_quantile(df: int, tail: float) -> float:
+    """The t with ``P(T > t) = tail`` for Student's t with integer ``df >= 1``.
+
+    ``tail`` lies in [0, 1/2); callers pass ``1 - level``, which is exact for
+    ``level >= 1/2``.  A tail of 0 (a level that rounds to 1) gives inf.  df = 1
+    is the Cauchy closed form; otherwise safeguarded Newton steps on
+    :func:`_t_tail` from Hill's start.  Within a few ulp of the exact quantile
+    for tails up to 1/4; nearer 1/2, where t tends to 0, to about 1e-16
+    absolutely.
+    """
+    if tail <= 0.0:
+        return math.inf
+    if df == 1:
+        return 1.0 / math.tan(math.pi * tail)
+    beta = _beta_half(df)
+    t = _hill_start(df, 2.0 * tail)
+    lo, hi = 0.0, math.inf  # bracket: P(T > lo) > tail > P(T > hi)
+    for _ in range(100):
+        excess = _t_tail(t, df, beta) - tail
+        if excess > 0.0:
+            lo = t
+        else:
+            hi = t
+        density = math.exp(-(df + 1.0) / 2.0 * math.log1p(t * t / df)) / (math.sqrt(df) * beta)
+        step = excess / density
+        if abs(step) <= 1e-10 * t:  # the error after this step is O(step^2)
+            return t + step
+        t += step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+    return t
+
+
 def confidence_interval(sigma_u_hat: float, tau2_hat: float, k: int, level: float = 0.95):
     """Two-sided t interval ``sigma_u_hat +- t_{(1+level)/2, k-1} sqrt(tau2/k)``."""
     if not 0.0 < level < 1.0:
@@ -171,7 +334,7 @@ def confidence_interval(sigma_u_hat: float, tau2_hat: float, k: int, level: floa
         raise DegenerateVarianceError("tau2 must be positive")
     if k < 2:
         raise DomainError("need k >= 2")
-    half = special.stdtrit(k - 1, (1.0 + level) / 2.0) * np.sqrt(tau2_hat / k)
+    half = _t_upper_quantile(int(k) - 1, 1.0 - (1.0 + level) / 2.0) * np.sqrt(tau2_hat / k)
     return float(sigma_u_hat - half), float(sigma_u_hat + half)
 
 
@@ -193,15 +356,15 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
         return fixed_critical_value(method)
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
-    if df is None or df < 2:
-        raise DomainError("need df >= 2")
+    if df is None or not float(df).is_integer() or df < 2:
+        raise DomainError("need an integer df >= 2")
     if method == "bonferroni":
         if not n_pairs or n_pairs < 1:
             raise DomainError("bonferroni needs the number of pairs")
         level = 1.0 - alpha / (2.0 * n_pairs)
     else:
         level = 1.0 - alpha / 2.0
-    cv = float(special.stdtrit(df, level))
+    cv = _t_upper_quantile(int(df), 1.0 - level)
     if not np.isfinite(cv):
         raise NumericalError(f"t quantile at level {level!r} (df={df}) is not finite; "
                              f"alpha={alpha!r} is too small")

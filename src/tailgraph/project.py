@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import (
     ConditioningError,
@@ -72,7 +71,7 @@ class ConditionalIPM:
 
 
 def _spd_factor(G: np.ndarray, context: str):
-    """Cholesky factor with an explicit conditioning gate."""
+    """Lower Cholesky factor of the symmetric part, with an explicit conditioning gate."""
     if G.shape[0] == 0:
         return None
     eig = np.linalg.eigvalsh((G + G.T) / 2.0)
@@ -82,7 +81,17 @@ def _spd_factor(G: np.ndarray, context: str):
     cond = hi / lo
     if cond > COND_LIMIT:
         raise ConditioningError(cond, COND_LIMIT, context)
-    return linalg.cho_factor((G + G.T) / 2.0, lower=True)
+    return np.linalg.cholesky((G + G.T) / 2.0)
+
+
+def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``X`` with ``L L' X = rhs`` for a factor from :func:`_spd_factor`.
+
+    Taken as ``L^-T (L^-1 rhs)``, the form LAPACK's potri gives the inverse;
+    numpy has no triangular solve.
+    """
+    inv_l = np.linalg.inv(L)
+    return inv_l.T @ (inv_l @ rhs)
 
 
 def _blocks(gamma, part: Partition):
@@ -101,10 +110,10 @@ def _blocks(gamma, part: Partition):
 def solve_b(gamma, part: Partition) -> np.ndarray:
     """Optimal prediction weights ``b = Gamma_22^-1 Gamma_21``.
 
-    Solved through a symmetric positive-definite factorization, never an
-    explicit inverse.  Shape is (complement, targets); a single target yields
-    a 1-D vector.  Raises :class:`ConditioningError` when the complement
-    block is singular or has condition number above 1e12.
+    Solved through the Cholesky factor of the complement block, never an
+    explicit inverse of the block.  Shape is (complement, targets); a single
+    target yields a 1-D vector.  Raises :class:`ConditioningError` when the
+    complement block is singular or has condition number above 1e12.
     """
     G11, G12, G22 = _blocks(gamma, part)
     if G22.shape[0] == 0:
@@ -112,7 +121,7 @@ def solve_b(gamma, part: Partition) -> np.ndarray:
         return b[:, 0] if len(part.target) == 1 else b
     factor = _spd_factor(G22, "complement block")
     rhs = G12.T  # Gamma_21, complement x targets
-    b = linalg.cho_solve(factor, rhs)
+    b = _cho_solve(factor, rhs)
     resid = np.abs(G22 @ b - rhs).max()
     scale = max(np.abs(rhs).max(), 1e-300)
     if resid > 1e-10 * scale:
@@ -139,7 +148,7 @@ def conditional_ipm(gamma, part: Partition) -> ConditionalIPM:
         C = G11.copy()
     else:
         factor = _spd_factor(G22, "complement block")
-        C = G11 - G12 @ linalg.cho_solve(factor, G12.T)
+        C = G11 - G12 @ _cho_solve(factor, G12.T)
     return ConditionalIPM((C + C.T) / 2.0, part)
 
 
@@ -173,7 +182,7 @@ def invert_ipm(gamma) -> IPMatrix:
     """Symmetric inverse via factorization, verified to ``|G G^-1 - I| < 1e-8``."""
     G = as_matrix(gamma)
     factor = _spd_factor(G, "inner product matrix")
-    inv = linalg.cho_solve(factor, np.eye(G.shape[0]))
+    inv = _cho_solve(factor, np.eye(G.shape[0]))
     inv = (inv + inv.T) / 2.0
     if np.abs(G @ inv - np.eye(G.shape[0])).max() >= 1e-8:
         raise ConditioningError(np.linalg.cond(G), COND_LIMIT, "inverse verification failed")
@@ -208,7 +217,7 @@ def project_onto_span(x_coefs, A2):
         raise DimensionError("generator matrix columns must match the coefficient length")
     gram = M @ M.T
     factor = _spd_factor(gram, "span generators")
-    b = linalg.cho_solve(factor, M @ x)
+    b = _cho_solve(factor, M @ x)
     projection = b @ M
     residual = x - projection
     return projection, residual

@@ -1,9 +1,10 @@
+import math
 import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from tailgraph import (
     DataError,
@@ -216,8 +217,14 @@ class TestTStatistic:
             t_statistic(1.0, 1.0, 1)
 
 
-# degrees of freedom for the bit-identity checks against scipy's t distribution
+# degrees of freedom for the checks against scipy's t quantile
 DF_GRID = [2, 3, 4, 5, 7, 10, 13, 19, 30, 49, 50, 99, 100, 250, 999, 1020, 4999, 10 ** 5]
+QUANTILE_ULPS = 16  # scipy's stdtrit is itself up to 8 ulp from an exact quantile on this grid
+
+
+def assert_near_stdtrit(got, df, level):
+    want = special.stdtrit(df, level)
+    assert abs(got - want) <= QUANTILE_ULPS * math.ulp(want), (df, level, got, want)
 
 
 class TestConfidenceInterval:
@@ -233,12 +240,13 @@ class TestConfidenceInterval:
         half = hi * np.sqrt(10 ** 7)
         assert half == pytest.approx(1.959964, abs=1e-4)
 
-    def test_bit_identical_to_t_ppf(self):
-        for k in (df + 1 for df in DF_GRID):
+    def test_quantile_near_stdtrit(self):
+        for df in [1, *DF_GRID, 10 ** 6]:
             for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
-                half = stats.t.ppf((1.0 + level) / 2.0, k - 1) * np.sqrt(0.7 / k)
-                assert confidence_interval(0.1, 0.7, k, level) == (float(0.1 - half),
-                                                                   float(0.1 + half))
+                # tau2 = k makes the half-width the quantile itself
+                lo, hi = confidence_interval(0.0, float(df + 1), df + 1, level)
+                assert lo == -hi
+                assert_near_stdtrit(hi, df, (1.0 + level) / 2.0)
 
     def test_centered_on_estimate(self):
         lo, hi = confidence_interval(0.42, 1.0, 25, 0.9)
@@ -276,15 +284,15 @@ class TestCriticalValue:
         got = critical_value("none", alpha=0.05, df=1020)
         assert got == pytest.approx(stats.t.ppf(0.975, 1020), abs=1e-12)
 
-    def test_bit_identical_to_t_ppf(self):
-        for df in DF_GRID:
+    def test_quantile_near_stdtrit(self):
+        for df in [*DF_GRID, 10 ** 6]:
             for alpha in (0.001, 0.01, 0.05, 0.1, 0.5):
-                assert critical_value("none", alpha=alpha, df=df) == float(
-                    stats.t.ppf(1.0 - alpha / 2.0, df))
+                assert_near_stdtrit(critical_value("none", alpha=alpha, df=df),
+                                    df, 1.0 - alpha / 2.0)
                 for n_pairs in (1, 6, 45, 435):
-                    assert critical_value("bonferroni", alpha=alpha, n_pairs=n_pairs,
-                                          df=df) == float(
-                        stats.t.ppf(1.0 - alpha / (2.0 * n_pairs), df))
+                    assert_near_stdtrit(
+                        critical_value("bonferroni", alpha=alpha, n_pairs=n_pairs, df=df),
+                        df, 1.0 - alpha / (2.0 * n_pairs))
 
     def test_invalid_level(self):
         with pytest.raises(DomainError):

@@ -332,8 +332,8 @@ def confidence_interval(sigma_u_hat: float, tau2_hat: float, k: int, level: floa
         raise DomainError("level must lie in (0, 1)")
     if tau2_hat <= 0.0:
         raise DegenerateVarianceError("tau2 must be positive")
-    if k < 2:
-        raise DomainError("need k >= 2")
+    if not float(k).is_integer() or k < 2:
+        raise DomainError("need an integer k >= 2")
     half = _t_upper_quantile(int(k) - 1, 1.0 - (1.0 + level) / 2.0) * np.sqrt(tau2_hat / k)
     return float(sigma_u_hat - half), float(sigma_u_hat + half)
 

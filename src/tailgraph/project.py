@@ -87,11 +87,17 @@ def _spd_factor(G: np.ndarray, context: str):
 def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``X`` with ``L L' X = rhs`` for a factor from :func:`_spd_factor`.
 
-    Taken as ``L^-T (L^-1 rhs)``, the form LAPACK's potri gives the inverse;
-    numpy has no triangular solve.
+    Forward substitution with ``L``, then back substitution with ``L'``, as
+    LAPACK's potrs does (numpy has no triangular solve).  Both are backward
+    stable, so the residual stays near eps |G| |X| however ill-conditioned G
+    is; an explicit ``L^-1`` would leave one near eps cond(G) |rhs|.
     """
-    inv_l = np.linalg.inv(L)
-    return inv_l.T @ (inv_l @ rhs)
+    x = np.array(rhs, dtype=float)
+    for i in range(L.shape[0]):
+        x[i] = (x[i] - L[i, :i] @ x[:i]) / L[i, i]
+    for i in reversed(range(L.shape[0])):
+        x[i] = (x[i] - L[i + 1:, i] @ x[i + 1:]) / L[i, i]
+    return x
 
 
 def _blocks(gamma, part: Partition):

@@ -248,6 +248,17 @@ class TestConfidenceInterval:
                 assert lo == -hi
                 assert_near_stdtrit(hi, df, (1.0 + level) / 2.0)
 
+    @pytest.mark.parametrize("sigma_u, tau2, k, level, error", [
+        (0.1, 1.0, 25, 0.0, DomainError),
+        (0.1, 1.0, 25, 1.0, DomainError),
+        (0.1, 0.0, 25, 0.95, DegenerateVarianceError),
+        (0.1, 1.0, 1, 0.95, DomainError),
+        (0.1, 1.0, 25.5, 0.95, DomainError),
+    ])
+    def test_invalid_inputs(self, sigma_u, tau2, k, level, error):
+        with pytest.raises(error):
+            confidence_interval(sigma_u, tau2, k, level)
+
     def test_centered_on_estimate(self):
         lo, hi = confidence_interval(0.42, 1.0, 25, 0.9)
         assert (lo + hi) / 2 == pytest.approx(0.42)
@@ -297,6 +308,11 @@ class TestCriticalValue:
     def test_invalid_level(self):
         with pytest.raises(DomainError):
             critical_value("bonferroni", alpha=1.5, n_pairs=10, df=100)
+
+    @pytest.mark.parametrize("df", [None, 1, 24.5])
+    def test_df_must_be_an_integer_of_at_least_two(self, df):
+        with pytest.raises(DomainError, match="integer df"):
+            critical_value("none", alpha=0.05, df=df)
 
     def test_unknown_method(self):
         with pytest.raises(DomainError):

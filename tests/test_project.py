@@ -87,6 +87,20 @@ class TestSolveB:
             solve_b(G, Partition.single(0, 3))
         assert exc.value.cond > 1e12
 
+    def test_graded_complement_block_meets_residual_check(self):
+        # complement variables on scales 1e-5 ... 1: cond 1.1e10, inside the gate.
+        # Triangular solves leave a residual near 1e-14 |rhs|; an explicit inverse
+        # of the factor would leave about 3e-9 |rhs| and fail the 1e-10 check.
+        m = 8
+        d = np.logspace(-5, 0, m)
+        G22 = 0.3 ** np.abs(np.subtract.outer(np.arange(m), np.arange(m))) * np.outer(d, d)
+        G = np.eye(m + 1)
+        G[1:, 1:] = G22
+        G[0, 1:] = G[1:, 0] = 1.0
+        b = solve_b(G, Partition.single(0, m + 1))
+        assert np.abs(G22 @ b - 1.0).max() < 1e-12
+        np.testing.assert_allclose(b, np.linalg.solve(G22, np.ones(m)), rtol=1e-6)
+
     def test_duplicate_variable_rejected(self):
         # a duplicated column makes the complement block exactly singular
         A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tpdm
 from .errors import DataError, DomainError, NumericalError, TailgraphError
-from .report import PtcTestReport, fixed_critical_value
+from .report import _ADJUSTED, PtcTestReport, fixed_critical_value
 from .tpdm import TailSample
 
 EXIT_USAGE = 2
@@ -211,7 +211,7 @@ def _mass_arg(value: str):
 
 def _critical_arg(value: str):
     """'bonferroni' or 'none' as given; 'fixed:<c>' as the float c, parsed by the library."""
-    if value in ("bonferroni", "none"):
+    if value in _ADJUSTED:
         return value
     if not value.startswith("fixed:"):
         raise argparse.ArgumentTypeError("critical must be 'bonferroni', 'none' or 'fixed:<c>'")
@@ -336,7 +336,7 @@ def cmd_size_power(args, inference) -> int:
 def cmd_graph(args, graphx) -> int:
     if bool(args.report) == bool(args.stats):
         raise DataError("exactly one of --report or --stats is required")
-    if args.critical in ("bonferroni", "none"):
+    if args.critical in _ADJUSTED:
         print("error: graph takes --critical fixed:<c> only", file=sys.stderr)
         return EXIT_USAGE
     if args.report:

@@ -24,7 +24,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from statistics import NormalDist
 
 import numpy as np
 
@@ -40,10 +39,10 @@ from .errors import (
 # ptc_matrix stays importable from this module for existing callers.
 from .project import (Partition, conditional_ipm, ptc_matrix,  # noqa: F401
                       ptc_matrix_from_inverse, solve_b)
-from .report import PairRecord, PtcTestReport, fixed_critical_value
+from .report import _ADJUSTED, PairRecord, PtcTestReport, fixed_critical_value
 from .rvsim import ar1_matrix, construct, sample_noise, theoretical_ipm
 from .tpdm import (TailSample, _radial_exceedances, _resolve_mass, _strict_exceedances,
-                   estimate_tpdm)
+                   as_matrix, estimate_tpdm)
 from .xlinear import softplus_inv
 
 
@@ -181,7 +180,6 @@ _LARGE_A_COEFFS = _large_a_coefficients(24)
 _LARGE_A_DF = 16  # e^(-2 pi (df/2 - 1/4)) < 1e-21: the expansion reaches double precision
 _EXACT_BETA_DF = 100
 _EPS = 2.0 ** -52
-_NORMAL = NormalDist()
 
 
 def _beta_half(df: int) -> float:
@@ -269,76 +267,51 @@ def _t_tail(t: float, df: int, beta: float) -> float:
     return 0.5 * front * _beta_fraction(a, 0.5, x, y)
 
 
-def _hill_start(df: int, p2: float) -> float:
-    """Hill (1970), CACM Algorithm 396: approximate t with two-sided tail ``p2``."""
-    if df == 2:
-        return math.sqrt(2.0 / (p2 * (2.0 - p2)) - 2.0)
-    n = float(df)
-    a = 1.0 / (n - 0.5)
-    b = 48.0 / (a * a)
-    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
-    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * n
-    y = (d * p2) ** (2.0 / n)
-    if y > 0.05 + a:  # from the normal deviate
-        x = -_NORMAL.inv_cdf(p2 / 2.0)
-        y = x * x
-        if df < 5:
-            c += 0.3 * (n - 4.5) * (x + 0.6)
-        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
-        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
-        y = math.expm1(a * y * y)
-    else:
-        y = ((1.0 / (((n + 6.0) / (n * y) - 0.089 * d - 0.822) * (n + 2.0) * 3.0)
-              + 0.5 / (n + 4.0)) * y - 1.0) * (n + 1.0) / (n + 2.0) + 1.0 / y
-    return math.sqrt(n * y)
-
-
 def _t_upper_quantile(df: int, tail: float) -> float:
     """The t with ``P(T > t) = tail`` for Student's t with integer ``df >= 1``.
 
     ``tail`` lies in [0, 1/2); callers pass ``1 - level``, which is exact for
     ``level >= 1/2``.  A tail of 0 (a level that rounds to 1) gives inf.  df = 1
-    is the Cauchy closed form; otherwise safeguarded Newton steps on
-    :func:`_t_tail` from Hill's start.  Within a few ulp of the exact quantile
-    for tails up to 1/4; nearer 1/2, where t tends to 0, to about 1e-16
-    absolutely.
+    is the Cauchy closed form; otherwise plain Newton steps on :func:`_t_tail`
+    from t = 0.  They need no bracket: ``P(T > t)`` is decreasing and convex for
+    t >= 0, so a tangent taken below the root meets ``tail`` at or below the
+    root, and the iterates increase to it.  Within a few ulp of the exact
+    quantile for tails up to 1/4; nearer 1/2, where t tends to 0, to about
+    1e-16 absolutely.
     """
     if tail <= 0.0:
         return math.inf
     if df == 1:
         return 1.0 / math.tan(math.pi * tail)
     beta = _beta_half(df)
-    t = _hill_start(df, 2.0 * tail)
-    lo, hi = 0.0, math.inf  # bracket: P(T > lo) > tail > P(T > hi)
+    t = 0.0
     for _ in range(100):
-        excess = _t_tail(t, df, beta) - tail
-        if excess > 0.0:
-            lo = t
-        else:
-            hi = t
         density = math.exp(-(df + 1.0) / 2.0 * math.log1p(t * t / df)) / (math.sqrt(df) * beta)
-        step = excess / density
-        if abs(step) <= 1e-10 * t:  # the error after this step is O(step^2)
-            return t + step
+        step = (_t_tail(t, df, beta) - tail) / density
+        # the error after this step is O(step^2); a step below 0 is rounding at the root
+        if step <= 1e-10 * t:
+            return max(t + step, 0.0)
         t += step
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
     return t
 
 
 def confidence_interval(sigma_u_hat: float, tau2_hat: float, k: int, level: float = 0.95):
-    """Two-sided t interval ``sigma_u_hat +- t_{(1+level)/2, k-1} sqrt(tau2/k)``."""
+    """Two-sided t interval ``sigma_u_hat +- t_{(1+level)/2, k-1} sqrt(tau2/k)``.
+
+    A level so near 1 that ``(1 + level) / 2`` rounds to 1, where the quantile
+    is infinite, is a :class:`NumericalError`.
+    """
     if not 0.0 < level < 1.0:
         raise DomainError("level must lie in (0, 1)")
     if tau2_hat <= 0.0:
         raise DegenerateVarianceError("tau2 must be positive")
     if not float(k).is_integer() or k < 2:
         raise DomainError("need an integer k >= 2")
-    half = _t_upper_quantile(int(k) - 1, 1.0 - (1.0 + level) / 2.0) * np.sqrt(tau2_hat / k)
+    quantile = _t_upper_quantile(int(k) - 1, 1.0 - (1.0 + level) / 2.0)
+    if not math.isfinite(quantile):
+        raise NumericalError(f"t quantile at level {level!r} (k={k}) is not finite")
+    half = quantile * np.sqrt(tau2_hat / k)
     return float(sigma_u_hat - half), float(sigma_u_hat + half)
-
-
-_ADJUSTED = ("bonferroni", "none")  # critical values computed from the pairs' df
 
 
 def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
@@ -389,9 +362,12 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
     None, or when a column of Z it needs is not finite: cells near the
     float64 maximum can overflow ``Y Theta`` where the complement solve does
     not.  The reference path still tests the pairs whose complement block is
-    well conditioned.
+    well conditioned.  On both paths a pair whose target lies in the span of
+    its complement, with C's diagonal at rounding level, is a
+    :class:`DegenerateProjectionError` (see ``project._projection_diagonal``).
     """
     Y = softplus_inv(sample.data)
+    gamma_max = np.abs(as_matrix(sigma_hat)).max()
     try:
         # looked up on the module, so a wrapper installed on project.invert_ipm sees it
         theta = project.invert_ipm(sigma_hat).entries
@@ -413,6 +389,7 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
             part = Partition.pair(i, j, sample.p)
             U = _preimage_residuals(Y, part, solve_b(sigma_hat, part))
             C = conditional_ipm(sigma_hat, part).matrix
+        project._projection_diagonal(C, gamma_max)
         res = _retain_exceedances(U, q_pred, float(np.trace(C)))
         exceedances = _estimator_mask(res, q_res)  # shared by both moments
         sigma_u, m_tilde, k = _sigma_u(res, exceedances, "trace")

@@ -166,11 +166,29 @@ def ptc(gamma, i: int, j: int) -> float:
     """
     G = as_matrix(gamma)
     C = conditional_ipm(G, Partition.pair(i, j, G.shape[0])).matrix
-    d = np.diag(C)
-    if np.any(d <= 0.0) or np.any(d < 1e-14 * np.abs(G).max()):
+    d = _projection_diagonal(C, np.abs(G).max())
+    return float(C[0, 1] / np.sqrt(d[0] * d[1]))
+
+
+def _projection_diagonal(C, gamma_max: float) -> np.ndarray:
+    """Diagonal of a conditional IPM C, gated against targets in the span of
+    the conditioning variables.
+
+    An entry that is <= 0 or below ``1e-14 * gamma_max``, with ``gamma_max``
+    the largest absolute entry of Gamma, raises
+    :class:`DegenerateProjectionError`: such a prediction error is rounding
+    noise.  For ``C = (Theta_TT)^-1`` read off an inverse that passed
+    :func:`invert_ipm`, the gate cannot fire: interlacing gives
+    ``C_ii >= 1 / lambda_max(Theta) = lambda_min(Gamma)``, and the 1e12
+    condition gate gives ``lambda_min(Gamma) >= 1e-12 lambda_max(Gamma) >=
+    1e-12 gamma_max``.
+    """
+    d = C.diagonal()
+    low = d.min()
+    if low <= 0.0 or low < 1e-14 * gamma_max:
         raise DegenerateProjectionError(
             "a target lies in the span of the conditioning variables")
-    return float(C[0, 1] / np.sqrt(d[0] * d[1]))
+    return d
 
 
 def ptc_from_inverse(gamma_inv, i: int, j: int) -> float:

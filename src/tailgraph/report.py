@@ -15,6 +15,9 @@ import numpy as np
 from .errors import DataError, DomainError
 
 
+_ADJUSTED = ("bonferroni", "none")  # critical values computed from the pairs' df
+
+
 def fixed_critical_value(method) -> float:
     """A number, or "fixed:<c>", as a finite float used verbatim.
 

@@ -41,3 +41,37 @@ def random_spd(rng, p, jitter=0.5):
     """Random symmetric positive definite matrix with bounded conditioning."""
     M = rng.normal(size=(p, p + 2))
     return M @ M.T + jitter * np.eye(p)
+
+
+def with_copied_column(X, col, jitter=5e-7):
+    """X with one more column: column ``col`` times ``1 + jitter N(0, 1)``, the
+    normals from ``default_rng(5)``.  ``jitter=0`` gives the exact copy, whose
+    pairs with a copy in the target and the other in the complement can only
+    be rounding noise."""
+    noise = np.random.default_rng(5).standard_normal(X.shape[0])
+    return np.column_stack([X, X[:, col] * (1.0 + jitter * noise)])
+
+
+def assert_singular_but_testable(sample, q_radial, mode, mass):
+    """The near copy's two properties: its TPDM fails the 1e12 inversion gate
+    (the runner falls back to the complement solve), and every pair with a
+    well-conditioned complement keeps a conditional IPM diagonal above
+    ``1e-13 max|Gamma|``, ten times the degenerate-projection gate."""
+    from itertools import combinations
+
+    from tailgraph import (ConditioningError, Partition, conditional_ipm, estimate_tpdm,
+                           invert_ipm)
+
+    gamma = estimate_tpdm(sample, q_radial=q_radial, mode=mode, mass=mass)
+    with pytest.raises(ConditioningError):
+        invert_ipm(gamma)
+    scale = np.abs(gamma.entries).max()
+    tested = 0
+    for i, j in combinations(range(sample.p), 2):
+        try:
+            C = conditional_ipm(gamma, Partition.pair(i, j, sample.p)).matrix
+        except ConditioningError:
+            continue
+        assert np.diag(C).min() > 1e-13 * scale, (i, j)
+        tested += 1
+    assert tested

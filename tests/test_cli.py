@@ -14,10 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tailgraph import (CoverageResult, DomainError, PairRecord, PtcTestReport, ar1_matrix,
-                       construct, critical_value, sample_noise)
+from tailgraph import (CoverageResult, DomainError, PairRecord, PtcTestReport, TailSample,
+                       ar1_matrix, construct, critical_value, sample_noise)
 from tailgraph import cli, inference
 from tailgraph.cli import _format_matrix_csv, _read_csv_checked, main, read_csv_matrix
+
+from conftest import assert_singular_but_testable, with_copied_column
 
 NO2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "no2_tstats.csv")
 
@@ -308,9 +310,10 @@ class TestGraphCmd:
         assert (tmp_path / "r_graph.dot").read_text() == out.read_text()
 
     def test_from_report_keeps_skipped_pairs(self, tmp_path):
-        # a duplicated column makes some pairs error; their comment lines must survive
+        # a near copy of a column makes some pairs error; their comment lines must survive
         X = construct(ar1_matrix(0.6, 5), sample_noise(5, 4000, seed=13))
-        X = np.column_stack([X, X[:, 2]])
+        X = with_copied_column(X, 2)
+        assert_singular_but_testable(TailSample(X), 0.95, "global", "estimate")
         src = tmp_path / "dup.csv"
         src.write_text(_format_matrix_csv(X, [f"X{i + 1}" for i in range(6)]))
         assert run("ptc-test", "--input", src, "--mode", "global", "--mass", "estimate",
@@ -385,6 +388,10 @@ def _write_inputs(tmp_path, case):
             X[7, 1] = np.nan
         prep.write_text(_format_matrix_csv(X, ["a", "b", "c"]))
         (tmp_path / "prep.csv.json").write_text("{bad")
+    elif case == "ptc-test on an exact copy":
+        X = construct(ar1_matrix(0.6, 5), sample_noise(5, 4000, seed=13))
+        prep.write_text(_format_matrix_csv(with_copied_column(X, 2, jitter=0.0),
+                                           [f"X{i + 1}" for i in range(6)]))
     report = tmp_path / "r_report.json"
     if case == "malformed report":
         report.write_text("{bad")
@@ -426,6 +433,12 @@ def _write_inputs(tmp_path, case):
                                        "--out", tmp_path / "g.dot", "--json", tmp_path / "g.json"],
         "ptc-test --alpha 1e-300": ["ptc-test", "--input", prep, "--alpha", 1e-300,
                                     "--out-prefix", tmp_path / "t"],
+        "ptc-test on an exact copy": ["ptc-test", "--input", prep, "--mode", "global",
+                                      "--mass", "estimate", "--out-prefix", tmp_path / "t"],
+        "coverage --level 0.9999999999999999": ["coverage", "--n", 1000, "--reps", 100,
+                                                "--seed", 1, "--radial-quantile", 0.9,
+                                                "--level", "0.9999999999999999",
+                                                "--out", tmp_path / "c.json"],
         "report with infinite critical value": ["graph", "--report", report,
                                                 "--out", tmp_path / "g.dot",
                                                 "--json", tmp_path / "g.json"],
@@ -465,6 +478,8 @@ FAILURE_TABLE = [
     ("ptc-test --critical fixed:nan", 2),
     ("graph --critical fixed:inf", 2),
     ("ptc-test --alpha 1e-300", 4),  # the Bonferroni t quantile is infinite
+    ("ptc-test on an exact copy", 4),  # every pair fails: no Bonferroni critical value
+    ("coverage --level 0.9999999999999999", 4),  # (1 + level) / 2 rounds to 1
     ("report with infinite critical value", 3),
     ("graph --json into a missing directory", 3),  # the DOT file is not written either
     ("graph --json onto a directory", 3),
@@ -629,10 +644,11 @@ def test_format_matrix_csv_matches_rows(matrix):
 
 
 def test_import_budget(tmp_path):
-    """Each command in a fresh interpreter loads no scipy module: ``import
-    tailgraph`` and every command, tpdm, ptc-test, coverage and size-power
-    included (delta is a literal; factorisations run on numpy and the t
-    quantile on the stdlib).  No module of the package imports scipy."""
+    """Each command in a fresh interpreter loads no scipy module and not
+    ``statistics``: ``import tailgraph`` and every command, tpdm, ptc-test,
+    coverage and size-power included (delta is a literal; factorisations run
+    on numpy and the t quantile on ``math``).  No module of the package
+    imports scipy."""
     for path in Path(cli.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -652,6 +668,7 @@ import tailgraph
 if sys.argv[1:]:
     assert tailgraph.cli.main(sys.argv[1:]) == 0
 print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "statistics": "statistics" in sys.modules,
                   "delta": repr(tailgraph.tpdm.solve_delta())}))
 """
     commands = [
@@ -675,6 +692,7 @@ print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "
         got = json.loads(stdout.splitlines()[-1])
         assert got["delta"] == "0.9352083872762512"
         assert got["scipy"] == [], argv
+        assert not got["statistics"], argv
 
 
 # CLI fuzz: argument vectors drawn from a vocabulary of valid, boundary and

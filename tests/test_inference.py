@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from tailgraph import (
@@ -27,6 +29,7 @@ from tailgraph import (
     estimate_sigma_u,
     estimate_tau2,
     estimate_tpdm,
+    marginal_transform,
     ptc_test_all_pairs,
     residuals,
     sample_noise,
@@ -36,6 +39,8 @@ from tailgraph import (
     t_statistic,
 )
 from tailgraph import inference
+
+from conftest import assert_singular_but_testable, with_copied_column
 
 
 @pytest.fixture(scope="module")
@@ -248,12 +253,20 @@ class TestConfidenceInterval:
                 assert lo == -hi
                 assert_near_stdtrit(hi, df, (1.0 + level) / 2.0)
 
+    @pytest.mark.parametrize("df", [*DF_GRID, 10 ** 6])
+    def test_level_rounding_to_zero_gives_zero_width(self, df):
+        # (1 + level) / 2 rounds to 1/2, whose quantile is 0, and the computed
+        # P(T > 0) may round to either side of 1/2; tau2 = k: the half-width is the quantile
+        lo, hi = confidence_interval(0.0, float(df + 1), df + 1, 1e-300)
+        assert lo == -hi and 0.0 <= hi <= 1e-15
+
     @pytest.mark.parametrize("sigma_u, tau2, k, level, error", [
         (0.1, 1.0, 25, 0.0, DomainError),
         (0.1, 1.0, 25, 1.0, DomainError),
         (0.1, 0.0, 25, 0.95, DegenerateVarianceError),
         (0.1, 1.0, 1, 0.95, DomainError),
         (0.1, 1.0, 25.5, 0.95, DomainError),
+        (0.1, 1.0, 50, 1 - 2 ** -53, NumericalError),  # (1 + level) / 2 rounds to 1
     ])
     def test_invalid_inputs(self, sigma_u, tau2, k, level, error):
         with pytest.raises(error):
@@ -336,6 +349,28 @@ class TestCriticalValue:
             critical_value(method, alpha=1e-300, n_pairs=n_pairs, df=100)
 
 
+def test_quantile_takes_few_tail_evaluations(monkeypatch):
+    """Newton from t = 0 needs at most 30 tail probabilities per quantile at every
+    level the CLI can reach (alpha 1e-3...0.5 over 1...435 pairs, CI levels up to
+    0.999), the heaviest tails included."""
+    calls = []
+    monkeypatch.setattr(inference, "_t_tail",
+                        lambda *args, real=inference._t_tail: calls.append(args) or real(*args))
+
+    def evaluations(quantile, *args, **kwargs):
+        calls.clear()
+        quantile(*args, **kwargs)
+        return len(calls)
+
+    dfs = [*DF_GRID, 10 ** 6]
+    counts = [evaluations(confidence_interval, 0.0, 1.0, df + 1, level)
+              for df in dfs for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)]
+    counts += [evaluations(critical_value, "bonferroni", alpha=alpha, n_pairs=n_pairs, df=df)
+               for df in dfs for alpha in (0.001, 0.01, 0.05, 0.1, 0.5)
+               for n_pairs in (1, 6, 45, 435)]
+    assert 0 < max(counts) <= 30, max(counts)
+
+
 class TestPtcTestAllPairs:
     def test_ar1_structure_detected(self, ar1_sample):
         report = ptc_test_all_pairs(ar1_sample, q_radial=0.98, q_pred=0.98,
@@ -368,19 +403,34 @@ class TestPtcTestAllPairs:
         assert report.adjustment == "tukey-reference"
 
     def test_duplicate_column_errors_are_recorded(self):
-        rng = np.random.default_rng(3)
         base = construct(ar1_matrix(0.6, 3), sample_noise(3, 4000, seed=13))
-        X = np.column_stack([base, base[:, 2]])  # duplicated last column
-        report = ptc_test_all_pairs(TailSample(X, margin="raw"), q_radial=0.95,
-                                    q_pred=0.95, tpdm_mode="global", tpdm_mass="estimate")
+        sample = TailSample(with_copied_column(base, 2), margin="raw")  # near copy of X3
+        assert_singular_but_testable(sample, 0.95, "global", "estimate")
+        report = ptc_test_all_pairs(sample, q_radial=0.95, q_pred=0.95, tpdm_mode="global",
+                                    tpdm_mass="estimate")
+        assert report.ptc is None  # the TPDM failed the inversion gate
         errored = [r for r in report.records if r.error is not None]
         fine = [r for r in report.records if r.error is None]
         assert errored and fine
-        # pair conditioned on the duplicates: singular complement block;
-        # pairs involving a duplicate: residuals collapse, variance degenerates
+        # pair conditioned on the copies: ill-conditioned complement block;
+        # the pair of the copies: their angles carry no spread
         assert "ConditioningError" in report.record(0, 1).error
         assert all("ConditioningError" in r.error or "DegenerateVarianceError" in r.error
                    for r in errored)
+
+    @pytest.mark.parametrize("mode, mass", [("global", "estimate"), ("pairwise", "fixed")])
+    def test_exact_copy_fails_every_pair(self, mode, mass):
+        """A target in the span of its complement is an error, not rounding noise."""
+        sample = _duplicated_column_sample(jitter=0.0)
+        report = ptc_test_all_pairs(sample, q_radial=0.95, tpdm_mode=mode, tpdm_mass=mass,
+                                    cv_method="fixed:2")
+        # both copies in the complement: singular block; one in the target: it lies in
+        # the complement's span; both in the target: their angles carry no spread
+        want = ["ConditioningError", "DegenerateProjectionError", "DegenerateVarianceError"]
+        for r in report.records:
+            assert r.error.startswith(want[len({r.i, r.j} & {2, 7})]), (r.i, r.j, r.error)
+        with pytest.raises(DegenerateVarianceError, match="every pair failed"):
+            ptc_test_all_pairs(sample, q_radial=0.95, tpdm_mode=mode, tpdm_mass=mass)
 
     def test_needs_three_variables(self):
         X = 1 + np.random.default_rng(0).random((500, 2))
@@ -469,9 +519,9 @@ def _reference_records(sample, q_radial, q_pred, q_res, mode, mass):
             for pair, k, t, err in rows], cv
 
 
-def _duplicated_column_sample():
+def _duplicated_column_sample(jitter=5e-7):
     base = construct(ar1_matrix(0.6, 7), sample_noise(7, 4000, seed=13))
-    return TailSample(np.column_stack([base, base[:, 2]]), margin="raw")
+    return TailSample(with_copied_column(base, 2, jitter), margin="raw")
 
 
 class TestPrecisionPathAgreement:
@@ -508,6 +558,7 @@ class TestPrecisionPathAgreement:
             elif t is not None:
                 assert abs(rec.t_stat - t) <= 1e-12 * max(1.0, abs(t))
         if which == "duplicated":
+            assert_singular_but_testable(sample, q_radial, mode, mass)
             assert any(r.error is None for r in report.records)
 
     def test_overflowed_column_takes_the_reference_path(self, overflow_sample, monkeypatch):
@@ -619,3 +670,60 @@ class TestSizePowerStudy:
     def test_arguments_validated_up_front(self, kwargs):
         with pytest.raises(DomainError, match="p >= 3"):
             size_power_study(**kwargs)
+
+
+@st.composite
+def _ar_draws(draw):
+    """A small autoregressive sample, with the TPDM mode and mass to test it by."""
+    p, n = draw(st.integers(3, 6)), draw(st.sampled_from([1500, 3000]))
+    X = construct(ar1_matrix(draw(st.floats(0.3, 0.9)), p),
+                  sample_noise(p, n, seed=draw(st.integers(0, 2 ** 16))))
+    return X, draw(st.sampled_from([("global", "estimate"), ("pairwise", "fixed")]))
+
+
+def _assert_same_outcome(got, want):
+    """Same k and error class; t to the golden gate's 1e-12 relative."""
+    assert got.k == want.k
+    assert (got.error or "").split(":")[0] == (want.error or "").split(":")[0]
+    if want.t_stat is not None:
+        assert abs(got.t_stat - want.t_stat) <= 1e-12 * max(1.0, abs(want.t_stat))
+
+
+class TestRunnerInvariance:
+    """Whole-runner identities: the test of a pair does not depend on how the
+    sample's columns or rows are ordered, nor on its marginal scale."""
+
+    @settings(max_examples=25)
+    @given(draw=_ar_draws(), data=st.data())
+    def test_column_permutation_permutes_the_records(self, draw, data):
+        (X, (mode, mass)) = draw
+        perm = data.draw(st.permutations(range(X.shape[1])))
+        want = ptc_test_all_pairs(TailSample(X, margin="raw"), tpdm_mode=mode, tpdm_mass=mass)
+        got = ptc_test_all_pairs(TailSample(X[:, perm], margin="raw"), tpdm_mode=mode,
+                                 tpdm_mass=mass)
+        assert got.critical_value == want.critical_value
+        for rec in got.records:
+            _assert_same_outcome(rec, want.record(perm[rec.i], perm[rec.j]))
+
+    @settings(max_examples=25)
+    @given(draw=_ar_draws(), data=st.data())
+    def test_row_permutation_keeps_the_records(self, draw, data):
+        (X, (mode, mass)) = draw
+        rows = np.random.default_rng(data.draw(st.integers(0, 2 ** 16))).permutation(X.shape[0])
+        want = ptc_test_all_pairs(TailSample(X, margin="raw"), tpdm_mode=mode, tpdm_mass=mass)
+        got = ptc_test_all_pairs(TailSample(X[rows], margin="raw"), tpdm_mode=mode,
+                                 tpdm_mass=mass)
+        assert got.critical_value == want.critical_value
+        for rec, ref in zip(got.records, want.records):
+            _assert_same_outcome(rec, ref)
+
+    @settings(max_examples=40)
+    @given(draw=_ar_draws(), transform=st.sampled_from([np.log, np.sqrt, lambda x: x ** 3,
+                                                         lambda x: -1.0 / x,
+                                                         lambda x: 2.0 * x - 7.0]))
+    def test_increasing_map_leaves_the_preprocessed_sample_unchanged(self, draw, transform):
+        X = draw[0]
+        Y = transform(X)
+        # strictly increasing in floating point too: no two cells of a column merge
+        assume(all(np.unique(X[:, j]).size == np.unique(Y[:, j]).size for j in range(X.shape[1])))
+        assert marginal_transform(Y).data.tobytes() == marginal_transform(X).data.tobytes()

@@ -36,7 +36,7 @@ from .errors import (
     NumericalError,
     TailgraphError,
 )
-# ptc_matrix stays importable from this module for existing callers.
+# perfbench/tracing.py wraps ptc_matrix, solve_b and conditional_ipm here: keep them importable
 from .project import (Partition, conditional_ipm, ptc_matrix,  # noqa: F401
                       ptc_matrix_from_inverse, solve_b)
 from .report import _ADJUSTED, PairRecord, PtcTestReport, fixed_critical_value
@@ -74,8 +74,6 @@ def residuals(sample, part: Partition, b, q_pred: float = 0.98,
     if not 0.0 < q_pred < 1.0:
         raise DomainError("q_pred must lie in (0, 1)")
     B = np.asarray(b, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
     if B.shape != (len(part.complement), 2):
         raise DimensionError(f"weights must be ({len(part.complement)}, 2), got {B.shape}")
     return _retain_exceedances(_preimage_residuals(softplus_inv(data), part, B), q_pred, m_trace)
@@ -94,7 +92,7 @@ def _retain_exceedances(U, q_pred: float, m_trace) -> ResidualSample:
 
 
 def _estimator_mask(res: ResidualSample, q_res: float | None):
-    """Exceedance set for the angular-moment estimator.
+    """Angular products ``w1 w2`` of the estimator's exceedances, their count and least radius.
 
     ``q_res=None`` treats every retained row as an exceedance.  Otherwise the
     target count is ``floor((1 - q_res) * n_total)`` relative to the rows the
@@ -107,12 +105,12 @@ def _estimator_mask(res: ResidualSample, q_res: float | None):
     k = len(res)
     k_target = k if q_res is None else int(np.floor((1.0 - q_res) * res.n_total + 1e-9))
     if k_target >= k:
-        return np.ones(k, dtype=bool), k, float(res.r.min())
+        return res.w[:, 0] * res.w[:, 1], k, float(res.r.min())
     # threshold at the (k+1)-th upper order statistic so the strict
     # exceedance count equals k (absent ties, which are dropped)
     cut = res.r.size - k_target - 1
     mask, k = _strict_exceedances(res.r, np.partition(res.r, cut)[cut], "residual estimator")
-    return mask, k, float(res.r[mask].min())
+    return res.w[mask, 0] * res.w[mask, 1], k, float(res.r[mask].min())
 
 
 def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trace"):
@@ -126,9 +124,8 @@ def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trac
 
 
 def _sigma_u(res: ResidualSample, exceedances, mass):
-    mask, k, r_k = exceedances
+    prod, k, r_k = exceedances
     m = _resolve_mass(mass, r_k, k, res.n_total, "trace", res.m_trace)
-    prod = res.w[mask, 0] * res.w[mask, 1]
     return m / k * float(prod.sum()), m, k
 
 
@@ -139,12 +136,11 @@ def estimate_tau2(res: ResidualSample, m_tilde: float, q_res: float | None = Non
     Raises :class:`DegenerateVarianceError` when the result is not positive,
     which happens when the angular products carry no spread.
     """
-    return _tau2(res, _estimator_mask(res, q_res), m_tilde)
+    return _tau2(_estimator_mask(res, q_res), m_tilde)
 
 
-def _tau2(res: ResidualSample, exceedances, m_tilde: float) -> float:
-    mask, k, _ = exceedances
-    prod = res.w[mask, 0] * res.w[mask, 1]
+def _tau2(exceedances, m_tilde: float) -> float:
+    prod, k, _ = exceedances
     e1 = prod.sum() / (k - 1)
     e2 = (prod ** 2).sum() / (k - 1)
     tau2 = float(m_tilde) ** 2 * (e2 - e1 ** 2)
@@ -357,8 +353,8 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
     condition number by Gamma's, so no pair can fail the complement gate on
     this path.
 
-    A pair takes the reference path on Y (complement factorization, weights,
-    residuals) when Gamma fails the inversion gate, in which case Theta is
+    A pair takes the reference path on Y (one complement factorization gives
+    weights and C) when Gamma fails the inversion gate, in which case Theta is
     None, or when a column of Z it needs is not finite: cells near the
     float64 maximum can overflow ``Y Theta`` where the complement solve does
     not.  The reference path still tests the pairs whose complement block is
@@ -387,13 +383,13 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
             U = np.stack((Zt[i], Zt[j]), axis=1) @ C  # C-ordered: BLAS bits follow the layout
         else:
             part = Partition.pair(i, j, sample.p)
-            U = _preimage_residuals(Y, part, solve_b(sigma_hat, part))
-            C = conditional_ipm(sigma_hat, part).matrix
+            b, C = project._schur(sigma_hat, part)
+            U = _preimage_residuals(Y, part, b)
         project._projection_diagonal(C, gamma_max)
         res = _retain_exceedances(U, q_pred, float(np.trace(C)))
         exceedances = _estimator_mask(res, q_res)  # shared by both moments
         sigma_u, m_tilde, k = _sigma_u(res, exceedances, "trace")
-        tau2 = _tau2(res, exceedances, m_tilde)
+        tau2 = _tau2(exceedances, m_tilde)
         return C, sigma_u, tau2, k, t_statistic(sigma_u, tau2, k)
 
     return theta, fit
@@ -512,6 +508,8 @@ def coverage_study(phi: float = 0.7, n: int = 10_000, reps: int = 500,
     """
     if reps < 1:
         raise DomainError("reps must be >= 1")
+    # fails here, not in every replication: whether its quantile is finite does not depend on k
+    confidence_interval(0.0, 1.0, 2, level)
     A = ar1_matrix(phi, 4)
     part = Partition.pair(1, 3, 4)
     true_c = conditional_ipm(theoretical_ipm(A), part).matrix[0, 1]
@@ -546,6 +544,8 @@ def size_power_study(phi: float = 0.7, n: int = 10_000, reps: int = 200, p: int 
     """
     if reps < 1 or p < 3:
         raise DomainError("need reps >= 1 and p >= 3 (a pair plus one conditioning variable)")
+    # fails here, not in every replication: whether its quantile is finite does not depend on df
+    critical_value(cv_method, alpha=alpha, n_pairs=p * (p - 1) // 2, df=2)
 
     def run_rep(sample):
         return ptc_test_all_pairs(sample, q_radial=q_radial, q_pred=q_pred, cv_method=cv_method,

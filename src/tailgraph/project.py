@@ -100,17 +100,29 @@ def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _blocks(gamma, part: Partition):
+def _schur(gamma, part: Partition):
+    """``(b, C)`` from one factorization of the complement block: the weights
+    ``b = Gamma_22^-1 Gamma_21`` (complement x targets) and the symmetrized
+    ``C = Gamma_11 - Gamma_12 b``.  A singular block, a condition number above
+    1e12 or a solve residual above 1e-10 |rhs| is a :class:`ConditioningError`.
+    """
     G = as_matrix(gamma)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise DimensionError("inner product matrix must be square")
-    p = G.shape[0]
-    idx = list(part.target) + list(part.complement)
-    if sorted(idx) != list(range(p)):
+    t, c = list(part.target), list(part.complement)
+    if sorted(t + c) != list(range(G.shape[0])):
         raise DomainError("partition must cover all indices exactly once")
-    t = list(part.target)
-    c = list(part.complement)
-    return G[np.ix_(t, t)], G[np.ix_(t, c)], G[np.ix_(c, c)]
+    G11, G12, G22 = G[np.ix_(t, t)], G[np.ix_(t, c)], G[np.ix_(c, c)]
+    b = np.zeros((0, len(t)))  # an empty complement: C is Gamma_11
+    if c:
+        rhs = G12.T  # Gamma_21, complement x targets
+        b = _cho_solve(_spd_factor(G22, "complement block"), rhs)
+        resid = np.abs(G22 @ b - rhs).max()
+        scale = max(np.abs(rhs).max(), 1e-300)
+        if resid > 1e-10 * scale:
+            raise ConditioningError(np.linalg.cond(G22), COND_LIMIT, "solve residual too large")
+    C = G11 - G12 @ b
+    return b, (C + C.T) / 2.0
 
 
 def solve_b(gamma, part: Partition) -> np.ndarray:
@@ -121,17 +133,7 @@ def solve_b(gamma, part: Partition) -> np.ndarray:
     target yields a 1-D vector.  Raises :class:`ConditioningError` when the
     complement block is singular or has condition number above 1e12.
     """
-    G11, G12, G22 = _blocks(gamma, part)
-    if G22.shape[0] == 0:
-        b = np.zeros((0, G11.shape[0]))
-        return b[:, 0] if len(part.target) == 1 else b
-    factor = _spd_factor(G22, "complement block")
-    rhs = G12.T  # Gamma_21, complement x targets
-    b = _cho_solve(factor, rhs)
-    resid = np.abs(G22 @ b - rhs).max()
-    scale = max(np.abs(rhs).max(), 1e-300)
-    if resid > 1e-10 * scale:
-        raise ConditioningError(np.linalg.cond(G22), COND_LIMIT, "solve residual too large")
+    b, _ = _schur(gamma, part)
     return b[:, 0] if len(part.target) == 1 else b
 
 
@@ -147,15 +149,9 @@ def conditional_ipm(gamma, part: Partition) -> ConditionalIPM:
     """Schur complement ``Gamma_11 - Gamma_12 Gamma_22^-1 Gamma_21``.
 
     May carry negative off-diagonal entries; no nonnegativity is assumed or
-    enforced.
+    enforced; raises :class:`ConditioningError` where :func:`solve_b` does.
     """
-    G11, G12, G22 = _blocks(gamma, part)
-    if G22.shape[0] == 0:
-        C = G11.copy()
-    else:
-        factor = _spd_factor(G22, "complement block")
-        C = G11 - G12 @ _cho_solve(factor, G12.T)
-    return ConditionalIPM((C + C.T) / 2.0, part)
+    return ConditionalIPM(_schur(gamma, part)[1], part)
 
 
 def ptc(gamma, i: int, j: int) -> float:

@@ -456,6 +456,8 @@ def _write_inputs(tmp_path, case):
         "size-power --reps 0": ["size-power", "--reps", 0, "--out", tmp_path / "s.json"],
         "size-power every replication fails": ["size-power", "--n", 20, "--reps", 3, "--seed", 0,
                                                "--out", tmp_path / "s.json"],
+        "size-power --alpha 1e-300": ["size-power", "--alpha", 1e-300, "--seed", 0,
+                                      "--out", tmp_path / "s.json"],
     }[case]
 
 
@@ -492,6 +494,7 @@ FAILURE_TABLE = [
     ("size-power --p 2", 4),  # no pair has a conditioning variable
     ("size-power --reps 0", 2),
     ("size-power every replication fails", 4),
+    ("size-power --alpha 1e-300", 4),  # as for ptc-test, found before the first sample
 ]
 
 

@@ -1,6 +1,7 @@
 import math
 import warnings
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy import special, stats
 from tailgraph import (
     DataError,
     DegenerateVarianceError,
+    DimensionError,
     DomainError,
     InsufficientExceedancesError,
     NumericalError,
@@ -119,6 +121,11 @@ class TestResiduals:
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(DomainError):
                 residuals(ar1_sample, part, b, q_pred=bad)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 1), (3, 2), (2, 2, 1)])
+    def test_weights_must_be_complement_by_two(self, ar1_sample, shape):
+        with pytest.raises(DimensionError, match=r"must be \(2, 2\)"):
+            residuals(ar1_sample, Partition.pair(1, 3, 4), np.zeros(shape))
 
 
 class TestEstimateSigmaU:
@@ -566,9 +573,9 @@ class TestPrecisionPathAgreement:
         its pairs take the complement solve, which tests them, and the others keep
         the precision path."""
         solved = []
-        monkeypatch.setattr(inference, "solve_b",
-                            lambda gamma, part, real=solve_b: solved.append(part.target)
-                            or real(gamma, part))
+        monkeypatch.setattr(inference.project, "_schur",
+                            lambda gamma, part, real=inference.project._schur:
+                            solved.append(part.target) or real(gamma, part))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = ptc_test_all_pairs(overflow_sample, tpdm_mode="global",
@@ -590,6 +597,26 @@ class TestPrecisionPathAgreement:
                 assert rec.k == ref.k
                 assert abs(rec.t_stat - ref.t_stat) <= 1e-12 * max(1.0, abs(ref.t_stat))
 
+    @pytest.mark.parametrize("mode, mass, q_radial", [("global", "estimate", 0.98),
+                                                      ("pairwise", "fixed", 0.95)])
+    def test_complement_block_factored_once_per_pair(self, ar1_p8, monkeypatch, mode, mass,
+                                                     q_radial):
+        """On the fallback one factorization gives a pair's weights and C: the near
+        copy's 28 pairs follow its failed inversion, and a forced fallback makes 28."""
+        contexts = []
+        monkeypatch.setattr(inference.project, "_spd_factor",
+                            lambda G, context, real=inference.project._spd_factor:
+                            contexts.append(context) or real(G, context))
+        ptc_test_all_pairs(_duplicated_column_sample(), q_radial=q_radial, q_pred=0.98,
+                           tpdm_mode=mode, tpdm_mass=mass)
+        assert contexts == ["inner product matrix"] + ["complement block"] * 28
+        contexts.clear()
+        monkeypatch.setattr(inference.project, "invert_ipm", _singular)
+        report = ptc_test_all_pairs(ar1_p8, q_radial=q_radial, q_pred=0.98, tpdm_mode=mode,
+                                    tpdm_mass=mass)
+        assert all(r.error is None for r in report.records)
+        assert contexts == ["complement block"] * 28
+
     def test_estimator_exceedances_found_once_per_pair(self, monkeypatch):
         X = construct(ar1_matrix(0.7, 6), sample_noise(6, 6000, seed=3))
         calls = []
@@ -600,6 +627,14 @@ class TestPrecisionPathAgreement:
                                     q_res=0.99, tpdm_mode="global", tpdm_mass="estimate")
         assert all(r.error is None for r in report.records)
         assert calls == [0.99] * len(report.records) == [0.99] * 15
+
+
+def _singular(gamma):
+    raise ConditioningError(np.inf)
+
+
+def _no_sample(*args, **kwargs):
+    raise AssertionError("a sample was drawn before the arguments were checked")
 
 
 class TestCoverageStudy:
@@ -625,6 +660,14 @@ class TestCoverageStudy:
     def test_every_replication_failing_raises(self):
         with pytest.raises(NumericalError, match="every replication failed"):
             coverage_study(n=5, reps=3, seed=0)
+
+    @pytest.mark.parametrize("level, error", [(1.5, DomainError), (0.0, DomainError),
+                                              (0.9999999999999999, NumericalError)])
+    def test_level_checked_before_any_sample(self, monkeypatch, level, error):
+        """(1 + level) / 2 rounds to 1 at the last level: its t quantile is infinite."""
+        monkeypatch.setattr(inference, "construct", _no_sample)
+        with pytest.raises(error, match="level"):
+            coverage_study(level=level)
 
 
 class TestSizePowerStudy:
@@ -671,6 +714,18 @@ class TestSizePowerStudy:
         with pytest.raises(DomainError, match="p >= 3"):
             size_power_study(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, error, match", [
+        ({"alpha": 2.0}, DomainError, "alpha must lie"),
+        ({"alpha": 0.0, "cv_method": "none"}, DomainError, "alpha must lie"),
+        ({"cv_method": "holm"}, DomainError, "unknown"),
+        ({"cv_method": "fixed:x"}, DomainError, "numeric"),
+        ({"alpha": 1e-300}, NumericalError, "alpha=1e-300 is too small"),
+    ])
+    def test_critical_value_checked_before_any_sample(self, monkeypatch, kwargs, error, match):
+        monkeypatch.setattr(inference, "construct", _no_sample)
+        with pytest.raises(error, match=match):
+            size_power_study(**kwargs)
+
 
 @st.composite
 def _ar_draws(draw):
@@ -691,7 +746,8 @@ def _assert_same_outcome(got, want):
 
 class TestRunnerInvariance:
     """Whole-runner identities: the test of a pair does not depend on how the
-    sample's columns or rows are ordered, nor on its marginal scale."""
+    sample's columns or rows are ordered, on its marginal scale, nor on whether
+    the pair is read off the precision matrix or fitted by the complement solve."""
 
     @settings(max_examples=25)
     @given(draw=_ar_draws(), data=st.data())
@@ -727,3 +783,17 @@ class TestRunnerInvariance:
         # strictly increasing in floating point too: no two cells of a column merge
         assume(all(np.unique(X[:, j]).size == np.unique(Y[:, j]).size for j in range(X.shape[1])))
         assert marginal_transform(Y).data.tobytes() == marginal_transform(X).data.tobytes()
+
+    @settings(max_examples=25)
+    @given(draw=_ar_draws())
+    def test_complement_path_agrees_with_precision_path(self, draw):
+        (X, (mode, mass)) = draw
+        sample = TailSample(X, margin="raw")
+        want = ptc_test_all_pairs(sample, tpdm_mode=mode, tpdm_mass=mass)
+        with mock.patch.object(inference.project, "invert_ipm", _singular):
+            got = ptc_test_all_pairs(sample, tpdm_mode=mode, tpdm_mass=mass)
+        assert want.ptc is not None and got.ptc is None
+        assert got.critical_value == want.critical_value
+        for rec, ref in zip(got.records, want.records):
+            _assert_same_outcome(rec, ref)
+            assert rec.reject == ref.reject

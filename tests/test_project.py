@@ -21,6 +21,7 @@ from tailgraph import (
     solve_b,
     theoretical_ipm,
 )
+from tailgraph import project
 from conftest import random_spd
 
 
@@ -160,6 +161,25 @@ class TestConditionalIPM:
         G = np.array([[2.0, 0.5], [0.5, 1.0]])
         C = conditional_ipm(G, Partition.pair(0, 1, 2))
         np.testing.assert_allclose(C.matrix, G, atol=0)
+
+    @pytest.mark.parametrize("error, fails", [(0.0, False), (1e-13, False), (1e-8, True),
+                                              (1e-3, True)])
+    def test_residual_check_matches_solve_b(self, monkeypatch, error, fails):
+        """A solve off by a relative ``error`` leaves a residual of about
+        ``error |rhs|``; above 1e-10 |rhs| all three fail, with one message."""
+        monkeypatch.setattr(project, "_cho_solve", lambda L, rhs, real=project._cho_solve:
+                            real(L, rhs) * (1.0 + error))
+        G = theoretical_ipm(ar1_matrix(0.7, 5))
+        part = Partition.pair(1, 3, 5)
+        outcomes = []
+        for call in (solve_b, conditional_ipm, lambda G, part: ptc(G, *part.target)):
+            try:
+                call(G, part)
+                outcomes.append(None)
+            except ConditioningError as exc:
+                outcomes.append(str(exc))
+        assert outcomes == [outcomes[0]] * 3
+        assert (outcomes[0] or "").startswith("solve residual too large") == fails
 
 
 class TestPtc:

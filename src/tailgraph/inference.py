@@ -71,12 +71,18 @@ def residuals(sample, part: Partition, b, q_pred: float = 0.98,
     data = sample.data if isinstance(sample, TailSample) else np.asarray(sample, dtype=float)
     if len(part.target) != 2:
         raise DomainError("residual inference needs exactly two target variables")
-    if not 0.0 < q_pred < 1.0:
-        raise DomainError("q_pred must lie in (0, 1)")
+    _check_unit_interval(q_pred=q_pred)
     B = np.asarray(b, dtype=float)
     if B.shape != (len(part.complement), 2):
         raise DimensionError(f"weights must be ({len(part.complement)}, 2), got {B.shape}")
     return _retain_exceedances(_preimage_residuals(softplus_inv(data), part, B), q_pred, m_trace)
+
+
+def _check_unit_interval(**values):
+    """Raise :class:`DomainError` naming the first value outside (0, 1); None is unset."""
+    for name, v in values.items():
+        if v is not None and not 0.0 < v < 1.0:
+            raise DomainError(f"{name} must lie in (0, 1)")
 
 
 def _preimage_residuals(Y, part: Partition, B):
@@ -100,8 +106,7 @@ def _estimator_mask(res: ResidualSample, q_res: float | None):
     that count it is used whole, else it is re-thresholded at the matching
     upper order statistic (strict, ties dropped).
     """
-    if q_res is not None and not 0.0 < q_res < 1.0:
-        raise DomainError("q_res must lie in (0, 1)")
+    _check_unit_interval(q_res=q_res)
     k = len(res)
     k_target = k if q_res is None else int(np.floor((1.0 - q_res) * res.n_total + 1e-9))
     if k_target >= k:
@@ -344,14 +349,16 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
     """``(Theta, fit)`` where ``fit(pair)`` returns ``(C, sigma_u, tau2, k, t)``.
 
     ``Y = t^-1(X)``, ``Theta = Gamma^-1`` and ``Z = Y Theta`` are computed once,
-    Z stored by column.  The pair T then has ``C = (Theta_TT)^-1``, the Schur
-    complement of the complement block, and residuals ``U = Z[:, T] C``.  The
-    work per pair is O(n) in a few passes: the gather of two contiguous
-    columns, one (n, 2) by (2, 2) product, the column-wise radii and one
-    partition for their threshold; the exceedances, about ``(1 - q_pred) n``
-    rows, are taken by index.  Interlacing bounds every complement block's
-    condition number by Gamma's, so no pair can fail the complement gate on
-    this path.
+    Z stored by column, as the rows of ``Zt``.  The pair T then has
+    ``C = (Theta_TT)^-1``, the Schur complement of the complement block, and
+    residuals ``U = Z[:, T] C``, formed transposed as one (2, 2) by (2, n)
+    product ``C Zt[T]`` (C is symmetric) on a strided view of the two rows.
+    The work per pair is O(n) in a few passes over contiguous rows: that
+    product, the radii and one partition for their threshold; the
+    exceedances, about ``(1 - q_pred) n`` of them, are gathered by index
+    along the rows (see ``tpdm._radial_exceedances``).  Interlacing bounds
+    every complement block's condition number by Gamma's, so no pair can fail
+    the complement gate on this path.
 
     A pair takes the reference path on Y (one complement factorization gives
     weights and C) when Gamma fails the inversion gate, in which case Theta is
@@ -380,7 +387,9 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
         if fast[i] and fast[j]:
             a, c, d = theta[i, i], theta[i, j], theta[j, j]
             C = np.array([[d, -c], [-c, a]]) / (a * d - c * c)
-            U = np.stack((Zt[i], Zt[j]), axis=1) @ C  # C-ordered: BLAS bits follow the layout
+            # rows i and j of Zt as a strided view: nothing is copied, and the
+            # product is C-ordered (2, n), its rows the two residual columns
+            U = (C @ Zt[i::j - i][:2]).T
         else:
             part = Partition.pair(i, j, sample.p)
             b, C = project._schur(sigma_hat, part)
@@ -409,12 +418,7 @@ def ptc_test_all_pairs(sample: TailSample, q_radial: float = 0.95, q_pred: float
     """
     if sample.p < 3:
         raise DomainError("need at least 3 variables (a pair plus one conditioning variable)")
-    if not 0.0 < q_pred < 1.0:
-        raise DomainError("q_pred must lie in (0, 1)")
-    if q_res is not None and not 0.0 < q_res < 1.0:
-        raise DomainError("q_res must lie in (0, 1)")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie in (0, 1)")
+    _check_unit_interval(q_pred=q_pred, q_res=q_res, alpha=alpha)
     adjusted = isinstance(cv_method, str) and cv_method in _ADJUSTED
     # an unknown method fails here, before any pair is fitted; a fixed value (e.g.
     # a studentized-range critical value computed elsewhere) is used verbatim
@@ -508,7 +512,9 @@ def coverage_study(phi: float = 0.7, n: int = 10_000, reps: int = 500,
     """
     if reps < 1:
         raise DomainError("reps must be >= 1")
-    # fails here, not in every replication: whether its quantile is finite does not depend on k
+    # these fail here, not in every replication: whether the level's quantile
+    # is finite does not depend on k
+    _check_unit_interval(q_radial=q_radial)
     confidence_interval(0.0, 1.0, 2, level)
     A = ar1_matrix(phi, 4)
     part = Partition.pair(1, 3, 4)
@@ -544,7 +550,9 @@ def size_power_study(phi: float = 0.7, n: int = 10_000, reps: int = 200, p: int 
     """
     if reps < 1 or p < 3:
         raise DomainError("need reps >= 1 and p >= 3 (a pair plus one conditioning variable)")
-    # fails here, not in every replication: whether its quantile is finite does not depend on df
+    # these fail here, not in every replication: whether the critical value is
+    # finite does not depend on df
+    _check_unit_interval(q_radial=q_radial, q_pred=q_pred, alpha=alpha)
     critical_value(cv_method, alpha=alpha, n_pairs=p * (p - 1) // 2, df=2)
 
     def run_rep(sample):

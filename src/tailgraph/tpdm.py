@@ -243,9 +243,13 @@ def _radial_exceedances(X: np.ndarray, q: float, context: str = ""):
     """Rows of X whose L2 radius strictly exceeds the empirical q-quantile of
     the n radii: ``(rows, radii, k, threshold)``.
 
-    The radius is ``sqrt(sum x^2)``.  For two columns it is taken column-wise
-    as ``sqrt(x0^2 + x1^2)``, the bits of numpy's row sum at a tenth of its
-    cost; a wider row keeps the row sum, whose pairwise order a column loop
+    X is ``(n, d)`` in any memory layout.  The radius is ``sqrt(sum x^2)``.
+    For two columns it is ``sqrt(x0^2 + x1^2)``, the bits of numpy's row sum
+    at a fraction of its cost, read off the two rows of ``X.T``: when X is the
+    transpose of a C-ordered ``(2, n)`` array, as the all-pairs runner passes
+    its residuals, those rows are contiguous and the exceedances are one
+    gather along them; the reference path passes a C-ordered ``(n, 2)``
+    array.  A wider X keeps the row sum, whose pairwise order a column loop
     would not reproduce.  Where the squares overflow the radius is inf, and
     the row's radius is taken again by :func:`_fix_overflowed_radii`; every
     other radius keeps the bits of the plain formula.  An overflowed radius
@@ -254,7 +258,8 @@ def _radial_exceedances(X: np.ndarray, q: float, context: str = ""):
     """
     with np.errstate(over="ignore"):
         if X.shape[1] == 2:
-            r = np.sqrt(X[:, 0] ** 2 + X[:, 1] ** 2)
+            x0, x1 = X.T
+            r = np.sqrt(x0 ** 2 + x1 ** 2)
         else:
             r = np.sqrt(np.sum(X ** 2, axis=1))
     thr = _quantile_threshold(r, q)
@@ -262,8 +267,11 @@ def _radial_exceedances(X: np.ndarray, q: float, context: str = ""):
         _fix_overflowed_radii(X, r)
         thr = _quantile_threshold(r, q)
     mask, k = _strict_exceedances(r, thr, context)
-    idx = np.flatnonzero(mask)
-    rows, radii = X.take(idx, axis=0), r[idx]
+    idx = mask.nonzero()[0]
+    # take gathers from a C-ordered copy of its input: gather along the axis
+    # whose rows are contiguous, and nothing is copied whole
+    rows = X.take(idx, axis=0) if X.flags.c_contiguous else X.T.take(idx, axis=1).T
+    radii = r[idx]
     _fix_overflowed_radii(rows, radii)
     return rows, radii, k, thr
 
@@ -316,15 +324,16 @@ def _resolve_mass(mass, r_k: float, k: int, n: int, name: str = "fixed", value=N
 
 
 def _pair_moment(a, b, r, n: int, q_radial: float, mass):
-    """``(sigma, k, angles)`` of one TPDM entry from the coordinates (a, b) and
+    """``(sigma, k, wa, wb)`` of one TPDM entry from the coordinates (a, b) and
     radii r of rows holding every exceedance of the pair's n radii (see
-    :func:`_exceedance_mask`).  Angles are formed for the exceedances only."""
+    :func:`_exceedance_mask`); ``(wa, wb)`` are the exceedances' unit angles,
+    the only ones formed."""
     mask, k, _ = _exceedance_mask(r, q_radial, "pair estimate", n)
-    idx = np.flatnonzero(mask)
+    idx = mask.nonzero()[0]
     rk = r[idx]
     m = _resolve_mass(mass, float(rk.min()), k, n, "fixed", 2.0)
-    wk = np.column_stack((a[idx], b[idx])) / rk[:, None]
-    return m / k * float(np.sum(wk[:, 0] * wk[:, 1])), k, wk
+    wa, wb = a[idx] / rk, b[idx] / rk
+    return m / k * float(np.sum(wa * wb)), k, wa, wb
 
 
 def estimate_sigma_pair(xi, xj, q_radial: float = 0.95, mass="fixed"):
@@ -338,7 +347,8 @@ def estimate_sigma_pair(xi, xj, q_radial: float = 0.95, mass="fixed"):
     """
     a, b, r = _pair_radii(xi, xj)
     _check_pair_sample(r.size, q_radial)
-    return _pair_moment(a, b, r, r.size, q_radial, mass)
+    sigma, k, wa, wb = _pair_moment(a, b, r, r.size, q_radial, mass)
+    return sigma, k, np.column_stack((wa, wb))
 
 
 def _check_pair_sample(n: int, q_radial: float):
@@ -387,9 +397,9 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
         cols = np.ascontiguousarray(X.T)  # a pair's gathers read two contiguous rows
     for i in range(p):
         for j in range(i, p):
-            rows = np.flatnonzero(cand[i] | cand[j])
+            rows = (cand[i] | cand[j]).nonzero()[0]
             a, b = cols[i].take(rows), cols[j].take(rows)
-            sigma, k, _ = _pair_moment(a, b, np.hypot(a, b), n, q_radial, mass)
+            sigma, k, _, _ = _pair_moment(a, b, np.hypot(a, b), n, q_radial, mass)
             S[i, j] = S[j, i] = sigma
             K[i, j] = K[j, i] = k
     return IPMatrix(S, kind="estimated", k_used=K, mass=mass)

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailgraph import (CoverageResult, DomainError, PairRecord, PtcTestReport, TailSample,
-                       ar1_matrix, construct, critical_value, sample_noise)
+                       ar1_matrix, construct, critical_value, marginal_transform,
+                       sample_noise)
 from tailgraph import cli, inference
 from tailgraph.cli import _format_matrix_csv, _read_csv_checked, main, read_csv_matrix
 
@@ -644,6 +645,22 @@ def test_format_matrix_csv_matches_rows(matrix):
     """Byte for byte the row-by-row text, whichever branch formats the cells."""
     columns = [f"X{i + 1}" for i in range(matrix.shape[1])]
     assert _format_matrix_csv(matrix, columns) == _format_by_rows(matrix, columns)
+
+
+@pytest.mark.parametrize("kind, gathered", [("simulated", False), ("preprocessed", True)])
+def test_format_branch_follows_the_share_of_distinct_cells(monkeypatch, kind, gathered):
+    """Every cell of a simulated sample is distinct: it goes row by row, and no
+    ``unique`` runs over the whole matrix.  A rank-transformed sample holds a
+    tenth as many distinct values as cells: it is gathered."""
+    X = construct(ar1_matrix(0.7, 10), sample_noise(10, 4000, seed=3))
+    if kind == "preprocessed":
+        X = marginal_transform(X).data
+    unique_sizes, real = [], np.unique
+    monkeypatch.setattr(cli.np, "unique",
+                        lambda a, **kwargs: unique_sizes.append(a.size) or real(a, **kwargs))
+    columns = [f"X{i + 1}" for i in range(10)]
+    assert _format_matrix_csv(X, columns) == _format_by_rows(X, columns)
+    assert unique_sizes == ([X.size] if gathered else [])
 
 
 def test_import_budget(tmp_path):

@@ -16,6 +16,7 @@ from tailgraph import (
     DomainError,
     InsufficientExceedancesError,
     NumericalError,
+    PairRecord,
     Partition,
     PtcTestReport,
     ResidualSample,
@@ -669,6 +670,12 @@ class TestCoverageStudy:
         with pytest.raises(error, match="level"):
             coverage_study(level=level)
 
+    @pytest.mark.parametrize("q_radial", [1.5, 0.0, float("nan")])
+    def test_radial_quantile_checked_before_any_sample(self, monkeypatch, q_radial):
+        monkeypatch.setattr(inference, "construct", _no_sample)
+        with pytest.raises(DomainError, match="q_radial must lie"):
+            coverage_study(n=1000, reps=3, q_radial=q_radial)
+
 
 class TestSizePowerStudy:
     def test_counts_match_reference_loop(self):
@@ -726,6 +733,18 @@ class TestSizePowerStudy:
         with pytest.raises(error, match=match):
             size_power_study(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"q_pred": 1.5}, "q_pred must lie"),
+        ({"q_radial": 1.5}, "q_radial must lie"),
+        ({"q_radial": float("nan")}, "q_radial must lie"),
+        # a fixed critical value needs no alpha, but every replication's test checks it
+        ({"alpha": 2.0, "cv_method": 3.0}, "alpha must lie"),
+    ])
+    def test_quantiles_checked_before_any_sample(self, monkeypatch, kwargs, match):
+        monkeypatch.setattr(inference, "construct", _no_sample)
+        with pytest.raises(DomainError, match=match):
+            size_power_study(n=1000, reps=3, **kwargs)
+
 
 @st.composite
 def _ar_draws(draw):
@@ -746,8 +765,9 @@ def _assert_same_outcome(got, want):
 
 class TestRunnerInvariance:
     """Whole-runner identities: the test of a pair does not depend on how the
-    sample's columns or rows are ordered, on its marginal scale, nor on whether
-    the pair is read off the precision matrix or fitted by the complement solve."""
+    sample's columns or rows are ordered, on its marginal scale, on the order of
+    its two targets, nor on whether the pair is read off the precision matrix or
+    fitted by the complement solve."""
 
     @settings(max_examples=25)
     @given(draw=_ar_draws(), data=st.data())
@@ -783,6 +803,32 @@ class TestRunnerInvariance:
         # strictly increasing in floating point too: no two cells of a column merge
         assume(all(np.unique(X[:, j]).size == np.unique(Y[:, j]).size for j in range(X.shape[1])))
         assert marginal_transform(Y).data.tobytes() == marginal_transform(X).data.tobytes()
+
+    @settings(max_examples=25)
+    @given(draw=_ar_draws(), forced=st.booleans())
+    def test_target_order_swaps_the_pair(self, draw, forced):
+        """``fit((j, i))`` is ``fit((i, j))`` with the pair swapped, on the precision
+        path and on a forced fallback.  Its radii add the same two squares and its
+        estimator multiplies the same two angles, but the product that forms the
+        residuals may round in the other order (an FMA), so t is held to 1e-12."""
+        (X, (mode, mass)) = draw
+        sample = TailSample(X, margin="raw")
+        with mock.patch.object(inference.project, "invert_ipm",
+                               _singular if forced else inference.project.invert_ipm):
+            report = ptc_test_all_pairs(sample, tpdm_mode=mode, tpdm_mass=mass)
+            sigma = estimate_tpdm(sample, q_radial=0.95, mode=mode, mass=mass)
+            theta, fit = inference._pair_pipeline(sample, sigma, q_pred=0.98, q_res=None)
+        assert (theta is None) == forced
+        for rec in report.records:
+            swapped = PairRecord(i=rec.j, j=rec.i, names=rec.names[::-1])
+            try:
+                _, swapped.sigma_u, swapped.tau2, swapped.k, swapped.t_stat = fit((rec.j, rec.i))
+            except TailgraphError as exc:
+                swapped.error = f"{type(exc).__name__}: {exc}"
+            else:
+                swapped.reject = bool(abs(swapped.t_stat) > report.critical_value)
+            _assert_same_outcome(swapped, rec)
+            assert swapped.reject == rec.reject
 
     @settings(max_examples=25)
     @given(draw=_ar_draws())

@@ -458,7 +458,7 @@ def _mask_pair_moment(a, b, r, n, q_radial, mass):
     rk = r[mask]
     m = tpdm._resolve_mass(mass, float(rk.min()), k, n, "fixed", 2.0)
     wk = np.column_stack((a[mask], b[mask])) / rk[:, None]
-    return m / k * float(np.sum(wk[:, 0] * wk[:, 1])), k, wk
+    return m / k * float(np.sum(wk[:, 0] * wk[:, 1])), k, wk[:, 0], wk[:, 1]
 
 
 def _install_reference_kernels(monkeypatch):
@@ -512,3 +512,46 @@ class TestLeanKernels:
         assert np.array_equal(S.k_used, want_S[1])
         for qs, have in zip(grid, got):
             assert have == _fit_bytes(sample, S, *qs), qs
+
+
+def _residual_rows(case):
+    """(2000, 2) residuals: overflowing squares in retained rows, enough of them
+    to push the threshold to inf, or a unit grid with ties at the threshold."""
+    rng = np.random.default_rng(11)
+    U = rng.standard_normal((2000, 2))
+    if case == "overflow":  # 20 rows: above the 0.98 threshold, which stays finite
+        U[rng.choice(2000, 20, replace=False)] = rng.uniform(0.1, 0.6, (20, 2)) * 1e308
+    elif case == "inf_threshold":  # 100 rows: the threshold is inf until every radius is mended
+        U[rng.choice(2000, 100, replace=False)] = rng.uniform(-0.6, 0.6, (100, 2)) * 1e308
+    else:  # 48 radii equal the threshold and drop; 19 lie above it
+        U = np.ceil(U)
+    return U
+
+
+class TestResidualLayouts:
+    """The runner hands its residuals to ``_radial_exceedances`` as the transpose of
+    a C-ordered (2, n) array, the reference path as an (n, 2) array.  On the same
+    residuals both layouts give the rows, radii, threshold and k of the row-sum
+    reference, bit for bit.  No product is formed, so this holds on any BLAS."""
+
+    @pytest.mark.parametrize("case", ["overflow", "inf_threshold", "ties"])
+    def test_both_layouts_give_the_reference_bits(self, case):
+        U = _residual_rows(case)
+        rows_first = np.ascontiguousarray(U.T).T
+        assert U.flags.c_contiguous and rows_first.flags.f_contiguous
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = _row_sum_exceedances(U.copy(), 0.98)
+            got = [tpdm._radial_exceedances(X, 0.98, "residual radii") for X in (U, rows_first)]
+        rows, radii, k, thr = want
+        assert np.all(np.isfinite(radii)) and np.isfinite(thr)
+        if case == "overflow":  # retained rows mended, threshold untouched
+            assert radii.max() > 1e307 and thr < 10.0
+        elif case == "inf_threshold":
+            assert thr > 1e300
+        elif case == "ties":
+            assert np.count_nonzero(np.sqrt(np.sum(U ** 2, axis=1)) == thr) > 1 and k < 40
+        for g_rows, g_radii, g_k, g_thr in got:
+            assert g_rows.tobytes() == rows.tobytes()
+            assert g_radii.tobytes() == radii.tobytes()
+            assert (g_k, g_thr) == (k, thr)

@@ -313,8 +313,6 @@ def cmd_ptc_test(args, inference, graphx) -> int:
 
 
 def cmd_coverage(args, inference) -> int:
-    if args.reps < 100:
-        raise DataError("need at least 100 replications for a coverage estimate")
     seed = _resolve_seed(args)
     result = inference.coverage_study(
         phi=args.phi, n=args.n, reps=args.reps, q_radial=args.radial_quantile,
@@ -398,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     model = argparse.ArgumentParser(add_help=False)  # simulate and the simulation studies
-    model.add_argument("--phi", type=float, default=0.7)
+    model.add_argument("--phi", type=_unit_interval_arg, default=0.7)
     model.add_argument("--n", type=_positive_int_arg, default=10_000)
     model.add_argument("--seed", type=_seed_arg, default=None)
     model.add_argument("--out", required=True)
@@ -431,13 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--out-prefix", required=True)
 
     cov = sub.add_parser("coverage", parents=[model], help="confidence-interval coverage simulation")
-    cov.add_argument("--reps", type=int, default=500)
+    cov.add_argument("--reps", type=_checked_arg(int, lambda v: v >= 100, "be at least 100"),
+                     default=500)
     cov.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.98)
     cov.add_argument("--level", type=_unit_interval_arg, default=0.95)
 
     sp = sub.add_parser("size-power", parents=[model],
                         help="size and power of the all-pairs test on the autoregressive model")
-    sp.add_argument("--p", type=_positive_int_arg, default=4)
+    sp.add_argument("--p", type=_checked_arg(int, lambda v: v >= 3, "be at least 3"),
+                    default=4)  # a pair plus one conditioning variable
     sp.add_argument("--reps", type=_positive_int_arg, default=200)
     sp.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.98)
     sp.add_argument("--pred-quantile", type=_unit_interval_arg, default=0.98)

@@ -6,6 +6,13 @@ addition ``x1 (+) x2 = t(t^-1(x1) + t^-1(x2))``, scalar multiplication
 ``a (*) x = t(a t^-1(x))`` and matrix application ``A (*) x = t(A t^-1(x))``,
 all of which keep results strictly positive.  The additive identity of the
 space is ``t(0) = log 2``.
+
+Both transforms take one path for scalars and arrays of any shape and
+layout: masked ufuncs (``where=``) evaluate the closed form in place on the
+cells at or below the branch point, into a new array of the input's shape.
+The cells above it are few (about 0.1 % of a preprocessed sample), so the
+asymptotic branch gathers and scatters only those cells, and only when
+there are some.  A 0-d input gives a float.
 """
 
 from __future__ import annotations
@@ -23,36 +30,6 @@ LOG2 = math.log(2.0)
 _BRANCH = 30.0
 
 
-def _apply_scalar_or_array(x, fn):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = fn(arr)
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out.reshape(np.shape(x))
-
-
-def _softplus_core(arr):
-    out = np.empty_like(arr)
-    hi = arr > _BRANCH
-    lo = arr < -_BRANCH
-    mid = ~(hi | lo)
-    out[hi] = arr[hi] + np.exp(-arr[hi])
-    out[lo] = np.exp(arr[lo])
-    out[mid] = np.log1p(np.exp(arr[mid]))
-    return out
-
-
-def _softplus_inv_core(arr):
-    # expm1 keeps full precision down to denormal x, so no small-x fallback
-    # is needed below; log(expm1(x)) = log(x) + x/2 + O(x^2) exactly there.
-    out = np.empty_like(arr)
-    hi = arr > _BRANCH
-    mid = ~hi
-    out[hi] = arr[hi] + np.log1p(-np.exp(-arr[hi]))
-    out[mid] = np.log(np.expm1(arr[mid]))
-    return out
-
-
 def softplus(y):
     """Softplus transform ``t(y) = log(exp(y) + 1)``, stable for all magnitudes.
 
@@ -61,19 +38,30 @@ def softplus(y):
     arr = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("softplus requires finite input")
-    return _apply_scalar_or_array(y, _softplus_core)
+    hi = arr > _BRANCH
+    out = np.exp(arr, out=np.empty_like(arr), where=~hi)
+    np.log1p(out, out=out, where=~hi & (arr >= -_BRANCH))  # below -_BRANCH, exp(y) is t(y)
+    if hi.any():
+        out[hi] = arr[hi] + np.exp(-arr[hi])
+    return float(out) if out.ndim == 0 else out
 
 
 def softplus_inv(x):
     """Inverse transform ``t^-1(x) = log(exp(x) - 1)`` for x > 0.
 
     Stable for all positive magnitudes, including preimages of near-zero
-    observations.  Raises :class:`DomainError` for x <= 0.
+    observations: expm1 keeps full precision down to denormal x, where
+    log(expm1(x)) = log(x) + x/2 + O(x^2).  Raises :class:`DomainError` for x <= 0.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError("softplus_inv requires finite input > 0")
-    return _apply_scalar_or_array(x, _softplus_inv_core)
+    hi = arr > _BRANCH
+    out = np.expm1(arr, out=np.empty_like(arr), where=~hi)
+    np.log(out, out=out, where=~hi)
+    if hi.any():
+        out[hi] = arr[hi] + np.log1p(-np.exp(-arr[hi]))
+    return float(out) if out.ndim == 0 else out
 
 
 def _positive_vector(x, name="x"):

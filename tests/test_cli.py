@@ -67,9 +67,10 @@ class TestSimulate:
         columns, data = read_csv_matrix(str(out))
         assert columns == ["X1"] and data.shape == (50, 1)
 
-    def test_invalid_phi_is_numerical_error(self, tmp_path):
-        assert run("simulate", "--phi", 1.5, "--n", 10, "--seed", 0,
-                   "--out", tmp_path / "x.csv") == 4
+    def test_invalid_phi_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", "--phi", 1.5, "--n", 10, "--seed", 0, "--out", tmp_path / "x.csv")
+        assert exc.value.code == 2
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -243,8 +244,9 @@ class TestCoverageCmd:
         assert payload["failed"] == 0 and payload["failures"] == {}
 
     def test_too_few_reps_rejected(self, tmp_path):
-        assert run("coverage", "--reps", 10, "--out", tmp_path / "c.json",
-                   "--seed", 1) == 3
+        with pytest.raises(SystemExit) as exc:
+            run("coverage", "--reps", 10, "--out", tmp_path / "c.json", "--seed", 1)
+        assert exc.value.code == 2
 
     def test_non_finite_result_writes_no_json(self, tmp_path, monkeypatch, capsys):
         def nan_study(**kwargs):
@@ -455,6 +457,14 @@ def _write_inputs(tmp_path, case):
         "size-power --n 10**30": ["size-power", "--n", 10 ** 30, "--out", tmp_path / "s.json"],
         "size-power --p 2": ["size-power", "--p", 2, "--seed", 0, "--out", tmp_path / "s.json"],
         "size-power --reps 0": ["size-power", "--reps", 0, "--out", tmp_path / "s.json"],
+        "simulate --phi 1.5": ["simulate", "--phi", 1.5, "--out", tmp_path / "s.csv"],
+        "simulate --phi nan": ["simulate", "--phi", "nan", "--out", tmp_path / "s.csv"],
+        "simulate --a-matrix --phi 1.5": ["simulate", "--a-matrix", NO2_FIXTURE, "--phi", 1.5,
+                                          "--out", tmp_path / "s.csv"],
+        "coverage --phi 0": ["coverage", "--phi", 0, "--out", tmp_path / "c.json"],
+        "size-power --phi -2": ["size-power", "--phi", -2, "--out", tmp_path / "s.json"],
+        "coverage --reps 10": ["coverage", "--reps", 10, "--out", tmp_path / "c.json"],
+        "coverage --reps 0": ["coverage", "--reps", 0, "--out", tmp_path / "c.json"],
         "size-power every replication fails": ["size-power", "--n", 20, "--reps", 3, "--seed", 0,
                                                "--out", tmp_path / "s.json"],
         "size-power --alpha 1e-300": ["size-power", "--alpha", 1e-300, "--seed", 0,
@@ -492,7 +502,15 @@ FAILURE_TABLE = [
     ("simulate --p 3000000000", 2),
     ("coverage --n 10**30", 2),
     ("size-power --n 10**30", 2),
-    ("size-power --p 2", 4),  # no pair has a conditioning variable
+    ("size-power --p 2", 2),  # no pair has a conditioning variable
+    # model arguments are checked by the parser, before a seed is drawn
+    ("simulate --phi 1.5", 2),
+    ("simulate --phi nan", 2),
+    ("simulate --a-matrix --phi 1.5", 2),
+    ("coverage --phi 0", 2),
+    ("size-power --phi -2", 2),
+    ("coverage --reps 10", 2),
+    ("coverage --reps 0", 2),
     ("size-power --reps 0", 2),
     ("size-power every replication fails", 4),
     ("size-power --alpha 1e-300", 4),  # as for ptc-test, found before the first sample
@@ -871,8 +889,8 @@ def test_cli_fuzz(fuzz_inputs, tmp_path_factory, argv):
     err = stderr.getvalue()
     written = sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*") if p.is_file())
     assert code in (0, 2, 3, 4), err
-    if argv[0] == "coverage":  # the CLI checks all but phi, which the study rejects
-        assert code in (0, 2, 3) or "phi must lie in (0, 1)" in err, err
+    if argv[0] == "coverage":  # the CLI checks every argument the study would reject
+        assert code in (0, 2, 3), err
     assert not [p for d in (out_dir, out_dir / "isdir", out_dir.parent)
                 for p in d.glob(".tailgraph-*")]
     if code == 0:

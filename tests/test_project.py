@@ -187,8 +187,23 @@ class TestPtc:
         assert ptc(np.eye(4), 0, 2) == pytest.approx(0.0, abs=1e-15)
 
     def test_ar1_lag2_is_zero(self):
-        G = theoretical_ipm(ar1_matrix(0.7, 4))
-        assert ptc(G, 1, 3) == pytest.approx(0.0, abs=1e-10)
+        # the paper's identity: a zero in the inverse Theta is a zero PTC.  The
+        # AR chain's Theta is tridiagonal, so every pair at lag >= 2 has zero
+        # PTC, by the inverse and by the Schur path; every lag-1 pair does not.
+        for phi in (0.3, 0.7, 0.95):
+            for p in range(3, 9):
+                G = theoretical_ipm(ar1_matrix(phi, p))
+                theta = invert_ipm(G).entries
+                rho = project.ptc_matrix_from_inverse(theta)
+                for i in range(p):
+                    for j in range(i + 1, p):
+                        case = f"phi={phi}, p={p}, pair ({i}, {j})"
+                        if j - i == 1:
+                            assert rho[i, j] > 0.25, case
+                            continue
+                        assert abs(theta[i, j]) <= 1e-12 * np.abs(theta).max(), case
+                        assert abs(rho[i, j]) <= 1e-12, case
+                        assert abs(ptc(G, i, j)) <= 1e-12, case
 
     def test_ar1_adjacent_pair(self):
         # block-inversion oracle from the true tridiagonal inverse:

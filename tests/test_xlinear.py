@@ -17,7 +17,7 @@ from tailgraph import (
     tscale,
     zero_clip,
 )
-from tailgraph.rvsim import ar1_matrix
+from tailgraph.rvsim import ar1_matrix, sample_noise
 
 finite_coef = st.floats(min_value=-50, max_value=50, allow_nan=False)
 preimage = st.floats(min_value=-30, max_value=30, allow_nan=False)
@@ -75,6 +75,117 @@ class TestSoftplusInv:
         for bad in (0.0, -1.0):
             with pytest.raises(DomainError):
                 softplus_inv(bad)
+
+
+def _gather_scatter_softplus(arr):
+    # the kernel that the masked-ufunc path replaced: each branch's cells are
+    # copied out with a boolean index, transformed, and written back
+    out = np.empty_like(arr)
+    hi = arr > 30.0
+    lo = arr < -30.0
+    mid = ~(hi | lo)
+    out[hi] = arr[hi] + np.exp(-arr[hi])
+    out[lo] = np.exp(arr[lo])
+    out[mid] = np.log1p(np.exp(arr[mid]))
+    return out
+
+
+def _gather_scatter_softplus_inv(arr):
+    out = np.empty_like(arr)
+    hi = arr > 30.0
+    mid = ~hi
+    out[hi] = arr[hi] + np.log1p(-np.exp(-arr[hi]))
+    out[mid] = np.log(np.expm1(arr[mid]))
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _edge_grid():
+    """Positive edge cases: subnormals, the branch point and the float64 maximum."""
+    near_branch = 30.0 + np.arange(-8, 9) * 1e-14
+    return np.concatenate([
+        [5e-324, 1e-322, 1e-320, 1e-310, np.finfo(float).tiny, 1e-300, 1e-200, 1e-16,
+         1e-8, 0.5, LOG2, 1.0, 29.5, np.nextafter(30.0, 0.0), np.nextafter(30.0, 60.0),
+         30.5, 36.0, 37.0, 40.0, 700.0, 710.0, 1e10, 1e300, 1.7e308, np.finfo(float).max],
+        near_branch,
+    ])
+
+
+def _preimages():
+    """Inputs of softplus_inv: the edge grid, log-uniform values over e^+-700
+    and simulated noise."""
+    rng = np.random.default_rng(11)
+    return {
+        "edges": _edge_grid(),
+        "log-uniform": np.exp(rng.uniform(-700.0, 700.0, 300_000)),
+        "noise": sample_noise(10, 40_000, seed=3).ravel(),
+    }
+
+
+def _forward_inputs():
+    """Inputs of softplus: a grid over +-800, both signs of the edge grid and
+    of the neighbourhood of +-30, and constructed preimages."""
+    edges = _edge_grid()
+    noise = sample_noise(10, 40_000, seed=3)
+    return {
+        "grid": np.linspace(-800.0, 800.0, 100_001),
+        "edges": np.concatenate([edges, -edges, [0.0, -0.0]]),
+        "near-branch": np.concatenate([s * (30.0 + np.arange(-2000, 2001) * 1e-3) for s in (1, -1)]),
+        "constructed": (_gather_scatter_softplus_inv(noise) @ ar1_matrix(0.7, 10).T).ravel(),
+    }
+
+
+def _at_offset(x, offset):
+    buf = np.zeros(x.size + offset)
+    buf[offset:] = x
+    return buf[offset:]
+
+
+TRANSFORMS = [
+    pytest.param(softplus_inv, _gather_scatter_softplus_inv, _preimages, id="softplus_inv"),
+    pytest.param(softplus, _gather_scatter_softplus, _forward_inputs, id="softplus"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("transform, reference, inputs", TRANSFORMS)
+class TestSameBitsAsGatherScatter:
+    """The masked-ufunc path gives the bits of the gather/scatter kernels on
+    every cell, whatever the element offset, layout or rank of the input."""
+
+    @pytest.mark.parametrize("offset", [0, 1, 3])
+    def test_contiguous_at_offsets(self, transform, reference, inputs, offset):
+        for name, x in inputs().items():
+            got = transform(_at_offset(x, offset))
+            assert got.shape == x.shape, name
+            np.testing.assert_array_equal(_bits(got), _bits(reference(x)), err_msg=name)
+
+    def test_layouts_keep_shape_and_bits(self, transform, reference, inputs):
+        x = np.concatenate(list(inputs().values()))
+        x = x[: x.size // 6 * 6]
+        grid = x.reshape(-1, 6)
+        views = {
+            "F-ordered": np.asfortranarray(grid),
+            "transposed": grid.T,
+            "every other": np.repeat(x, 2)[::2],
+            "offset 1": _at_offset(x, 1),
+            "3-D": grid.reshape(-1, 3, 2),
+        }
+        for name, v in views.items():
+            got = transform(v)
+            assert got.shape == v.shape, name
+            np.testing.assert_array_equal(_bits(got), _bits(reference(np.ascontiguousarray(v))),
+                                          err_msg=name)
+
+    def test_scalars_return_float(self, transform, reference, inputs):
+        for x in inputs()["edges"]:
+            for arg in (float(x), np.float64(x), np.array(x)):
+                got = transform(arg)
+                assert type(got) is float
+                assert _bits(got)[0] == _bits(reference(np.array([x])))[0]
 
 
 class TestVectorOps:

@@ -41,8 +41,8 @@ from .project import (Partition, conditional_ipm, ptc_matrix,  # noqa: F401
                       ptc_matrix_from_inverse, solve_b)
 from .report import _ADJUSTED, PairRecord, PtcTestReport, fixed_critical_value
 from .rvsim import ar1_matrix, construct, sample_noise, theoretical_ipm
-from .tpdm import (TailSample, _radial_exceedances, _resolve_mass, _strict_exceedances,
-                   as_matrix, estimate_tpdm)
+from .tpdm import (TailSample, _radial_exceedances, _resolve_mass, _squares,
+                   _strict_exceedances, as_matrix, estimate_tpdm)
 from .xlinear import softplus_inv
 
 
@@ -91,9 +91,19 @@ def _preimage_residuals(Y, part: Partition, B):
 
 
 def _retain_exceedances(U, q_pred: float, m_trace) -> ResidualSample:
-    """Keep the residual rows whose radius exceeds the empirical ``q_pred`` quantile."""
-    u, r, _, thr = _radial_exceedances(U, q_pred, "residual radii")
-    return ResidualSample(u=u, r=r, w=u / r[:, None], n_total=U.shape[0], threshold=thr,
+    """Keep the residual rows whose radius exceeds the empirical ``q_pred`` quantile.
+
+    U is ``(n, 2)`` in any layout: the all-pairs runner passes the transpose
+    of a C-ordered ``(2, n)`` array, whose two rows the squares read
+    contiguously.  ``take`` gathers from a C-ordered copy of its input, so
+    the rows are gathered along the axis that is contiguous, and nothing is
+    copied whole.
+    """
+    with np.errstate(over="ignore"):
+        s = _squares(*U.T)
+    idx, r, _, thr = _radial_exceedances(s, q_pred, U.T, "residual radii")
+    u = U.take(idx, axis=0) if U.flags.c_contiguous else U.T.take(idx, axis=1).T
+    return ResidualSample(u=u, r=r, w=u / r[:, None], n_total=s.size, threshold=thr,
                           m_trace=m_trace)
 
 
@@ -104,9 +114,9 @@ def _estimator_mask(res: ResidualSample, q_res: float | None):
     target count is ``floor((1 - q_res) * n_total)`` relative to the rows the
     residuals were computed from; if the retained set is already at or below
     that count it is used whole, else it is re-thresholded at the matching
-    upper order statistic (strict, ties dropped).
+    upper order statistic (strict, ties dropped).  ``q_res`` is checked by
+    the callers.
     """
-    _check_unit_interval(q_res=q_res)
     k = len(res)
     k_target = k if q_res is None else int(np.floor((1.0 - q_res) * res.n_total + 1e-9))
     if k_target >= k:
@@ -125,6 +135,7 @@ def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trac
     taken as the trace of the estimated conditional IPM), "estimate"
     (``(R_(k)^2/n) k`` on the residual radii) or a positive number.
     """
+    _check_unit_interval(q_res=q_res)
     return _sigma_u(res, _estimator_mask(res, q_res), mass)
 
 
@@ -141,6 +152,7 @@ def estimate_tau2(res: ResidualSample, m_tilde: float, q_res: float | None = Non
     Raises :class:`DegenerateVarianceError` when the result is not positive,
     which happens when the angular products carry no spread.
     """
+    _check_unit_interval(q_res=q_res)
     return _tau2(_estimator_mask(res, q_res), m_tilde)
 
 
@@ -349,16 +361,18 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
     """``(Theta, fit)`` where ``fit(pair)`` returns ``(C, sigma_u, tau2, k, t)``.
 
     ``Y = t^-1(X)``, ``Theta = Gamma^-1`` and ``Z = Y Theta`` are computed once,
-    Z stored by column, as the rows of ``Zt``.  The pair T then has
-    ``C = (Theta_TT)^-1``, the Schur complement of the complement block, and
-    residuals ``U = Z[:, T] C``, formed transposed as one (2, 2) by (2, n)
-    product ``C Zt[T]`` (C is symmetric) on a strided view of the two rows.
-    The work per pair is O(n) in a few passes over contiguous rows: that
-    product, the radii and one partition for their threshold; the
-    exceedances, about ``(1 - q_pred) n`` of them, are gathered by index
-    along the rows (see ``tpdm._radial_exceedances``).  Interlacing bounds
-    every complement block's condition number by Gamma's, so no pair can fail
-    the complement gate on this path.
+    Z stored by column, as the rows of ``Zt = Theta Y^T`` (Theta is exactly
+    symmetric).  The pair T then has ``C = (Theta_TT)^-1``, the Schur
+    complement of the complement block, and residuals ``U = Z[:, T] C``,
+    formed transposed as one (2, 2) by (2, n) product ``C Zt[T]`` (C is
+    symmetric) on a strided view of the two rows.  The work per pair is O(n)
+    in a few passes over contiguous rows: that product, the squared radii and
+    one partition for their threshold; only the rows above its lower order
+    statistic take a root, and the exceedances, about ``(1 - q_pred) n`` of
+    them, are gathered by index along the rows (see
+    ``tpdm._radial_exceedances``).  ``q_res`` is checked by the callers.
+    Interlacing bounds every complement block's condition number by Gamma's,
+    so no pair can fail the complement gate on this path.
 
     A pair takes the reference path on Y (one complement factorization gives
     weights and C) when Gamma fails the inversion gate, in which case Theta is
@@ -379,7 +393,7 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
         fast = np.zeros(sample.p, dtype=bool)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            Zt = np.ascontiguousarray((Y @ theta).T)
+            Zt = theta @ Y.T
         fast = np.isfinite(Zt).all(axis=1)  # per column: can a pair read it off Z
 
     def fit(pair):
@@ -395,7 +409,7 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
             b, C = project._schur(sigma_hat, part)
             U = _preimage_residuals(Y, part, b)
         project._projection_diagonal(C, gamma_max)
-        res = _retain_exceedances(U, q_pred, float(np.trace(C)))
+        res = _retain_exceedances(U, q_pred, float(C[0, 0] + C[1, 1]))
         exceedances = _estimator_mask(res, q_res)  # shared by both moments
         sigma_u, m_tilde, k = _sigma_u(res, exceedances, "trace")
         tau2 = _tau2(exceedances, m_tilde)

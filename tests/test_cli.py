@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -679,6 +680,35 @@ def test_format_branch_follows_the_share_of_distinct_cells(monkeypatch, kind, ga
     columns = [f"X{i + 1}" for i in range(10)]
     assert _format_matrix_csv(X, columns) == _format_by_rows(X, columns)
     assert unique_sizes == ([X.size] if gathered else [])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_format_pauses_the_collector_and_restores_it(monkeypatch, enabled):
+    """The collector is off while the cells are formatted, the text is the
+    row-by-row text, and the earlier state is back afterwards, also after an
+    exception."""
+    X = construct(ar1_matrix(0.7, 3), sample_noise(3, 500, seed=2))
+    columns = ["a", "b", "c"]
+    seen, real = [], cli._csv_line
+    monkeypatch.setattr(cli, "_csv_line", lambda cells: seen.append(gc.isenabled()) or real(cells))
+    before = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        assert _format_matrix_csv(X, columns) == _format_by_rows(X, columns)
+        assert seen == [False] and gc.isenabled() is enabled
+
+        def fail(cells):
+            raise OSError("boom")
+
+        monkeypatch.setattr(cli, "_csv_line", fail)
+        with pytest.raises(OSError, match="boom"):
+            _format_matrix_csv(X, columns)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 def test_import_budget(tmp_path):

@@ -176,6 +176,14 @@ class TestEstimateSigmaU:
         with pytest.raises(DomainError, match="'estimate', 'trace' or a positive number"):
             estimate_sigma_u(res, mass="bogus")
 
+    @pytest.mark.parametrize("q_res", [0.0, 1.0, 1.5, np.nan])
+    def test_q_res_checked_by_both_moments(self, q_res):
+        res = make_residual_sample(np.tile([[DIAG, DIAG], [-DIAG, DIAG]], (20, 1)))
+        with pytest.raises(DomainError, match="q_res must lie in"):
+            estimate_sigma_u(res, q_res=q_res)
+        with pytest.raises(DomainError, match="q_res must lie in"):
+            estimate_tau2(res, 1.0, q_res=q_res)
+
 
 class TestEstimateTau2:
     def test_identical_angles_degenerate(self):

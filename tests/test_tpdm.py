@@ -29,7 +29,7 @@ from tailgraph import (
     solve_delta,
 )
 from tailgraph import inference, tpdm
-from tailgraph.tpdm import MIN_EXCEEDANCES, _average_ranks, _exceedance_mask, _resolve_mass
+from tailgraph.tpdm import MIN_EXCEEDANCES, _average_ranks, _radial_exceedances, _resolve_mass
 
 
 def _preimage_mean(delta: float) -> float:
@@ -126,6 +126,17 @@ class TestMarginalTransform:
         for j in range(3):
             assert (_average_ranks(X[:, j]).tobytes()
                     == rankdata(X[:, j], method="average").tobytes())
+
+    @pytest.mark.parametrize("n", [40_000, 1000, 17])
+    def test_average_ranks_of_signed_zeros_and_heavy_ties(self, n):
+        """-0.0 and 0.0 compare equal and share one tie group, whatever order an
+        unstable sort leaves them in."""
+        levels = np.array([-0.0, 0.0, -2.5, 1.0, 7.0])
+        X = levels[np.random.default_rng(n).integers(0, 5, size=(n, 2))]
+        for x in (X[:, 0], X[:, 1], np.ascontiguousarray(X[:, 0])):
+            zeros = np.signbit(x[x == 0.0])
+            assert zeros.any() and not zeros.all()
+            assert _average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
@@ -302,6 +313,19 @@ class TestEstimateTpdm:
         np.testing.assert_allclose(scaled.entries, S.entries, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["global", "pairwise"])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
+    def test_radii_whose_squares_leave_the_float_range(self, mode, scale):
+        """The squares underflow to subnormals or 0, or overflow: the radii are
+        mended, and the counts and entries are those at scale 1."""
+        X = construct(ar1_matrix(0.7, 5), sample_noise(5, 4000, seed=3))
+        S = estimate_tpdm(TailSample(X), 0.95, mode=mode, mass="fixed")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = estimate_tpdm(TailSample(X * scale), 0.95, mode=mode, mass="fixed")
+        assert np.array_equal(scaled.k_used, S.k_used)
+        np.testing.assert_allclose(scaled.entries, S.entries, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("mode", ["global", "pairwise"])
     def test_estimated_mass_past_float_range_is_numerical_error(self, overflow_sample, mode):
         X = overflow_sample.data.clip(max=100.0) * 2.0 ** 1000
         with pytest.raises(NumericalError, match="estimated mass overflows"):
@@ -327,33 +351,65 @@ class TestEstimateTpdm:
         assert off < 0.3
 
 
+def _reference_radii(X):
+    """Squared radii and radii of the rows of X by definition: the root of the
+    row sum of squares, and ``m ||x / m||`` (m the row's largest magnitude)
+    where that sum leaves ``[tiny, inf)``."""
+    with np.errstate(over="ignore"):
+        s = np.sum(X ** 2, axis=1)
+    r = np.sqrt(s)
+    bad = np.flatnonzero((s < np.finfo(float).tiny) | (s == np.inf))
+    m = np.abs(X[bad]).max(axis=1)
+    r[bad] = m * np.sqrt(np.sum((X[bad] / m[:, None]) ** 2, axis=1))
+    return s, r
+
+
+# power-of-two scales are exact: the squares of these rows underflow or overflow
+_SCALES = {"unit": 1.0, "tiny": 2.0 ** -560, "huge": 2.0 ** 530}
+
+
 class TestExceedanceThreshold:
-    """``_exceedance_mask`` against ``np.quantile`` and its strict mask, bit for bit."""
+    """``_radial_exceedances`` against ``np.quantile`` of the radii and its
+    strict mask, bit for bit."""
 
     @given(n=st.integers(50, 20_000), q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-           levels=st.sampled_from([0, 2, 7, 300]), seed=st.integers(0, 2 ** 32 - 1))
-    @example(n=7001, q=0.975, levels=0, seed=0)     # the Hyndman-Fan form misses the last bit
-    @example(n=101, q=0.75, levels=0, seed=1)       # integer virtual index 75
-    @example(n=1001, q=0.9506, levels=0, seed=420)  # fraction 0.6, where a + d g is one ulp off
-    @example(n=1001, q=0.9506, levels=7, seed=3)    # the same fraction on tied radii
-    def test_matches_numpy_on_full_and_candidate_radii(self, n, q, levels, seed):
+           levels=st.sampled_from([0, 2, 7, 300]), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from(["unit", "unit", "tiny", "huge", "mixed"]))
+    @example(n=7001, q=0.975, levels=0, seed=0, scale="unit")  # Hyndman-Fan misses the last bit
+    @example(n=101, q=0.75, levels=0, seed=1, scale="unit")  # integer virtual index 75
+    @example(n=1001, q=0.9506, levels=0, seed=420, scale="unit")  # fraction 0.6: a + d g is off
+    @example(n=1001, q=0.9506, levels=7, seed=3, scale="unit")  # the same fraction on tied radii
+    @example(n=2000, q=0.98, levels=0, seed=5, scale="tiny")  # every square underflows
+    @example(n=2000, q=0.98, levels=7, seed=6, scale="huge")  # every square overflows
+    @example(n=2000, q=0.9, levels=0, seed=7, scale="mixed")  # some of each, threshold in range
+    def test_matches_numpy_on_full_and_candidate_radii(self, n, q, levels, seed, scale):
         rng = np.random.default_rng(seed)
-        r = rng.integers(1, levels + 1, n).astype(float) if levels else rng.pareto(2.0, n) + 1.0
+        X = (rng.integers(1, levels + 1, (n, 2)).astype(float) if levels
+             else rng.pareto(2.0, (n, 2)) + 1.0)
+        if scale == "mixed":  # a tenth of the rows above the overflow range, a tenth below
+            X[rng.random(n) < 0.1] *= _SCALES["huge"]
+            X[rng.random(n) < 0.1] *= _SCALES["tiny"]
+        else:
+            X *= _SCALES[scale]
+        s, r = _reference_radii(X)
+        assert np.all(np.isfinite(r) & (r > 0.0))
         thr = np.quantile(r, q)
-        want = r > thr
-        if want.sum() < MIN_EXCEEDANCES:
+        want = np.flatnonzero(r > thr)
+        if want.size < MIN_EXCEEDANCES:
             with pytest.raises(InsufficientExceedancesError):
-                _exceedance_mask(r, q)
+                _radial_exceedances(s, q, X.T)
             return
-        mask, k, got = _exceedance_mask(r, q)
+        idx, radii, k, got = _radial_exceedances(s, q, X.T)
         assert np.float64(got).tobytes() == thr.tobytes()
-        assert np.array_equal(mask, want) and k == want.sum()
+        assert np.array_equal(idx, want) and k == want.size
+        assert radii.tobytes() == r[want].tobytes()
         # a candidate subset: every radius at or above the floor((n-1) q)-th smallest, plus others
         lo = math.floor((n - 1) * q)
-        keep = (r >= np.partition(r, lo)[lo]) | (rng.random(n) < 0.3)
-        sub_mask, sub_k, sub_thr = _exceedance_mask(r[keep], q, n=n)
+        keep = np.flatnonzero((r >= np.partition(r, lo)[lo]) | (rng.random(n) < 0.3))
+        sub_idx, sub_radii, sub_k, sub_thr = _radial_exceedances(s[keep], q, X[keep].T, n=n)
         assert np.float64(sub_thr).tobytes() == thr.tobytes()
-        assert sub_k == k and np.array_equal(sub_mask, want[keep])
+        assert sub_k == k and np.array_equal(keep[sub_idx], want)
+        assert sub_radii.tobytes() == radii.tobytes()
 
 
 def _reference_pairwise(X, q, mass):
@@ -365,6 +421,25 @@ def _reference_pairwise(X, q, mass):
         for j in range(i, p):
             sigma, k, _ = estimate_sigma_pair(X[:, i], X[:, j], q, mass)
             S[i, j] = S[j, i] = sigma
+            K[i, j] = K[j, i] = k
+    return S, K
+
+
+def _hypot_pairwise(X, q, mass):
+    """The pairwise TPDM with the pair radius taken by ``np.hypot``, as it was
+    before the squared-radius thresholds: whole columns, numpy's quantile, a
+    strict mask."""
+    n, p = X.shape
+    S = np.zeros((p, p))
+    K = np.zeros((p, p), dtype=int)
+    for i in range(p):
+        for j in range(i, p):
+            a, b = X[:, i], X[:, j]
+            r = np.hypot(a, b)
+            mask = r > np.quantile(r, q)
+            k = int(mask.sum())
+            m = _resolve_mass(mass, float(r[mask].min()), k, n, "fixed", 2.0)
+            S[i, j] = S[j, i] = m / k * float(np.sum((a[mask] / r[mask]) * (b[mask] / r[mask])))
             K[i, j] = K[j, i] = k
     return S, K
 
@@ -396,6 +471,23 @@ class TestPairwiseCandidates:
                 assert np.array_equal(S.entries, want_S), (q, mass)
                 assert np.array_equal(S.k_used, want_K), (q, mass)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["raw", "preprocessed", "tied"])
+    def test_hypot_radius_moves_entries_by_rounding_only(self, seed, kind):
+        """``sqrt(a^2 + b^2)`` and ``hypot(a, b)`` differ by at most an ulp or so:
+        the exceedance counts are the same, the entries agree to 2e-15."""
+        X = construct(ar1_matrix(0.7, 8), sample_noise(8, 3000, seed=seed))
+        if kind == "preprocessed":
+            X = marginal_transform(X).data
+        elif kind == "tied":
+            X = np.ceil(X * 2.0) / 2.0
+        for q in (0.9, 0.95, 0.975, 0.99):
+            for mass in ("fixed", "estimate"):
+                S = estimate_tpdm(TailSample(X), q, mode="pairwise", mass=mass)
+                want_S, want_K = _hypot_pairwise(X, q, mass)
+                assert np.array_equal(S.k_used, want_K), (q, mass)
+                np.testing.assert_allclose(S.entries, want_S, rtol=2e-15, atol=0)
+
     @pytest.mark.parametrize("X, q, mass", [
         (1.0 + np.arange(80.0).reshape(40, 2), 0.95, "fixed"),  # n < 50
         (1.0 + np.arange(80.0).reshape(40, 2), 1.5, "fixed"),  # n < 50 comes before q
@@ -423,8 +515,8 @@ class TestPairwiseCandidates:
 
 
 # The pair kernels as they were before the lean forms, kept as references: both
-# order statistics from one two-kth partition, radii as the row sum of squares,
-# exceedances by boolean mask.
+# order statistics from one two-kth partition of the radii, every radius taken
+# from the row sum of squares, exceedances by boolean mask.
 def _two_kth_threshold(r, q, n=None):
     if not 0.0 < q < 1.0:
         raise DomainError("radial quantile must lie in (0, 1)")
@@ -440,21 +532,21 @@ def _two_kth_threshold(r, q, n=None):
     return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
-def _row_sum_exceedances(X, q, context=""):
+def _row_sum_exceedances(s, q, cols, context="", n=None):
+    """``_radial_exceedances`` by the reference kernels; ``s`` is taken again
+    from the columns."""
+    X = np.stack(cols, axis=1)
     with np.errstate(over="ignore"):
-        r = np.sqrt(np.sum(X ** 2, axis=1))
-    thr = tpdm._quantile_threshold(r, q)
-    if not thr < np.inf:
-        tpdm._fix_overflowed_radii(X, r)
-        thr = tpdm._quantile_threshold(r, q)
+        r = tpdm._radii(np.sum(X ** 2, axis=1), cols)
+    thr = _two_kth_threshold(r, q, n)
     mask, k = tpdm._strict_exceedances(r, thr, context)
-    rows, radii = X[mask], r[mask]
-    tpdm._fix_overflowed_radii(rows, radii)
-    return rows, radii, k, thr
+    return mask.nonzero()[0], r[mask], k, thr
 
 
-def _mask_pair_moment(a, b, r, n, q_radial, mass):
-    mask, k, _ = tpdm._exceedance_mask(r, q_radial, "pair estimate", n)
+def _mask_pair_moment(a, b, s, n, q_radial, mass):
+    with np.errstate(over="ignore"):
+        r = tpdm._radii(a * a + b * b, (a, b))
+    mask, k = tpdm._strict_exceedances(r, _two_kth_threshold(r, q_radial, n), "pair estimate")
     rk = r[mask]
     m = tpdm._resolve_mass(mass, float(rk.min()), k, n, "fixed", 2.0)
     wk = np.column_stack((a[mask], b[mask])) / rk[:, None]
@@ -462,7 +554,6 @@ def _mask_pair_moment(a, b, r, n, q_radial, mass):
 
 
 def _install_reference_kernels(monkeypatch):
-    monkeypatch.setattr(tpdm, "_quantile_threshold", _two_kth_threshold)
     monkeypatch.setattr(tpdm, "_radial_exceedances", _row_sum_exceedances)
     monkeypatch.setattr(inference, "_radial_exceedances", _row_sum_exceedances)
     monkeypatch.setattr(tpdm, "_pair_moment", _mask_pair_moment)
@@ -529,7 +620,7 @@ def _residual_rows(case):
 
 
 class TestResidualLayouts:
-    """The runner hands its residuals to ``_radial_exceedances`` as the transpose of
+    """The runner hands its residuals to ``_retain_exceedances`` as the transpose of
     a C-ordered (2, n) array, the reference path as an (n, 2) array.  On the same
     residuals both layouts give the rows, radii, threshold and k of the row-sum
     reference, bit for bit.  No product is formed, so this holds on any BLAS."""
@@ -541,9 +632,10 @@ class TestResidualLayouts:
         assert U.flags.c_contiguous and rows_first.flags.f_contiguous
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            want = _row_sum_exceedances(U.copy(), 0.98)
-            got = [tpdm._radial_exceedances(X, 0.98, "residual radii") for X in (U, rows_first)]
-        rows, radii, k, thr = want
+            idx, radii, k, thr = _row_sum_exceedances(None, 0.98, U.T)
+            rows = U[idx]
+            kept = [inference._retain_exceedances(X, 0.98, None) for X in (U, rows_first)]
+        got = [(res.u, res.r, len(res), res.threshold) for res in kept]
         assert np.all(np.isfinite(radii)) and np.isfinite(thr)
         if case == "overflow":  # retained rows mended, threshold untouched
             assert radii.max() > 1e307 and thr < 10.0

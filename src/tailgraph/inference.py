@@ -41,7 +41,7 @@ from .project import (Partition, conditional_ipm, ptc_matrix,  # noqa: F401
                       ptc_matrix_from_inverse, solve_b)
 from .report import _ADJUSTED, PairRecord, PtcTestReport, fixed_critical_value
 from .rvsim import ar1_matrix, construct, sample_noise, theoretical_ipm
-from .tpdm import (TailSample, _radial_exceedances, _resolve_mass, _squares,
+from .tpdm import (_TINY, TailSample, _least, _radial_exceedances, _resolve_mass, _squares,
                    _strict_exceedances, as_matrix, estimate_tpdm)
 from .xlinear import softplus_inv
 
@@ -75,7 +75,7 @@ def residuals(sample, part: Partition, b, q_pred: float = 0.98,
     B = np.asarray(b, dtype=float)
     if B.shape != (len(part.complement), 2):
         raise DimensionError(f"weights must be ({len(part.complement)}, 2), got {B.shape}")
-    return _retain_exceedances(_preimage_residuals(softplus_inv(data), part, B), q_pred, m_trace)
+    return _retain_exceedances(_preimage_residuals(softplus_inv(data).T, part, B), q_pred, m_trace)
 
 
 def _check_unit_interval(**values):
@@ -85,47 +85,48 @@ def _check_unit_interval(**values):
             raise DomainError(f"{name} must lie in (0, 1)")
 
 
-def _preimage_residuals(Y, part: Partition, B):
-    """``Y[:, T] - Y[:, R] B`` for preimages Y, target T and complement R."""
-    return Y[:, list(part.target)] - Y[:, list(part.complement)] @ B
+def _preimage_residuals(Yt, part: Partition, B):
+    """``Yt[T] - B^T Yt[R]``, the residuals as two C-ordered rows, for the
+    preimages Y held as the rows of ``Yt = Y^T``, target T and complement R."""
+    return Yt[list(part.target)] - B.T @ Yt[list(part.complement)]
+
+
+def _tail_rows(U, q_pred: float):
+    """``(idx, r, thr)`` of the residuals, the two rows of U, whose radius
+    exceeds their empirical ``q_pred`` quantile thr."""
+    with np.errstate(over="ignore"):
+        s = _squares(U[0], U[1])
+    idx, r, _, thr = _radial_exceedances(s, q_pred, U, "residual radii")
+    return idx, r, thr
 
 
 def _retain_exceedances(U, q_pred: float, m_trace) -> ResidualSample:
-    """Keep the residual rows whose radius exceeds the empirical ``q_pred`` quantile.
-
-    U is ``(n, 2)`` in any layout: the all-pairs runner passes the transpose
-    of a C-ordered ``(2, n)`` array, whose two rows the squares read
-    contiguously.  ``take`` gathers from a C-ordered copy of its input, so
-    the rows are gathered along the axis that is contiguous, and nothing is
-    copied whole.
-    """
-    with np.errstate(over="ignore"):
-        s = _squares(*U.T)
-    idx, r, _, thr = _radial_exceedances(s, q_pred, U.T, "residual radii")
-    u = U.take(idx, axis=0) if U.flags.c_contiguous else U.T.take(idx, axis=1).T
-    return ResidualSample(u=u, r=r, w=u / r[:, None], n_total=s.size, threshold=thr,
+    """The residuals of :func:`_tail_rows`, U holding all of them as two rows."""
+    idx, r, thr = _tail_rows(U, q_pred)
+    u = U.take(idx, axis=1).T
+    return ResidualSample(u=u, r=r, w=u / r[:, None], n_total=U.shape[1], threshold=thr,
                           m_trace=m_trace)
 
 
-def _estimator_mask(res: ResidualSample, q_res: float | None):
-    """Angular products ``w1 w2`` of the estimator's exceedances, their count and least radius.
+def _estimator_mask(tail, q_res: float | None):
+    """``(prod, r)``: the angular products ``w1 w2`` and radii of the estimator's
+    exceedances, from ``tail = (prod, r, n_total)`` of the retained rows.
 
-    ``q_res=None`` treats every retained row as an exceedance.  Otherwise the
-    target count is ``floor((1 - q_res) * n_total)`` relative to the rows the
-    residuals were computed from; if the retained set is already at or below
-    that count it is used whole, else it is re-thresholded at the matching
-    upper order statistic (strict, ties dropped).  ``q_res`` is checked by
-    the callers.
+    ``q_res=None`` keeps every retained row.  Otherwise a retained set at or
+    below ``floor((1 - q_res) * n_total)`` rows is used whole, else it is
+    re-thresholded at the matching upper order statistic (strict, ties
+    dropped).  ``q_res`` is checked by the callers.
     """
-    k = len(res)
-    k_target = k if q_res is None else int(np.floor((1.0 - q_res) * res.n_total + 1e-9))
+    prod, r, n_total = tail
+    k = r.size
+    k_target = k if q_res is None else math.floor((1.0 - q_res) * n_total + 1e-9)
     if k_target >= k:
-        return res.w[:, 0] * res.w[:, 1], k, float(res.r.min())
+        return prod, r
     # threshold at the (k+1)-th upper order statistic so the strict
     # exceedance count equals k (absent ties, which are dropped)
-    cut = res.r.size - k_target - 1
-    mask, k = _strict_exceedances(res.r, np.partition(res.r, cut)[cut], "residual estimator")
-    return res.w[mask, 0] * res.w[mask, 1], k, float(res.r[mask].min())
+    cut = k - k_target - 1
+    mask, _ = _strict_exceedances(r, np.partition(r, cut)[cut], "residual estimator")
+    return prod[mask], r[mask]
 
 
 def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trace"):
@@ -136,13 +137,15 @@ def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trac
     (``(R_(k)^2/n) k`` on the residual radii) or a positive number.
     """
     _check_unit_interval(q_res=q_res)
-    return _sigma_u(res, _estimator_mask(res, q_res), mass)
+    prod, r = _estimator_mask((res.w[:, 0] * res.w[:, 1], res.r, res.n_total), q_res)
+    return _sigma_u(prod, r, float(prod.sum()), mass, res.n_total, res.m_trace)
 
 
-def _sigma_u(res: ResidualSample, exceedances, mass):
-    prod, k, r_k = exceedances
-    m = _resolve_mass(mass, r_k, k, res.n_total, "trace", res.m_trace)
-    return m / k * float(prod.sum()), m, k
+def _sigma_u(prod, r, total: float, mass, n_total: int, m_trace):
+    """``(sigma_u, m, k)`` from the exceedances' products, radii and product sum."""
+    k = prod.size
+    m = _resolve_mass(mass, _least(r, mass), k, n_total, "trace", m_trace)
+    return m / k * total, m, k
 
 
 def estimate_tau2(res: ResidualSample, m_tilde: float, q_res: float | None = None) -> float:
@@ -150,18 +153,30 @@ def estimate_tau2(res: ResidualSample, m_tilde: float, q_res: float | None = Non
 
     Sample moments over the exceedance angles use 1/(k-1) normalization.
     Raises :class:`DegenerateVarianceError` when the result is not positive,
-    which happens when the angular products carry no spread.
+    which happens when the angular products carry no spread, and
+    :class:`NumericalError` when it lies past the float64 range.
     """
     _check_unit_interval(q_res=q_res)
-    return _tau2(_estimator_mask(res, q_res), m_tilde)
+    prod, _ = _estimator_mask((res.w[:, 0] * res.w[:, 1], res.r, res.n_total), q_res)
+    return _tau2(prod, float(prod.sum()), m_tilde)
 
 
-def _tau2(exceedances, m_tilde: float) -> float:
-    prod, k, _ = exceedances
-    e1 = prod.sum() / (k - 1)
-    e2 = (prod ** 2).sum() / (k - 1)
-    tau2 = float(m_tilde) ** 2 * (e2 - e1 ** 2)
-    if not np.isfinite(tau2) or tau2 <= 0.0:
+def _tau2(prod, total: float, m_tilde: float) -> float:
+    """``tau2`` from the exceedances' products and their sum."""
+    k = prod.size
+    if k < 2:
+        raise DegenerateVarianceError(f"need at least 2 exceedances for tau2, got {k}")
+    e1 = total / (k - 1)
+    spread = float((prod ** 2).sum()) / (k - 1) - e1 ** 2
+    try:
+        try:
+            tau2 = float(m_tilde) ** 2 * spread
+        except OverflowError:  # m~^2 is past the float64 range; m~^2 spread may not be
+            f, e = math.frexp(m_tilde)
+            tau2 = math.ldexp(f ** 2 * spread, 2 * e)
+    except OverflowError:
+        raise NumericalError(f"tau2 lies past the float64 range (m~ = {m_tilde!r})") from None
+    if not math.isfinite(tau2) or tau2 <= 0.0:
         raise DegenerateVarianceError(
             f"angular products have no usable spread (tau2={tau2:.3e})")
     return tau2
@@ -173,7 +188,7 @@ def t_statistic(sigma_u_hat: float, tau2_hat: float, k: int) -> float:
         raise DegenerateVarianceError("tau2 must be positive")
     if k < 2:
         raise DomainError("need k >= 2")
-    return float(sigma_u_hat / np.sqrt(tau2_hat / k))
+    return float(sigma_u_hat / math.sqrt(tau2_hat / k))
 
 
 def _large_a_coefficients(count: int) -> list[float]:
@@ -360,28 +375,23 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
 def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
     """``(Theta, fit)`` where ``fit(pair)`` returns ``(C, sigma_u, tau2, k, t)``.
 
-    ``Y = t^-1(X)``, ``Theta = Gamma^-1`` and ``Z = Y Theta`` are computed once,
-    Z stored by column, as the rows of ``Zt = Theta Y^T`` (Theta is exactly
-    symmetric).  The pair T then has ``C = (Theta_TT)^-1``, the Schur
-    complement of the complement block, and residuals ``U = Z[:, T] C``,
-    formed transposed as one (2, 2) by (2, n) product ``C Zt[T]`` (C is
-    symmetric) on a strided view of the two rows.  The work per pair is O(n)
-    in a few passes over contiguous rows: that product, the squared radii and
-    one partition for their threshold; only the rows above its lower order
-    statistic take a root, and the exceedances, about ``(1 - q_pred) n`` of
-    them, are gathered by index along the rows (see
-    ``tpdm._radial_exceedances``).  ``q_res`` is checked by the callers.
-    Interlacing bounds every complement block's condition number by Gamma's,
-    so no pair can fail the complement gate on this path.
+    ``Y = t^-1(X)``, ``Theta = Gamma^-1`` and ``Zt = Theta Y^T``, the columns
+    of ``Z = Y Theta`` as rows, are computed once.  The pair T then has
+    ``C = (Theta_TT)^-1``, taken on Python floats, and residuals
+    ``U = Z[:, T] C``, the two rows of one (2, 2) by (2, n) product on a
+    strided view of ``Zt[T]``.  Interlacing bounds every complement block's
+    condition number by Gamma's, so no pair fails the complement gate here;
+    one whose ``det(Theta_TT)`` leaves the normal float64 range, on a sample
+    scaled far from unit size, is a :class:`NumericalError`.
 
-    A pair takes the reference path on Y (one complement factorization gives
-    weights and C) when Gamma fails the inversion gate, in which case Theta is
-    None, or when a column of Z it needs is not finite: cells near the
-    float64 maximum can overflow ``Y Theta`` where the complement solve does
-    not.  The reference path still tests the pairs whose complement block is
-    well conditioned.  On both paths a pair whose target lies in the span of
-    its complement, with C's diagonal at rounding level, is a
-    :class:`DegenerateProjectionError` (see ``project._projection_diagonal``).
+    A pair takes the reference path, where one complement factorization gives
+    its weights b and C and its residuals are the rows ``Y^T[T] - b^T Y^T[R]``,
+    when Gamma fails the inversion gate (Theta is then None) or when a column
+    of Z it needs is not finite: cells near the float64 maximum can overflow
+    ``Y Theta`` where the complement solve does not.  On both paths a pair
+    whose target lies in the span of its complement is a
+    :class:`DegenerateProjectionError` (see ``project._check_projection``).
+    ``q_res`` is checked by the callers.
     """
     Y = softplus_inv(sample.data)
     gamma_max = np.abs(as_matrix(sigma_hat)).max()
@@ -390,29 +400,39 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
         theta = project.invert_ipm(sigma_hat).entries
     except ConditioningError:
         theta = None
-        fast = np.zeros(sample.p, dtype=bool)
+        fast = [False] * sample.p
+        Yt = np.ascontiguousarray(Y.T)  # every pair gathers rows of it
     else:
+        Yt = Y.T
         with np.errstate(over="ignore", invalid="ignore"):
-            Zt = theta @ Y.T
-        fast = np.isfinite(Zt).all(axis=1)  # per column: can a pair read it off Z
+            Zt = theta @ Yt
+        fast = np.isfinite(Zt).all(axis=1).tolist()  # per column: can a pair read it off Z
+        th = theta.tolist()
 
     def fit(pair):
         i, j = pair
         if fast[i] and fast[j]:
-            a, c, d = theta[i, i], theta[i, j], theta[j, j]
-            C = np.array([[d, -c], [-c, a]]) / (a * d - c * c)
-            # rows i and j of Zt as a strided view: nothing is copied, and the
-            # product is C-ordered (2, n), its rows the two residual columns
-            U = (C @ Zt[i::j - i][:2]).T
+            a, c, d = th[i][i], th[i][j], th[j][j]
+            det = a * d - c * c
+            if not _TINY <= det < math.inf:
+                raise NumericalError(f"det(Theta_TT) = {det!r} is outside the normal float range")
+            c00, c01, c11 = d / det, -c / det, a / det
+            project._check_projection(min(c00, c11), gamma_max)
+            C = np.array([[c00, c01], [c01, c11]])
+            U = C @ Zt[i::j - i][:2]  # rows i and j of Zt as a strided view: nothing is copied
+            m_trace = c00 + c11
         else:
             part = Partition.pair(i, j, sample.p)
             b, C = project._schur(sigma_hat, part)
-            U = _preimage_residuals(Y, part, b)
-        project._projection_diagonal(C, gamma_max)
-        res = _retain_exceedances(U, q_pred, float(C[0, 0] + C[1, 1]))
-        exceedances = _estimator_mask(res, q_res)  # shared by both moments
-        sigma_u, m_tilde, k = _sigma_u(res, exceedances, "trace")
-        tau2 = _tau2(exceedances, m_tilde)
+            project._check_projection(C.diagonal().min(), gamma_max)
+            U = _preimage_residuals(Yt, part, b)
+            m_trace = float(C[0, 0] + C[1, 1])
+        idx, r, _ = _tail_rows(U, q_pred)
+        n = U.shape[1]
+        prod, r = _estimator_mask(((U[0].take(idx) / r) * (U[1].take(idx) / r), r, n), q_res)
+        total = float(prod.sum())  # shared by both moments
+        sigma_u, m_tilde, k = _sigma_u(prod, r, total, "trace", n, m_trace)
+        tau2 = _tau2(prod, total, m_tilde)
         return C, sigma_u, tau2, k, t_statistic(sigma_u, tau2, k)
 
     return theta, fit

@@ -20,6 +20,7 @@ from .errors import (
     DegenerateProjectionError,
     DimensionError,
     DomainError,
+    NumericalError,
 )
 from .tpdm import IPMatrix, as_matrix
 from .xlinear import tmatmul
@@ -162,29 +163,23 @@ def ptc(gamma, i: int, j: int) -> float:
     """
     G = as_matrix(gamma)
     C = conditional_ipm(G, Partition.pair(i, j, G.shape[0])).matrix
-    d = _projection_diagonal(C, np.abs(G).max())
+    d = C.diagonal()
+    _check_projection(d.min(), np.abs(G).max())
     return float(C[0, 1] / np.sqrt(d[0] * d[1]))
 
 
-def _projection_diagonal(C, gamma_max: float) -> np.ndarray:
-    """Diagonal of a conditional IPM C, gated against targets in the span of
-    the conditioning variables.
-
-    An entry that is <= 0 or below ``1e-14 * gamma_max``, with ``gamma_max``
-    the largest absolute entry of Gamma, raises
-    :class:`DegenerateProjectionError`: such a prediction error is rounding
-    noise.  For ``C = (Theta_TT)^-1`` read off an inverse that passed
-    :func:`invert_ipm`, the gate cannot fire: interlacing gives
+def _check_projection(low: float, gamma_max: float) -> None:
+    """Gate a conditional IPM C against targets in the span of the conditioning
+    variables: its least diagonal entry ``low`` <= 0 or below ``1e-14 *
+    gamma_max``, the largest absolute entry of Gamma, is rounding noise and a
+    :class:`DegenerateProjectionError`.  For ``C = (Theta_TT)^-1`` read off an
+    inverse that passed :func:`invert_ipm` it cannot fire: interlacing gives
     ``C_ii >= 1 / lambda_max(Theta) = lambda_min(Gamma)``, and the 1e12
-    condition gate gives ``lambda_min(Gamma) >= 1e-12 lambda_max(Gamma) >=
-    1e-12 gamma_max``.
+    condition gate ``lambda_min(Gamma) >= 1e-12 gamma_max``.
     """
-    d = C.diagonal()
-    low = d.min()
     if low <= 0.0 or low < 1e-14 * gamma_max:
         raise DegenerateProjectionError(
             "a target lies in the span of the conditioning variables")
-    return d
 
 
 def ptc_from_inverse(gamma_inv, i: int, j: int) -> float:
@@ -202,7 +197,10 @@ def invert_ipm(gamma) -> IPMatrix:
     """Symmetric inverse via factorization, verified to ``|G G^-1 - I| < 1e-8``."""
     G = as_matrix(gamma)
     factor = _spd_factor(G, "inner product matrix")
-    inv = _cho_solve(factor, np.eye(G.shape[0]))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inv = _cho_solve(factor, np.eye(G.shape[0]))
+    if not np.isfinite(inv).all():  # G near the float64 minimum: its inverse overflows
+        raise NumericalError("inverse of the inner product matrix lies past the float64 range")
     inv = (inv + inv.T) / 2.0
     if np.abs(G @ inv - np.eye(G.shape[0])).max() >= 1e-8:
         raise ConditioningError(np.linalg.cond(G), COND_LIMIT, "inverse verification failed")
@@ -213,6 +211,8 @@ def invert_ipm(gamma) -> IPMatrix:
 def ptc_matrix_from_inverse(gamma_inv) -> np.ndarray:
     """All-pairs ``-G_ij / sqrt(G_ii G_jj)`` for an inverse G; diagonal entries are NaN."""
     G = as_matrix(gamma_inv)
+    # a power-of-two scale is exact and keeps each d_i d_j inside the float64 range
+    G = np.ldexp(G, -np.frexp(np.abs(np.diag(G)).max(initial=0.0))[1])
     d = np.diag(G)
     out = -G / np.sqrt(np.outer(d, d))
     np.fill_diagonal(out, np.nan)

@@ -11,29 +11,18 @@ with polar coordinates (r, w) per observation, r_(k) the k-th upper order
 statistic and m the total angular mass (2 per pair after preprocessing,
 ``(r_(k)^2/n) k`` when estimated from raw-scale radii).
 
-The pairwise TPDM reads only tail candidates.  Entries are positive, so a
-pair radius is at least each coordinate and the pair's radius at rank
-``lo = floor((n-1) q)`` is at least ``max(a_i, a_j)``, the columns' own
-order statistics at that rank.  A row with every coordinate below
-``0.7 a`` has a radius below ``0.7 sqrt(2) max(a_i, a_j)``, so it can neither
-set the quantile nor exceed it.  One partition of the sample finds ``a``;
-each pair then works on the union of its two columns' candidates, in row
-order, and gives the bits of the full computation.  The arithmetic costs
-O(np + sum of candidates) instead of O(np^2); what stays linear in n per
-pair is the union of two byte masks.
+The pairwise TPDM reads only tail candidates.  Entries are positive, so
+the pair's radius at rank ``lo = floor((n-1) q)`` is at least
+``max(a_i, a_j)``, the columns' own order statistics at that rank, while a
+row with both coordinates below ``0.7 a`` has a radius below
+``0.7 sqrt(2) max(a_i, a_j)``: it can neither set the quantile nor exceed
+it.  Each pair works on the union of its columns' candidates, in row order,
+and gives the bits of the full computation in O(np + sum of candidates).
 
-A radius is ``sqrt(sum x^2)``, the root of the float64 sum of squares; a
-row whose sum of squares lies outside ``[tiny, inf)``, where the squares
-underflowed or overflowed, takes ``m ||x / m||`` instead, m its largest
-magnitude.  Every tail set, the TPDM's and the residuals', is one call of
-:func:`_radial_exceedances` on the squared radii.  The pair radius was
-``hypot(a, b)`` before, which differs by at most an ulp or so: on a grid of
-81 all-pairs runs on AR(0.7) samples (seeds 1, 5, 9; (p, n) of (30, 10k),
-(10, 40k), (6, 3k); the pairwise TPDM with fixed mass on rank-transformed
-samples, with estimated mass on raw ones, and the global TPDM; q_radial
-0.95, q_pred 0.98, q_res None, 0.98, 0.99) the pairwise entries moved by at most 6.5e-16 relative, the t statistics
-by at most 3.1e-14 times ``max(1, |t|)``, and every k, rejection, error
-and critical value stayed the same.
+A radius is ``sqrt(sum x^2)``; a row whose sum of squares underflowed or
+overflowed (lies outside ``[tiny, inf)``) takes ``m ||x / m||``, m its
+largest magnitude.  Every tail set, the TPDM's and the residuals', is one
+call of :func:`_radial_exceedances` on the squared radii.
 """
 
 from __future__ import annotations
@@ -234,8 +223,11 @@ def _order_statistics(v: np.ndarray, q: float, n: int):
     ``floor((n-1) q)``-th smallest a, the next b and the fraction g between.
 
     ``v`` holds, in any order, every value at or above a (by default all n of
-    them).  One partition at a, shifted by the ``n - v.size`` values left
-    out, puts every larger value after it; b is the smallest of those.
+    them), each a square, a sum of squares or a root of one: +0, positive,
+    +inf or NaN.  For these the unsigned order of the bit patterns is numpy's
+    order of the values, every NaN of either sign last.  So one integer
+    partition at a, shifted by the ``n - v.size`` values left out, puts
+    every larger value after it, and b is the integer minimum of those.
     """
     if not 0.0 < q < 1.0:
         raise DomainError("radial quantile must lie in (0, 1)")
@@ -244,11 +236,10 @@ def _order_statistics(v: np.ndarray, q: float, n: int):
     h = (n - 1) * q  # numpy's virtual index; a rewritten form changes the last bit
     lo = math.floor(h)
     kth = lo - (n - v.size)  # the values left out all lie below the lo-th smallest
-    part = np.partition(v, kth)
+    bits = np.partition(v.view(np.uint64), kth)
+    part = bits.view(np.float64)
     a = float(part[kth])
-    # fmin skips NaN, which a partition sorts last: a NaN is the upper
-    # statistic only when nothing else lies above the lower one
-    b = float(np.fmin.reduce(part[kth + 1:])) if kth + 1 < v.size else a
+    b = float(part[kth + 1 + bits[kth + 1:].argmin()]) if kth + 1 < v.size else a
     return a, b, h - lo
 
 
@@ -256,22 +247,15 @@ def _radial_exceedances(s: np.ndarray, q: float, cols, context: str = "", n: int
     """Rows whose L2 radius strictly exceeds the empirical q-quantile of n
     radii: ``(idx, radii, k, threshold)``, ``idx`` indexing ``s``.
 
-    ``s`` holds the rows' squared radii ``sum x^2`` and ``cols`` their
-    columns (``c[i]`` for c in cols is row i), read only to mend a radius
-    (see :func:`_radii`).  ``s`` holds every row at or above the
-    ``floor((n-1) q)``-th smallest radius, in any order (by default all n).
-    The threshold is numpy's ``linear`` quantile of the radii, bit for bit.
-    ``sqrt`` is monotone and correctly rounded, so the order statistics of
-    the radii are the roots of those of ``s``: one partition of ``s`` gives
-    them, the two are blended as numpy's ``_lerp`` does, and only the rows
-    above the lower one, which hold every exceedance, take a root.  When an
-    order statistic lies outside ``[tiny, inf)``, where the squares
-    underflowed or overflowed, every radius is mended and the threshold is
-    taken again on them; otherwise a row whose square underflows ranks below
-    every other and one whose square overflows above.  The residual
-    thresholds keep their bits; the pair radii moved by about an ulp from
-    ``hypot``, and the all-pairs t by at most 3.1e-14 times ``max(1, |t|)``
-    (see the module docstring).
+    ``s`` holds the squared radii ``sum x^2`` of every row at or above the
+    ``floor((n-1) q)``-th smallest radius, in any order (by default all n),
+    and ``cols`` their columns (``c[i]`` for c in cols is row i), read only
+    to mend a radius (see :func:`_radii`).  The threshold is numpy's
+    ``linear`` quantile of the radii, bit for bit: ``sqrt`` is monotone and
+    correctly rounded, so the roots of the order statistics of ``s``, blended
+    as numpy's ``_lerp`` does, give it, and only the rows above the lower
+    one take a root.  When an order statistic lies outside ``[tiny, inf)``
+    every radius is mended and the threshold taken again on them.
 
     Raises :class:`InsufficientExceedancesError` when k < MIN_EXCEEDANCES.
     """
@@ -279,7 +263,8 @@ def _radial_exceedances(s: np.ndarray, q: float, cols, context: str = "", n: int
     a, b, g = _order_statistics(s, q, n)
     if a >= _TINY and b < np.inf:
         rows = (s > a).nonzero()[0]
-        r = _radii(s.take(rows), cols, rows)
+        above = s.take(rows)  # at least tiny: only an overflowed square needs mending
+        r = _radii(above, cols, rows) if rows.size and above.max() == np.inf else np.sqrt(above)
         a, b = math.sqrt(a), math.sqrt(b)
     else:  # also NaN, which leaves no exceedance
         rows = None
@@ -296,11 +281,9 @@ def _radii(s: np.ndarray, cols, rows=None) -> np.ndarray:
     """The L2 radii ``sqrt(s)`` of rows whose squared radii are ``s``.
 
     Row i has the coordinates ``c[rows[i]]`` for c in ``cols`` (``c[i]`` when
-    rows is None).  Where ``s[i]`` lies outside ``[tiny, inf)`` the squares
-    underflowed or overflowed float64, and the radius is taken again as
-    ``m ||x / m||``, m the row's largest magnitude; every other radius keeps
-    the bits of the plain formula.  A zero row keeps radius 0, and a row
-    whose norm lies past the float64 range keeps inf.
+    rows is None).  Where ``s[i]`` lies outside ``[tiny, inf)`` the radius
+    is taken again as ``m ||x / m||``, m the row's largest magnitude.  A zero
+    row keeps radius 0, and one whose norm is past the float64 range inf.
     """
     r = np.sqrt(s)
     bad = ((s < _TINY) | (s == np.inf)).nonzero()[0]
@@ -356,9 +339,14 @@ def _pair_moment(a, b, s, n: int, q_radial: float, mass):
     (see :func:`_radial_exceedances`); ``(wa, wb)`` are the exceedances' unit
     angles, the only ones formed."""
     idx, rk, k, _ = _radial_exceedances(s, q_radial, (a, b), "pair estimate", n)
-    m = _resolve_mass(mass, float(rk.min()), k, n, "fixed", 2.0)
+    m = _resolve_mass(mass, _least(rk, mass), k, n, "fixed", 2.0)
     wa, wb = a.take(idx) / rk, b.take(idx) / rk
-    return m / k * float(np.sum(wa * wb)), k, wa, wb
+    return m / k * float((wa * wb).sum()), k, wa, wb
+
+
+def _least(radii: np.ndarray, mass):
+    """The least exceedance radius, r_(k), which only ``mass="estimate"`` reads."""
+    return float(radii.min()) if mass == "estimate" else None
 
 
 def estimate_sigma_pair(xi, xj, q_radial: float = 0.95, mass="fixed"):
@@ -367,12 +355,8 @@ def estimate_sigma_pair(xi, xj, q_radial: float = 0.95, mass="fixed"):
     ``mass`` is "fixed" (total mass 2, unit-scale margins), "estimate"
     (``(r_(k)^2/n) k`` from the pair radii), or a positive number used
     verbatim.  Returns ``(sigma_hat, k, angles)`` where ``angles`` are the
-    retained unit vectors, kept for variance estimation.  The radius is
-    ``sqrt(a^2 + b^2)``, mended where the squares leave the normal float64
-    range (see :func:`_radii`); against the earlier ``hypot(a, b)`` an entry
-    moves by about an ulp, and the all-pairs t statistics by at most 3.1e-14
-    times ``max(1, |t|)`` (see the module docstring).  Zero rows are dropped
-    as in :func:`polar2`.
+    retained unit vectors, kept for variance estimation.  Zero rows are
+    dropped as in :func:`polar2`.
     """
     a, b, s, _ = _pair_radii(xi, xj)
     _check_pair_sample(a.size, q_radial)
@@ -388,12 +372,12 @@ def _check_pair_sample(n: int, q_radial: float):
         raise DomainError("radial quantile must lie in (0, 1)")
 
 
-def _tail_candidates(X: np.ndarray, q_radial: float) -> np.ndarray:
-    """``(p, n)`` mask of each column's tail candidates: its rows at or above
-    ``CANDIDATE_FACTOR`` times its ``floor((n-1) q)``-th smallest value."""
-    lo = math.floor((X.shape[0] - 1) * q_radial)
-    a = np.partition(X, lo, axis=0)[lo]
-    return np.ascontiguousarray((X >= CANDIDATE_FACTOR * a).T)
+def _tail_candidates(cols: np.ndarray, q_radial: float) -> np.ndarray:
+    """``(p, n)`` mask of the tail candidates of each row of ``cols``: its entries
+    at or above ``CANDIDATE_FACTOR`` times its ``floor((n-1) q)``-th smallest."""
+    lo = math.floor((cols.shape[1] - 1) * q_radial)
+    a = np.array([np.partition(c, lo)[lo] for c in cols])  # by row: no copy of the whole
+    return cols >= CANDIDATE_FACTOR * a[:, None]
 
 
 def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairwise",
@@ -405,11 +389,7 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
     the full p-vector radius (the convention for simulation studies).  With
     ``mass="fixed"`` the total mass is 2 per pair, or p for the global radius,
     which presumes unit-scale margins.  Each pair reads only its tail
-    candidates and gives the bits of :func:`estimate_sigma_pair` on the
-    whole columns.  A radius is ``sqrt(sum x^2)``, mended where the squares
-    leave the normal float64 range (see :func:`_radii`); the pair radius
-    used to be ``hypot``, and the t statistics of the all-pairs test moved by
-    at most 3.1e-14 times ``max(1, |t|)`` (see the module docstring).
+    candidates and gives the bits of :func:`estimate_sigma_pair`.
     """
     X = sample.data
     n, p = X.shape
@@ -417,7 +397,7 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
         with np.errstate(over="ignore"):
             s = np.sum(X ** 2, axis=1)
         idx, radii, k, _ = _radial_exceedances(s, q_radial, X.T, "global TPDM")
-        m = _resolve_mass(mass, float(radii.min()), k, n, "fixed", p)
+        m = _resolve_mass(mass, _least(radii, mass), k, n, "fixed", p)
         W = X.take(idx, axis=0) / radii[:, None]
         S = (m / k) * (W.T @ W)
         return IPMatrix(S, kind="estimated", k_used=np.full((p, p), k), mass=m)
@@ -427,8 +407,8 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
     K = np.zeros((p, p), dtype=int)
     if p:
         _check_pair_sample(n, q_radial)
-        cand = _tail_candidates(X, q_radial)
         cols = np.ascontiguousarray(X.T)  # a pair's gathers read two contiguous rows
+        cand = _tail_candidates(cols, q_radial)
     with np.errstate(over="ignore"):
         for i in range(p):
             for j in range(i, p):

@@ -232,6 +232,53 @@ class TestPtcTestCmd:
         assert len(lines) == 7
 
 
+    def test_report_csv_cells_are_plain_numbers(self, tmp_path, bigger_sim):
+        """sigma_u, tau2 and t are written as float reprs that read back exactly."""
+        assert run("ptc-test", "--input", bigger_sim, "--mode", "global", "--mass", "estimate",
+                   "--out-prefix", tmp_path / "r") == 0
+        report = json.loads((tmp_path / "r_report.json").read_text())
+        with open(tmp_path / "r_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row, rec in zip(rows, report["pairs"]):
+            assert [float(row[key]) for key in ("sigma_u", "tau2", "t")] == \
+                [rec["sigma_u"], rec["tau2"], rec["t"]]
+
+
+class TestCliInvariance:
+    """Identities of the CLI on its own files, in fresh interpreters."""
+
+    @pytest.fixture()
+    def sample_csv(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert run_process("simulate", "--p", 5, "--n", 3000, "--seed", 4, "--out", out)[0] == 0
+        return out
+
+    def test_preprocess_is_idempotent(self, tmp_path, sample_csv):
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        assert run_process("preprocess", "--input", sample_csv, "--output", once)[0] == 0
+        assert run_process("preprocess", "--input", once, "--output", twice)[0] == 0
+        assert twice.read_bytes() == once.read_bytes()
+
+    def test_column_permutation_permutes_the_report(self, tmp_path, sample_csv):
+        """k, rejections and the critical value are equal; t moves by rounding
+        only, since the runner's products see the columns in another order."""
+        columns, X = read_csv_matrix(str(sample_csv))
+        perm = [3, 0, 4, 2, 1]
+        permuted = tmp_path / "perm.csv"
+        permuted.write_text(_format_matrix_csv(X[:, perm], [columns[c] for c in perm]))
+        reports = []
+        for name, src in (("a", sample_csv), ("b", permuted)):
+            assert run_process("ptc-test", "--input", src, "--out-prefix", tmp_path / name)[0] == 0
+            reports.append(json.loads((tmp_path / f"{name}_report.json").read_text()))
+        want, got = ({frozenset(r["names"]): r for r in rep["pairs"]} for rep in reports)
+        assert reports[1]["critical_value"] == reports[0]["critical_value"]
+        assert got.keys() == want.keys()
+        for key, rec in got.items():
+            ref = want[key]
+            assert (rec["k"], rec["reject"], rec["error"]) == (ref["k"], ref["reject"], ref["error"])
+            assert abs(rec["t"] - ref["t"]) <= 5.6e-15 * abs(ref["t"])
+
+
 class TestCoverageCmd:
     def test_reproducible_summary(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -392,6 +439,12 @@ def _write_inputs(tmp_path, case):
             X[7, 1] = np.nan
         prep.write_text(_format_matrix_csv(X, ["a", "b", "c"]))
         (tmp_path / "prep.csv.json").write_text("{bad")
+    elif case in ("ptc-test on a sample scaled by 1e78", "ptc-test on a sample scaled by 1e100"):
+        # every pair's tau2 (1e78) or the 2 x 2 inverse of its precision block (1e100)
+        # leaves the float64 range: each pair fails, and so does the Bonferroni cut
+        X = construct(ar1_matrix(0.7, 5), sample_noise(5, 4000, seed=3))
+        prep.write_text(_format_matrix_csv(X * float(case.rsplit("by ", 1)[1]),
+                                           [f"X{i + 1}" for i in range(5)]))
     elif case == "ptc-test on an exact copy":
         X = construct(ar1_matrix(0.6, 5), sample_noise(5, 4000, seed=13))
         prep.write_text(_format_matrix_csv(with_copied_column(X, 2, jitter=0.0),
@@ -439,6 +492,12 @@ def _write_inputs(tmp_path, case):
                                     "--out-prefix", tmp_path / "t"],
         "ptc-test on an exact copy": ["ptc-test", "--input", prep, "--mode", "global",
                                       "--mass", "estimate", "--out-prefix", tmp_path / "t"],
+        "ptc-test on a sample scaled by 1e78": ["ptc-test", "--input", prep, "--mode", "global",
+                                                "--mass", "estimate", "--out-prefix",
+                                                tmp_path / "t"],
+        "ptc-test on a sample scaled by 1e100": ["ptc-test", "--input", prep, "--mode", "global",
+                                                 "--mass", "estimate", "--out-prefix",
+                                                 tmp_path / "t"],
         "coverage --level 0.9999999999999999": ["coverage", "--n", 1000, "--reps", 100,
                                                 "--seed", 1, "--radial-quantile", 0.9,
                                                 "--level", "0.9999999999999999",
@@ -493,6 +552,8 @@ FAILURE_TABLE = [
     ("graph --critical fixed:inf", 2),
     ("ptc-test --alpha 1e-300", 4),  # the Bonferroni t quantile is infinite
     ("ptc-test on an exact copy", 4),  # every pair fails: no Bonferroni critical value
+    ("ptc-test on a sample scaled by 1e78", 4),  # every tau2 overflows
+    ("ptc-test on a sample scaled by 1e100", 4),  # every det(Theta_TT) underflows
     ("coverage --level 0.9999999999999999", 4),  # (1 + level) / 2 rounds to 1
     ("report with infinite critical value", 3),
     ("graph --json into a missing directory", 3),  # the DOT file is not written either

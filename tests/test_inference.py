@@ -851,3 +851,86 @@ class TestRunnerInvariance:
         for rec, ref in zip(got.records, want.records):
             _assert_same_outcome(rec, ref)
             assert rec.reject == ref.reject
+
+
+def _records_or_error(X, mode, mass, cv_method="bonferroni"):
+    """Each record's (k, t, reject, error class), or the class of the run's error."""
+    try:
+        report = ptc_test_all_pairs(TailSample(X), tpdm_mode=mode, tpdm_mass=mass,
+                                    cv_method=cv_method)
+    except TailgraphError as exc:
+        return type(exc).__name__
+    return [(r.k, r.t_stat, r.reject, r.error and r.error.split(":")[0]) for r in report.records]
+
+
+class TestScaleContract:
+    """Any positive finite sample gives records or one documented error, never a
+    stray exception or a numpy warning.  With an estimated mass, Gamma scales as
+    c^2, det(Theta_TT) as c^-4 and tau2 as c^4: past about c = 1e77 a pair's
+    tau2 or its 2 x 2 inverse leaves the float64 range."""
+
+    @pytest.mark.parametrize("mode", ["global", "pairwise"])
+    @pytest.mark.parametrize("scale", [1e78, 1e100])
+    def test_far_scaled_pairs_fail_as_numerical_errors(self, mode, scale):
+        """At 1e78 m~^2 overflowed in tau2, at 1e100 the 2 x 2 inverse divided by
+        an underflowed det.  Both are per-pair errors now."""
+        X = construct(ar1_matrix(0.7, 5), sample_noise(5, 4000, seed=3)) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = ptc_test_all_pairs(TailSample(X), tpdm_mode=mode, tpdm_mass="estimate",
+                                        cv_method="fixed:3.0")
+            with pytest.raises(DegenerateVarianceError, match="every pair failed"):
+                ptc_test_all_pairs(TailSample(X), tpdm_mode=mode, tpdm_mass="estimate")
+        assert {r.error.split(":")[0] for r in report.records} == {"NumericalError"}
+
+    @pytest.mark.parametrize("mode", ["global", "pairwise"])
+    def test_inverse_past_the_float_range_is_numerical_error(self, mode):
+        """At 1e-160 the TPDM is subnormal and its inverse overflows; this was a
+        symmetry DomainError after an overflow warning in the triangular solve."""
+        X = construct(ar1_matrix(0.7, 5), sample_noise(5, 4000, seed=3)) * 1e-160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="inverse of the inner product matrix"):
+                ptc_test_all_pairs(TailSample(X), tpdm_mode=mode, tpdm_mass="estimate")
+
+    def test_tau2_past_the_float_range_only_when_it_is(self):
+        """m~^2 overflows but m~^2 times the spread does not: tau2 is still taken."""
+        w = np.column_stack([np.cos(np.linspace(0.1, 1.4, 40)), np.sin(np.linspace(0.1, 1.4, 40))])
+        res = make_residual_sample(w)
+        base = estimate_tau2(res, 1.0)
+        assert 0.0 < base < 2.0 ** -2
+        m = 2.0 ** 513  # m^2 = 2^1026 overflows, m^2 * base does not
+        assert estimate_tau2(res, m) == math.ldexp(base, 1026)
+        with pytest.raises(NumericalError, match="float64 range"):
+            estimate_tau2(res, 2.0 ** 540)
+
+    @settings(max_examples=30)
+    @given(draw=_ar_draws(), e=st.integers(-1074, 1023),
+           mass=st.sampled_from(["estimate", "fixed"]))
+    def test_power_of_two_scales_raise_only_tailgraph_errors(self, draw, e, mass):
+        (X, (mode, _)) = draw
+        with np.errstate(under="ignore", over="ignore"):  # 0 or inf cells: a DataError
+            X = np.ldexp(X, e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _records_or_error(X, mode, mass)
+
+    @settings(max_examples=20)
+    @given(draw=_ar_draws(), e=st.integers(0, 240))
+    def test_power_of_two_scale_keeps_finite_records(self, draw, e):
+        """Scaled by 2^20 the preimages are the data, and a further power-of-two
+        scale is exact but for the squares of ``m~`` and ``r_(k)``, taken by
+        libm's ``pow``, which is not always correctly rounded: each pair that
+        still has finite statistics keeps its k, rejection and error, and t to
+        4 ulp.  A fixed critical value keeps the run going when every pair has
+        left the range."""
+        X = np.ldexp(draw[0], 20)
+        want = _records_or_error(X, "global", "estimate", "fixed:3.0")
+        got = _records_or_error(np.ldexp(X, e), "global", "estimate", "fixed:3.0")
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            return
+        for g, w in zip(got, want):
+            if g[3] != "NumericalError":
+                assert (g[0], g[2], g[3]) == (w[0], w[2], w[3])
+                assert g[1] == w[1] or abs(g[1] - w[1]) <= 4 * np.spacing(abs(w[1]))

@@ -412,6 +412,61 @@ class TestExceedanceThreshold:
         assert sub_radii.tobytes() == radii.tobytes()
 
 
+def _float_order_statistics(v, q, n):
+    """``tpdm._order_statistics`` as a float64 partition: a at the shifted kth,
+    b the least non-NaN value after it (NaN when there is none)."""
+    h = (n - 1) * q
+    kth = math.floor(h) - (n - v.size)
+    part = np.partition(v, kth)
+    b = np.fmin.reduce(part[kth + 1:]) if kth + 1 < v.size else part[kth]
+    return float(part[kth]), float(b), h - math.floor(h)
+
+
+# The values a square, a sum of squares or a root of one can take.  Arithmetic
+# makes only quiet NaNs; fmin, the reference's reduction, returns NaN for a
+# signaling one.
+_SPECIAL_BITS = {
+    "zero": 0, "min_subnormal": 1, "subnormal": 0x000F_FFFF_FFFF_FFFF, "tiny": 0x0010 << 48,
+    "inf": 0x7FF0 << 48, "nan": 0x7FF8 << 48, "nan_payload": (0x7FF8 << 48) | 5,
+    "negative_nan": 0xFFF8 << 48, "negative_nan_payload": (0xFFF8 << 48) | 3,
+}
+
+
+class TestOrderStatistics:
+    """The unsigned partition of ``_order_statistics`` against a float64 partition."""
+
+    @given(n=st.integers(1, 400), q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           kinds=st.lists(st.sampled_from(["normal", "normal", *_SPECIAL_BITS]), min_size=1,
+                          max_size=6, unique=True),
+           subset=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=200, q=0.95, kinds=["normal", "nan", "negative_nan"], subset=True, seed=0)
+    @example(n=50, q=0.5, kinds=["inf", "negative_nan", "zero"], subset=False, seed=1)
+    def test_bit_identical_to_float_partition(self, n, q, kinds, subset, seed):
+        """Bit for bit on ``+0``, subnormals, normal values, ``+inf`` and NaNs of
+        both signs, on all n values and on a subset holding every value at or
+        above a.  A NaN result compares as NaN: a float partition leaves NaNs in
+        no defined order, so which one lands at kth is arbitrary there."""
+        rng = np.random.default_rng(seed)
+        pick = rng.choice(len(kinds), n)
+        bits = rng.pareto(2.0, n).view(np.uint64)  # normal values
+        for c, kind in enumerate(kinds):
+            if kind != "normal":
+                bits[pick == c] = _SPECIAL_BITS[kind]
+        full = bits.view(np.float64)
+        v = full
+        if subset:  # every value from the floor((n-1) q)-th smallest up, and a few below
+            order = np.argsort(full, kind="stable")
+            rank = np.empty(n, dtype=int)
+            rank[order] = np.arange(n)
+            v = rng.permutation(full[(rank >= math.floor((n - 1) * q)) | (rng.random(n) < 0.3)])
+        got = tpdm._order_statistics(v.copy(), q, n)
+        want = _float_order_statistics(v.copy(), q, n)
+        assert got[2] == want[2]
+        for g, w in zip(got[:2], want[:2]):
+            assert (math.isnan(g) and math.isnan(w)) or np.float64(g).tobytes() == \
+                np.float64(w).tobytes()
+
+
 def _reference_pairwise(X, q, mass):
     """The pairwise TPDM as it was before tail candidates: every pair on its whole columns."""
     p = X.shape[1]
@@ -620,10 +675,11 @@ def _residual_rows(case):
 
 
 class TestResidualLayouts:
-    """The runner hands its residuals to ``_retain_exceedances`` as the transpose of
-    a C-ordered (2, n) array, the reference path as an (n, 2) array.  On the same
-    residuals both layouts give the rows, radii, threshold and k of the row-sum
-    reference, bit for bit.  No product is formed, so this holds on any BLAS."""
+    """``_retain_exceedances`` takes the residuals as two rows: a C-ordered (2, n)
+    array, as both runner paths form them, or the transpose of an (n, 2) array.
+    On the same residuals both layouts give the rows, radii, threshold and k of
+    the row-sum reference, bit for bit.  No product is formed, so this holds on
+    any BLAS."""
 
     @pytest.mark.parametrize("case", ["overflow", "inf_threshold", "ties"])
     def test_both_layouts_give_the_reference_bits(self, case):
@@ -634,7 +690,7 @@ class TestResidualLayouts:
             warnings.simplefilter("error")
             idx, radii, k, thr = _row_sum_exceedances(None, 0.98, U.T)
             rows = U[idx]
-            kept = [inference._retain_exceedances(X, 0.98, None) for X in (U, rows_first)]
+            kept = [inference._retain_exceedances(X.T, 0.98, None) for X in (U, rows_first)]
         got = [(res.u, res.r, len(res), res.threshold) for res in kept]
         assert np.all(np.isfinite(radii)) and np.isfinite(thr)
         if case == "overflow":  # retained rows mended, threshold untouched

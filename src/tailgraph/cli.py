@@ -229,12 +229,13 @@ def _mass_arg(value: str):
     raise argparse.ArgumentTypeError("mass must be 'fixed2' or 'estimate'")
 
 
-def _critical_arg(value: str):
-    """'bonferroni' or 'none' as given; 'fixed:<c>' as the float c, parsed by the library."""
-    if value in _ADJUSTED:
+def _critical_arg(value: str, named=_ADJUSTED):
+    """A method in ``named`` as given; 'fixed:<c>' as the float c, parsed by the library."""
+    if value in named:
         return value
     if not value.startswith("fixed:"):
-        raise argparse.ArgumentTypeError("critical must be 'bonferroni', 'none' or 'fixed:<c>'")
+        raise argparse.ArgumentTypeError(
+            f"critical must be {' or '.join([*map(repr, named), repr('fixed:<c>')])}")
     try:
         return fixed_critical_value(value)
     except DomainError as exc:
@@ -352,12 +353,7 @@ def cmd_size_power(args, inference) -> int:
 
 
 def cmd_graph(args, graphx) -> int:
-    if bool(args.report) == bool(args.stats):
-        raise DataError("exactly one of --report or --stats is required")
-    if args.critical in _ADJUSTED:
-        print("error: graph takes --critical fixed:<c> only", file=sys.stderr)
-        return EXIT_USAGE
-    if args.report:
+    if args.report is not None:
         try:
             with open(args.report) as fh:
                 report = PtcTestReport.from_dict(json.load(fh))
@@ -368,8 +364,6 @@ def cmd_graph(args, graphx) -> int:
         graph = graphx.build_graph(report)
     else:
         columns, T = read_csv_matrix(args.stats)
-        if args.critical is None:
-            raise DataError("--critical fixed:<c> is required with --stats")
         graph = graphx.graph_from_stats(T, columns, args.critical)
     outputs = [(args.out, graphx.emit_dot(graph, width_scale=args.width_scale))]
     if args.json:
@@ -457,9 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--critical", type=_critical_arg, default="bonferroni")
 
     gr = sub.add_parser("graph", help="emit a DOT graph from a report or a statistic matrix")
-    gr.add_argument("--report", default=None, help="report JSON from ptc-test")
-    gr.add_argument("--stats", default=None, help="square CSV of test statistics")
-    gr.add_argument("--critical", type=_critical_arg, default=None)
+    source = gr.add_mutually_exclusive_group(required=True)
+    source.add_argument("--report", help="report JSON from ptc-test")
+    source.add_argument("--stats", help="square CSV of test statistics")
+    gr.add_argument("--critical", type=lambda value: _critical_arg(value, named=()))
     gr.add_argument("--width-scale", type=_positive_float_arg, default=4.0)
     gr.add_argument("--out", required=True)
     gr.add_argument("--json", default=None, help="also write JSON adjacency here")
@@ -470,6 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "stats", None) is not None and args.critical is None:
+        parser.error("graph --stats needs --critical fixed:<c>")
     n, p = getattr(args, "n", 1), getattr(args, "p", 4)  # coverage samples four variables
     if 8 * max(n * p, p * p) > np.iinfo(np.intp).max:  # float64 sample, coefficient matrix
         parser.error(f"--n {n} and --p {p} exceed the largest array size")

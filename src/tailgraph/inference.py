@@ -167,13 +167,11 @@ def _tau2(prod, total: float, m_tilde: float) -> float:
     if k < 2:
         raise DegenerateVarianceError(f"need at least 2 exceedances for tau2, got {k}")
     e1 = total / (k - 1)
-    spread = float((prod ** 2).sum()) / (k - 1) - e1 ** 2
+    spread = float((prod ** 2).sum()) / (k - 1) - e1 * e1
+    # m~ = f 2^e: m~^2 is never formed, so it cannot overflow where m~^2 spread does not
+    f, e = math.frexp(m_tilde)
     try:
-        try:
-            tau2 = float(m_tilde) ** 2 * spread
-        except OverflowError:  # m~^2 is past the float64 range; m~^2 spread may not be
-            f, e = math.frexp(m_tilde)
-            tau2 = math.ldexp(f ** 2 * spread, 2 * e)
+        tau2 = math.ldexp(f * f * spread, 2 * e)
     except OverflowError:
         raise NumericalError(f"tau2 lies past the float64 range (m~ = {m_tilde!r})") from None
     if not math.isfinite(tau2) or tau2 <= 0.0:

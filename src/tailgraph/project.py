@@ -187,10 +187,9 @@ def ptc_from_inverse(gamma_inv, i: int, j: int) -> float:
     G = as_matrix(gamma_inv)
     if i == j or not (0 <= i < G.shape[0] and 0 <= j < G.shape[0]):
         raise DomainError("need two distinct indices inside the matrix")
-    d_i, d_j = G[i, i], G[j, j]
-    if d_i <= 0.0 or d_j <= 0.0:
+    if G[i, i] <= 0.0 or G[j, j] <= 0.0:
         raise DegenerateProjectionError("inverse has a nonpositive diagonal entry")
-    return float(-G[i, j] / np.sqrt(d_i * d_j))
+    return float(ptc_matrix_from_inverse(G[np.ix_((i, j), (i, j))])[0, 1])
 
 
 def invert_ipm(gamma) -> IPMatrix:

@@ -113,9 +113,7 @@ def theoretical_ipm(A) -> IPMatrix:
 
 def theoretical_tpdm(A) -> IPMatrix:
     """TPDM ``A0 A0'`` with A0 the clipped matrix; equals the IPM when A >= 0."""
-    M = zero_clip(A)
-    G = M @ M.T
-    return IPMatrix((G + G.T) / 2.0, kind="theoretical")
+    return theoretical_ipm(zero_clip(A))
 
 
 def angular_points(A) -> list[AngularPointMass]:

@@ -315,10 +315,10 @@ def _resolve_mass(mass, r_k: float, k: int, n: int, name: str = "fixed", value=N
     number used verbatim.
     """
     if mass == "estimate":
-        try:
-            return r_k ** 2 / n * k
-        except OverflowError:  # r_k past the square root of the float64 range
-            raise NumericalError(f"estimated mass overflows: threshold radius {r_k!r}") from None
+        m = r_k * r_k / n * k  # not r_k ** 2: libm's pow is not correctly rounded
+        if m == math.inf:
+            raise NumericalError(f"estimated mass overflows: threshold radius {r_k!r}")
+        return m
     if mass == name:
         if value is None:
             raise DomainError(f"mass={name!r} needs a value for this sample")

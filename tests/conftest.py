@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
-    "default", max_examples=50, deadline=None,
+    "default", max_examples=50, deadline=None, print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")

@@ -392,15 +392,19 @@ class TestGraphCmd:
         assert payload["skipped_pairs"] == [[1, 2, "ConditioningError: x"]]
 
     def test_needs_exactly_one_source(self, tmp_path):
-        assert run("graph", "--out", tmp_path / "g.dot") == 3
+        for sources in ([], ["--report", "r.json", "--stats", NO2_FIXTURE]):
+            with pytest.raises(SystemExit) as exit_info:
+                run("graph", *sources, "--critical", "fixed:2", "--out", tmp_path / "g.dot")
+            assert exit_info.value.code == 2
 
     @pytest.mark.parametrize("source", ["--report", "--stats"])
     def test_non_fixed_critical_is_usage_error(self, tmp_path, capsys, source):
         path = tmp_path / "r.json"
         path.write_text(json.dumps({"columns": ["a", "b", "c"], "critical_value": 3.0,
                                     "pairs": []}))
-        assert run("graph", source, path, "--critical", "bonferroni",
-                   "--out", tmp_path / "g.dot") == 2
+        with pytest.raises(SystemExit) as exit_info:
+            run("graph", source, path, "--critical", "bonferroni", "--out", tmp_path / "g.dot")
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "fixed:<c>" in err
         assert not (tmp_path / "g.dot").exists()
@@ -423,8 +427,11 @@ class TestGraphCmd:
         assert exit_info.value.code == 2
         assert capsys.readouterr().err.rstrip().endswith(f"argument --critical: {lib.value}")
 
-    def test_stats_requires_critical(self, tmp_path):
-        assert run("graph", "--stats", NO2_FIXTURE, "--out", tmp_path / "g.dot") == 3
+    def test_stats_requires_critical(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run("graph", "--stats", NO2_FIXTURE, "--out", tmp_path / "g.dot")
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 def _write_inputs(tmp_path, case):
@@ -835,7 +842,7 @@ _REPS = ["0", "-1", "1", "2", "abc"]
 _CRITICALS = ["bonferroni", "none", "holm", "fixed:", "fixed:2.5", "fixed:-3", "fixed:0",
               "fixed:nan", "fixed:inf", "fixed:-inf", "fixed:1e400", "fixed:abc"]
 _INPUTS = ["@sim", "@prep", "@report", "@stats", "@amat", "@missing", "@empty", "@header",
-           "@binary", "@dir", "@constant", "@negative", "@inf-report"]
+           "@binary", "@dir", "@constant", "@negative", "@inf-report", "@sim1e100", "@sim1e-160"]
 
 
 def _opt(flag, values, required=False):
@@ -902,13 +909,17 @@ def _argv(draw):
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
     """Name -> path of every input the fuzz draws: a valid sample (n=800, p=4),
-    its preprocessed form and test report, and missing or wrong files."""
+    the sample times 1e100 and 1e-160, its preprocessed form and test report,
+    and missing or wrong files."""
     d = tmp_path_factory.mktemp("fuzz-inputs")
     X = construct(ar1_matrix(0.7, 4), sample_noise(4, 800, seed=2))
     names = ["X1", "X2", "X3", "X4"]
     paths = {name: d / f"{name}.csv" for name in ("sim", "amat", "empty", "header", "binary",
                                                   "constant", "negative")}
     paths["sim"].write_text(_format_matrix_csv(X, names))
+    for scale in ("1e100", "1e-160"):
+        paths["sim" + scale] = d / f"sim{scale}.csv"
+        paths["sim" + scale].write_text(_format_matrix_csv(X * float(scale), names))
     paths["amat"].write_text("c1,c2\n1.0,0.0\n0.5,1.0\n-1,0.3\n")
     paths["empty"].write_text("")
     paths["header"].write_text("a,b\n")
@@ -949,6 +960,10 @@ def _coverage_stub(phi, n, reps, q_radial, level, seed):
 @example(argv=["graph", "--report", "@report", "--critical", "fixed:inf", "--out", "@out/g.dot",
                "--json", "@out/g.json"])
 @example(argv=["tpdm", "--input", "@binary", "--out-prefix", "@out/t"])
+@example(argv=["ptc-test", "--input", "@sim1e100", "--mode", "global", "--mass", "estimate",
+               "--out-prefix", "@out/r"])
+@example(argv=["ptc-test", "--input", "@sim1e-160", "--mode", "global", "--mass", "estimate",
+               "--out-prefix", "@out/r"])
 @example(argv=["coverage", "--n", "900", "--reps", "100", "--seed", "3", "--out", "@out/c.json"])
 @example(argv=["coverage", "--n", "900", "--reps", "2", "--out", "@out/c.json"])
 @example(argv=["coverage", "--n", "900", "--reps", "100", "--out", "@out/nodir/c.json"])

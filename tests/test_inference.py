@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -917,17 +917,20 @@ class TestScaleContract:
 
     @settings(max_examples=20)
     @given(draw=_ar_draws(), e=st.integers(0, 240))
+    # r_(k) ** 2 through libm's pow moved one t of this sample by 19 ulp
+    @example(draw=(construct(ar1_matrix(0.7, 5), sample_noise(5, 3000, seed=116)),
+                   ("global", "estimate")), e=5)
     def test_power_of_two_scale_keeps_finite_records(self, draw, e):
         """Scaled by 2^20 the preimages are the data, and a further power-of-two
-        scale is exact but for the squares of ``m~`` and ``r_(k)``, taken by
-        libm's ``pow``, which is not always correctly rounded: each pair that
-        still has finite statistics keeps its k, rejection and error, and t to
-        4 ulp.  A fixed critical value keeps the run going when every pair has
-        left the range."""
+        scale is exact: up to 2^200 every record keeps its k, t, rejection and
+        error bit for bit.  Past that, det(Theta_TT), which scales as c^-4, nears
+        the subnormal range and loses bits, so a pair that still has finite
+        statistics keeps its k, rejection and error, and t to 4 ulp.  A fixed
+        critical value keeps the run going when every pair has left the range."""
         X = np.ldexp(draw[0], 20)
         want = _records_or_error(X, "global", "estimate", "fixed:3.0")
         got = _records_or_error(np.ldexp(X, e), "global", "estimate", "fixed:3.0")
-        if isinstance(want, str) or isinstance(got, str):
+        if e <= 200 or isinstance(want, str) or isinstance(got, str):
             assert got == want
             return
         for g, w in zip(got, want):

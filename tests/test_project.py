@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -238,6 +241,16 @@ class TestPtcFromInverse:
         Q = ar1_precision(phi)
         assert ptc_from_inverse(Q, 0, 1) == pytest.approx(phi / (1 + phi ** 2), abs=1e-12)
         assert ptc_from_inverse(Q, 2, 3) == pytest.approx(phi / np.sqrt(1 + phi ** 2), abs=1e-12)
+
+    @pytest.mark.parametrize("Q", [
+        [[2e-200, -1e-200], [-1e-200, 3e-200]],  # d_i d_j underflows
+        [[2.0, -1.0, 0.0], [-1.0, 3.0, 0.0], [0.0, 0.0, 1e-300]],  # another d_k d_k does
+    ])
+    def test_scaled_formula_warns_nothing(self, Q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ptc_from_inverse(np.array(Q), 0, 1)
+        assert abs(got - 1 / math.sqrt(6)) <= np.spacing(1 / math.sqrt(6))
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
            st.integers(min_value=3, max_value=8))

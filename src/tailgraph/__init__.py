@@ -26,8 +26,8 @@ _EXPORTS = {  # module -> the public names it defines
     "project": ("ConditionalIPM", "Partition", "conditional_ipm", "invert_ipm", "predict",
                 "project_onto_span", "ptc", "ptc_from_inverse", "ptc_matrix", "solve_b"),
     "report": ("PairRecord", "PtcTestReport"),
-    "rvsim": ("AngularPointMass", "RvNoiseSpec", "angular_points", "ar1_matrix", "construct",
-              "sample_noise", "theoretical_ipm", "theoretical_tpdm"),
+    "rvsim": ("AngularPointMass", "angular_points", "ar1_matrix", "construct", "sample_noise",
+              "theoretical_ipm", "theoretical_tpdm"),
     "tpdm": ("IPMatrix", "TailSample", "estimate_mass", "estimate_sigma_pair", "estimate_tpdm",
              "marginal_transform", "polar2", "solve_delta"),
     "xlinear": ("LOG2", "softplus", "softplus_inv", "tadd", "tail_ratio", "tmatmul", "tscale",

@@ -26,7 +26,7 @@ import tempfile
 import numpy as np
 
 from . import tpdm
-from .errors import DataError, DomainError, NumericalError, TailgraphError
+from .errors import DataError, DimensionError, DomainError, NumericalError, TailgraphError
 from .report import _ADJUSTED, PtcTestReport, fixed_critical_value
 from .tpdm import TailSample
 
@@ -248,8 +248,7 @@ def cmd_simulate(args, rvsim) -> int:
         _, A = read_csv_matrix(args.a_matrix)
     else:
         A = rvsim.ar1_matrix(args.phi, args.p)
-    spec = rvsim.RvNoiseSpec(distribution=args.noise)
-    Z = rvsim.sample_noise(A.shape[1], args.n, spec, seed)
+    Z = rvsim.sample_noise(A.shape[1], args.n, args.noise, seed)
     X = rvsim.construct(A, Z)
     columns = [f"X{i + 1}" for i in range(X.shape[1])]
     _write_outputs((args.out, _format_matrix_csv(X, columns)))
@@ -416,23 +415,25 @@ def build_parser() -> argparse.ArgumentParser:
     prep.add_argument("--input", required=True)
     prep.add_argument("--output", required=True)
 
-    tp = sub.add_parser("tpdm", help="estimate the TPDM and its inverse")
-    tp.add_argument("--input", required=True)
-    tp.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.95)
-    tp.add_argument("--mode", choices=("pairwise", "global"), default="pairwise")
-    tp.add_argument("--mass", type=_mass_arg, default="fixed2")
-    tp.add_argument("--out-prefix", required=True)
+    estimate = argparse.ArgumentParser(add_help=False)  # tpdm and ptc-test
+    estimate.add_argument("--input", required=True)
+    estimate.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.95)
+    estimate.add_argument("--mode", choices=("pairwise", "global"), default="pairwise")
+    estimate.add_argument("--mass", type=_mass_arg, default="fixed2",
+                          help="fixed2 (default): a total mass of 2 per pair, or p with "
+                               "--mode global; estimate: (r_(k)^2 / n) k from the k-th largest radius")
+    estimate.add_argument("--out-prefix", required=True)
 
-    pt = sub.add_parser("ptc-test", help="all-pairs partial tail correlation test")
-    pt.add_argument("--input", required=True)
-    pt.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.95)
-    pt.add_argument("--pred-quantile", type=_unit_interval_arg, default=0.98)
+    test = argparse.ArgumentParser(add_help=False)  # ptc-test and size-power
+    test.add_argument("--pred-quantile", type=_unit_interval_arg, default=0.98)
+    test.add_argument("--alpha", type=_unit_interval_arg, default=0.05)
+    test.add_argument("--critical", type=_critical_arg, default="bonferroni")
+
+    sub.add_parser("tpdm", parents=[estimate], help="estimate the TPDM and its inverse")
+
+    pt = sub.add_parser("ptc-test", parents=[estimate, test],
+                        help="all-pairs partial tail correlation test")
     pt.add_argument("--res-quantile", type=_unit_interval_arg, default=0.98)
-    pt.add_argument("--alpha", type=_unit_interval_arg, default=0.05)
-    pt.add_argument("--critical", type=_critical_arg, default="bonferroni")
-    pt.add_argument("--mode", choices=("pairwise", "global"), default="pairwise")
-    pt.add_argument("--mass", type=_mass_arg, default="fixed2")
-    pt.add_argument("--out-prefix", required=True)
 
     cov = sub.add_parser("coverage", parents=[model], help="confidence-interval coverage simulation")
     cov.add_argument("--reps", type=_checked_arg(int, lambda v: v >= 100, "be at least 100"),
@@ -440,15 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.98)
     cov.add_argument("--level", type=_unit_interval_arg, default=0.95)
 
-    sp = sub.add_parser("size-power", parents=[model],
+    sp = sub.add_parser("size-power", parents=[model, test],
                         help="size and power of the all-pairs test on the autoregressive model")
     sp.add_argument("--p", type=_checked_arg(int, lambda v: v >= 3, "be at least 3"),
                     default=4)  # a pair plus one conditioning variable
     sp.add_argument("--reps", type=_positive_int_arg, default=200)
     sp.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.98)
-    sp.add_argument("--pred-quantile", type=_unit_interval_arg, default=0.98)
-    sp.add_argument("--alpha", type=_unit_interval_arg, default=0.05)
-    sp.add_argument("--critical", type=_critical_arg, default="bonferroni")
 
     gr = sub.add_parser("graph", help="emit a DOT graph from a report or a statistic matrix")
     source = gr.add_mutually_exclusive_group(required=True)
@@ -474,7 +472,9 @@ def main(argv=None) -> int:
     loaded = {m: importlib.import_module(f".{m}", __package__) for m in modules}
     try:
         return globals()[handler](args, **loaded)
-    except DataError as exc:
+    # the parser has checked every argument, so a domain or dimension error can
+    # only come from an input file: too few columns, or a matrix that is not square
+    except (DataError, DomainError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TailgraphError, MemoryError) as exc:

@@ -7,7 +7,7 @@ is deterministic, with edge thickness proportional to the weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,24 +34,20 @@ def build_graph(report: PtcTestReport) -> ExtremalGraph:
     Pairs that errored during testing yield no edge and are listed in
     ``skipped``.
     """
-    edges = []
+    T = np.full((len(report.columns),) * 2, np.nan)  # an errored pair stays NaN: no edge
     skipped = []
     for rec in report.records:
         i, j = min(rec.i, rec.j), max(rec.i, rec.j)
-        if rec.error is not None:
+        if rec.error is None:
+            T[i, j] = rec.t_stat
+        else:
             skipped.append((i, j, rec.error))
-            continue
-        weight = abs(rec.t_stat)
-        if weight > report.critical_value:
-            edges.append((i, j, weight))
-    edges.sort()
-    skipped.sort()
-    return ExtremalGraph(nodes=list(report.columns), edges=edges,
-                         critical_value=report.critical_value, skipped=skipped)
+    return replace(graph_from_stats(T, report.columns, report.critical_value),
+                   skipped=sorted(skipped))
 
 
 def graph_from_stats(stats_matrix, names, critical: float) -> ExtremalGraph:
-    """Direct graph construction from a symmetric matrix of test statistics."""
+    """Edges are the pairs above the diagonal whose |t| is finite and exceeds ``critical``."""
     T = np.asarray(stats_matrix, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise DomainError("test statistic matrix must be square")

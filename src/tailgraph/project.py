@@ -39,8 +39,6 @@ class Partition:
         seen = set(self.target) | set(self.complement)
         if len(self.target) + len(self.complement) != len(seen):
             raise DomainError("target and complement must be disjoint and duplicate-free")
-        if len(set(self.target)) != len(self.target):
-            raise DomainError("target indices must be distinct")
 
     @classmethod
     def pair(cls, i: int, j: int, p: int) -> "Partition":
@@ -61,7 +59,6 @@ class ConditionalIPM:
     """Inner product matrix of prediction errors for a partition's targets."""
 
     matrix: np.ndarray
-    partition: Partition
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -74,7 +71,7 @@ class ConditionalIPM:
 def _spd_factor(G: np.ndarray, context: str):
     """Lower Cholesky factor of the symmetric part, with an explicit conditioning gate."""
     if G.shape[0] == 0:
-        return None
+        raise DimensionError(f"empty {context}")
     eig = np.linalg.eigvalsh((G + G.T) / 2.0)
     lo, hi = eig[0], eig[-1]
     if lo <= 0.0:
@@ -152,7 +149,7 @@ def conditional_ipm(gamma, part: Partition) -> ConditionalIPM:
     May carry negative off-diagonal entries; no nonnegativity is assumed or
     enforced; raises :class:`ConditioningError` where :func:`solve_b` does.
     """
-    return ConditionalIPM(_schur(gamma, part)[1], part)
+    return ConditionalIPM(_schur(gamma, part)[1])
 
 
 def ptc(gamma, i: int, j: int) -> float:
@@ -203,8 +200,7 @@ def invert_ipm(gamma) -> IPMatrix:
     inv = (inv + inv.T) / 2.0
     if np.abs(G @ inv - np.eye(G.shape[0])).max() >= 1e-8:
         raise ConditioningError(np.linalg.cond(G), COND_LIMIT, "inverse verification failed")
-    kind = gamma.kind if isinstance(gamma, IPMatrix) else "theoretical"
-    return IPMatrix(inv, kind=kind)
+    return IPMatrix(inv)
 
 
 def ptc_matrix_from_inverse(gamma_inv) -> np.ndarray:

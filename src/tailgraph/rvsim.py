@@ -23,23 +23,6 @@ _DISTRIBUTIONS = ("shifted-pareto", "frechet")
 
 
 @dataclass(frozen=True)
-class RvNoiseSpec:
-    """Noise law for the independent components (tail index fixed at 2).
-
-    ``shifted-pareto`` draws ``1/sqrt(1-U) - delta`` with the centering shift
-    :func:`~tailgraph.tpdm.solve_delta`, which keeps moment estimators on
-    transformed combinations nearly unbiased.  ``frechet`` draws
-    ``(-log U)^(-1/2)``.
-    """
-
-    distribution: str = "shifted-pareto"
-
-    def __post_init__(self):
-        if self.distribution not in _DISTRIBUTIONS:
-            raise DomainError(f"distribution must be one of {_DISTRIBUTIONS}")
-
-
-@dataclass(frozen=True)
 class AngularPointMass:
     """One atom of a discrete angular measure on the positive unit sphere."""
 
@@ -48,21 +31,25 @@ class AngularPointMass:
     column: int
 
 
-def sample_noise(q: int, n: int, spec: RvNoiseSpec | None = None, seed=0) -> np.ndarray:
-    """Draw an n x q matrix of iid noise, deterministic given the seed.
+def sample_noise(q: int, n: int, distribution: str = "shifted-pareto", seed=0) -> np.ndarray:
+    """Draw an n x q matrix of iid noise with tail index 2, deterministic given the seed.
 
-    Each column uses its own substream spawned from the root seed, so streams
-    stay fixed when q or n change.
+    ``shifted-pareto`` draws ``1/sqrt(1-U) - delta`` with the centering shift
+    :func:`~tailgraph.tpdm.solve_delta`, which keeps moment estimators on
+    transformed combinations nearly unbiased.  ``frechet`` draws
+    ``(-log U)^(-1/2)``.  Each column uses its own substream spawned from the
+    root seed, so streams stay fixed when q or n change.
     """
     if q < 1 or n < 1:
         raise DomainError("q and n must be >= 1")
-    spec = spec or RvNoiseSpec()
-    shift = solve_delta() if spec.distribution == "shifted-pareto" else 0.0
+    if distribution not in _DISTRIBUTIONS:
+        raise DomainError(f"distribution must be one of {_DISTRIBUTIONS}")
+    shift = solve_delta() if distribution == "shifted-pareto" else 0.0
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     cols = []
     for child in root.spawn(q):
         u = np.random.default_rng(child).random(n)
-        if spec.distribution == "shifted-pareto":
+        if distribution == "shifted-pareto":
             cols.append(1.0 / np.sqrt(1.0 - u) - shift)
         else:
             cols.append((-np.log(np.maximum(u, 2.0 ** -53))) ** -0.5)
@@ -108,7 +95,7 @@ def theoretical_ipm(A) -> IPMatrix:
     """Inner product matrix ``A A'`` of the constructed vector."""
     M = np.asarray(A, dtype=float)
     G = M @ M.T
-    return IPMatrix((G + G.T) / 2.0, kind="theoretical")
+    return IPMatrix((G + G.T) / 2.0)
 
 
 def theoretical_tpdm(A) -> IPMatrix:

@@ -86,7 +86,6 @@ class IPMatrix:
     """Symmetric p x p matrix of inner products / TPDM entries."""
 
     entries: np.ndarray
-    kind: str = "theoretical"  # "theoretical" or "estimated"
     k_used: np.ndarray | None = None  # per-pair exceedance counts (estimated only)
     mass: float | str | None = None
 
@@ -400,7 +399,7 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
         m = _resolve_mass(mass, _least(radii, mass), k, n, "fixed", p)
         W = X.take(idx, axis=0) / radii[:, None]
         S = (m / k) * (W.T @ W)
-        return IPMatrix(S, kind="estimated", k_used=np.full((p, p), k), mass=m)
+        return IPMatrix(S, k_used=np.full((p, p), k), mass=m)
     if mode != "pairwise":
         raise DomainError(f"unknown mode {mode!r}")
     S = np.zeros((p, p))
@@ -417,4 +416,4 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
                 sigma, k, _, _ = _pair_moment(a, b, _squares(a, b), n, q_radial, mass)
                 S[i, j] = S[j, i] = sigma
                 K[i, j] = K[j, i] = k
-    return IPMatrix(S, kind="estimated", k_used=K, mass=mass)
+    return IPMatrix(S, k_used=K, mass=mass)

@@ -456,6 +456,12 @@ def _write_inputs(tmp_path, case):
         X = construct(ar1_matrix(0.6, 5), sample_noise(5, 4000, seed=13))
         prep.write_text(_format_matrix_csv(with_copied_column(X, 2, jitter=0.0),
                                            [f"X{i + 1}" for i in range(6)]))
+    elif case == "ptc-test on a two-column sample":
+        X = construct(ar1_matrix(0.7, 2), sample_noise(2, 600, seed=1))
+        prep.write_text(_format_matrix_csv(X, ["a", "b"]))
+    stats = tmp_path / "stats.csv"
+    if case == "graph --stats on a non-square matrix":
+        stats.write_text("a,b,c\n0,1,2\n1,0,3\n")
     report = tmp_path / "r_report.json"
     if case == "malformed report":
         report.write_text("{bad")
@@ -499,6 +505,10 @@ def _write_inputs(tmp_path, case):
                                     "--out-prefix", tmp_path / "t"],
         "ptc-test on an exact copy": ["ptc-test", "--input", prep, "--mode", "global",
                                       "--mass", "estimate", "--out-prefix", tmp_path / "t"],
+        "ptc-test on a two-column sample": ["ptc-test", "--input", prep,
+                                           "--out-prefix", tmp_path / "t"],
+        "graph --stats on a non-square matrix": ["graph", "--stats", stats, "--critical",
+                                                 "fixed:2", "--out", tmp_path / "g.dot"],
         "ptc-test on a sample scaled by 1e78": ["ptc-test", "--input", prep, "--mode", "global",
                                                 "--mass", "estimate", "--out-prefix",
                                                 tmp_path / "t"],
@@ -583,6 +593,9 @@ FAILURE_TABLE = [
     ("size-power --reps 0", 2),
     ("size-power every replication fails", 4),
     ("size-power --alpha 1e-300", 4),  # as for ptc-test, found before the first sample
+    # the input's shape is at fault, not a computation
+    ("ptc-test on a two-column sample", 3),  # no pair has a conditioning variable
+    ("graph --stats on a non-square matrix", 3),
 ]
 
 

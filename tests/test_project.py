@@ -10,6 +10,7 @@ from tailgraph import (
     LOG2,
     ConditioningError,
     DegenerateProjectionError,
+    DimensionError,
     DomainError,
     Partition,
     ar1_matrix,
@@ -373,3 +374,13 @@ class TestProjectOntoSpan:
         A2 = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
         with pytest.raises(ConditioningError):
             project_onto_span(np.ones(3), A2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: invert_ipm(np.zeros((0, 0))),
+    lambda: ptc_matrix(np.zeros((0, 0))),
+    lambda: project_onto_span(np.ones(3), np.zeros((0, 3))),
+], ids=["invert_ipm", "ptc_matrix", "project_onto_span"])
+def test_empty_block_is_a_dimension_error(call):
+    with pytest.raises(DimensionError, match="empty"):
+        call()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from tailgraph import (
     LOG2,
     DomainError,
-    RvNoiseSpec,
     angular_points,
     ar1_matrix,
     construct,
@@ -58,8 +57,7 @@ class TestSampleNoise:
         assert 0.9 <= est <= 1.1
 
     def test_frechet_unit_scale(self):
-        spec = RvNoiseSpec(distribution="frechet")
-        z = sample_noise(1, 10 ** 6, spec, seed=3)[:, 0]
+        z = sample_noise(1, 10 ** 6, "frechet", seed=3)[:, 0]
         est = 10.0 ** 2 * (z > 10.0).mean()
         assert 0.9 <= est <= 1.1
 
@@ -69,7 +67,7 @@ class TestSampleNoise:
 
     def test_rejects_bad_distribution(self):
         with pytest.raises(DomainError):
-            RvNoiseSpec(distribution="cauchy")
+            sample_noise(1, 10, "cauchy")
 
 
 class TestConstruct:

@@ -276,7 +276,6 @@ class TestEstimateTpdm:
         X = construct(ar1_matrix(0.5, 4), sample_noise(4, 3000, seed=9))
         S = estimate_tpdm(TailSample(X, margin="raw"), 0.9, mode="pairwise", mass="estimate")
         np.testing.assert_array_equal(S.entries, S.entries.T)
-        assert S.kind == "estimated"
         assert S.k_used.min() >= 10
 
     def test_row_permutation_invariance(self):

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the argument rules shared across the package."""
 
 
 class TailgraphError(Exception):
@@ -55,3 +55,28 @@ class DegenerateProjectionError(NumericalError):
 
 class DegenerateVarianceError(NumericalError):
     """Estimated variance is zero or negative; no valid test statistic."""
+
+
+def check_unit_interval(**values):
+    """Raise :class:`DomainError` naming the first value outside (0, 1); None is unset."""
+    for name, v in values.items():
+        if v is not None and not 0.0 < v < 1.0:
+            raise DomainError(f"{name} must lie in (0, 1)")
+
+
+def check_names(names, count: int) -> list:
+    """``names`` as a list of ``count`` labels, distinct and non-empty once stripped.
+
+    A wrong count is a :class:`DimensionError`; a blank or repeated label a
+    :class:`DataError`.
+    """
+    names = list(names)
+    if len(names) != count:
+        raise DimensionError(f"{len(names)} column names for {count} columns")
+    seen = set()
+    for name in names:
+        key = str(name).strip()
+        if not key or key in seen:
+            raise DataError(f"column name {name!r} is {'repeated' if key else 'blank'}")
+        seen.add(key)
+    return names

@@ -11,8 +11,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError
-from .report import PtcTestReport
+from .errors import DomainError, check_names
+from .report import PtcTestReport, fixed_critical_value
+from .tpdm import square_matrix
 
 
 @dataclass
@@ -47,19 +48,23 @@ def build_graph(report: PtcTestReport) -> ExtremalGraph:
 
 
 def graph_from_stats(stats_matrix, names, critical: float) -> ExtremalGraph:
-    """Edges are the pairs above the diagonal whose |t| is finite and exceeds ``critical``."""
-    T = np.asarray(stats_matrix, dtype=float)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise DomainError("test statistic matrix must be square")
+    """Edges are the pairs above the diagonal whose |t| is finite and exceeds ``critical``.
+
+    ``names`` label the rows, one distinct name each (by default 1..p); a NaN
+    cell is a pair without a statistic.  ``critical`` is read as
+    :func:`~tailgraph.report.fixed_critical_value` reads it.
+    """
+    T = square_matrix(stats_matrix, "test statistic matrix", finite=False)
+    critical = fixed_critical_value(critical)
     p = T.shape[0]
-    names = list(names) if names is not None else [str(i + 1) for i in range(p)]
+    names = check_names(names, p) if names is not None else [str(i + 1) for i in range(p)]
     edges = []
     for i in range(p):
         for j in range(i + 1, p):
             w = abs(T[i, j])
             if np.isfinite(w) and w > critical:
                 edges.append((i, j, float(w)))
-    return ExtremalGraph(nodes=names, edges=edges, critical_value=float(critical))
+    return ExtremalGraph(nodes=names, edges=edges, critical_value=critical)
 
 
 def _quote(name: str) -> str:

@@ -35,6 +35,7 @@ from .errors import (
     DomainError,
     NumericalError,
     TailgraphError,
+    check_unit_interval,
 )
 # perfbench/tracing.py wraps ptc_matrix, solve_b and conditional_ipm here: keep them importable
 from .project import (Partition, conditional_ipm, ptc_matrix,  # noqa: F401
@@ -71,18 +72,11 @@ def residuals(sample, part: Partition, b, q_pred: float = 0.98,
     data = sample.data if isinstance(sample, TailSample) else np.asarray(sample, dtype=float)
     if len(part.target) != 2:
         raise DomainError("residual inference needs exactly two target variables")
-    _check_unit_interval(q_pred=q_pred)
+    check_unit_interval(q_pred=q_pred)
     B = np.asarray(b, dtype=float)
     if B.shape != (len(part.complement), 2):
         raise DimensionError(f"weights must be ({len(part.complement)}, 2), got {B.shape}")
     return _retain_exceedances(_preimage_residuals(softplus_inv(data).T, part, B), q_pred, m_trace)
-
-
-def _check_unit_interval(**values):
-    """Raise :class:`DomainError` naming the first value outside (0, 1); None is unset."""
-    for name, v in values.items():
-        if v is not None and not 0.0 < v < 1.0:
-            raise DomainError(f"{name} must lie in (0, 1)")
 
 
 def _preimage_residuals(Yt, part: Partition, B):
@@ -136,7 +130,7 @@ def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trac
     taken as the trace of the estimated conditional IPM), "estimate"
     (``(R_(k)^2/n) k`` on the residual radii) or a positive number.
     """
-    _check_unit_interval(q_res=q_res)
+    check_unit_interval(q_res=q_res)
     prod, r = _estimator_mask((res.w[:, 0] * res.w[:, 1], res.r, res.n_total), q_res)
     return _sigma_u(prod, r, float(prod.sum()), mass, res.n_total, res.m_trace)
 
@@ -156,7 +150,7 @@ def estimate_tau2(res: ResidualSample, m_tilde: float, q_res: float | None = Non
     which happens when the angular products carry no spread, and
     :class:`NumericalError` when it lies past the float64 range.
     """
-    _check_unit_interval(q_res=q_res)
+    check_unit_interval(q_res=q_res)
     prod, _ = _estimator_mask((res.w[:, 0] * res.w[:, 1], res.r, res.n_total), q_res)
     return _tau2(prod, float(prod.sum()), m_tilde)
 
@@ -327,8 +321,7 @@ def confidence_interval(sigma_u_hat: float, tau2_hat: float, k: int, level: floa
     A level so near 1 that ``(1 + level) / 2`` rounds to 1, where the quantile
     is infinite, is a :class:`NumericalError`.
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must lie in (0, 1)")
+    check_unit_interval(level=level)
     if tau2_hat <= 0.0:
         raise DegenerateVarianceError("tau2 must be positive")
     if not float(k).is_integer() or k < 2:
@@ -353,8 +346,7 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
     """
     if not (isinstance(method, str) and method in _ADJUSTED):
         return fixed_critical_value(method)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie in (0, 1)")
+    check_unit_interval(alpha=alpha)
     if df is None or not float(df).is_integer() or df < 2:
         raise DomainError("need an integer df >= 2")
     if method == "bonferroni":
@@ -386,10 +378,10 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
     its weights b and C and its residuals are the rows ``Y^T[T] - b^T Y^T[R]``,
     when Gamma fails the inversion gate (Theta is then None) or when a column
     of Z it needs is not finite: cells near the float64 maximum can overflow
-    ``Y Theta`` where the complement solve does not.  On both paths a pair
-    whose target lies in the span of its complement is a
-    :class:`DegenerateProjectionError` (see ``project._check_projection``).
-    ``q_res`` is checked by the callers.
+    ``Y Theta`` where the complement solve does not.  There a pair whose
+    target lies in the span of its complement is a
+    :class:`DegenerateProjectionError`; the precision path needs no such gate
+    (see ``project._check_projection``).  The callers check every argument.
     """
     Y = softplus_inv(sample.data)
     gamma_max = np.abs(as_matrix(sigma_hat)).max()
@@ -415,7 +407,6 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
             if not _TINY <= det < math.inf:
                 raise NumericalError(f"det(Theta_TT) = {det!r} is outside the normal float range")
             c00, c01, c11 = d / det, -c / det, a / det
-            project._check_projection(min(c00, c11), gamma_max)
             C = np.array([[c00, c01], [c01, c11]])
             U = C @ Zt[i::j - i][:2]  # rows i and j of Zt as a strided view: nothing is copied
             m_trace = c00 + c11
@@ -430,8 +421,8 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
         prod, r = _estimator_mask(((U[0].take(idx) / r) * (U[1].take(idx) / r), r, n), q_res)
         total = float(prod.sum())  # shared by both moments
         sigma_u, m_tilde, k = _sigma_u(prod, r, total, "trace", n, m_trace)
-        tau2 = _tau2(prod, total, m_tilde)
-        return C, sigma_u, tau2, k, t_statistic(sigma_u, tau2, k)
+        tau2 = _tau2(prod, total, m_tilde)  # positive, with k >= 2
+        return C, sigma_u, tau2, k, sigma_u / math.sqrt(tau2 / k)  # t_statistic
 
     return theta, fit
 
@@ -450,7 +441,7 @@ def ptc_test_all_pairs(sample: TailSample, q_radial: float = 0.95, q_pred: float
     """
     if sample.p < 3:
         raise DomainError("need at least 3 variables (a pair plus one conditioning variable)")
-    _check_unit_interval(q_pred=q_pred, q_res=q_res, alpha=alpha)
+    check_unit_interval(q_pred=q_pred, q_res=q_res, alpha=alpha)
     adjusted = isinstance(cv_method, str) and cv_method in _ADJUSTED
     # an unknown method fails here, before any pair is fitted; a fixed value (e.g.
     # a studentized-range critical value computed elsewhere) is used verbatim
@@ -546,7 +537,7 @@ def coverage_study(phi: float = 0.7, n: int = 10_000, reps: int = 500,
         raise DomainError("reps must be >= 1")
     # these fail here, not in every replication: whether the level's quantile
     # is finite does not depend on k
-    _check_unit_interval(q_radial=q_radial)
+    check_unit_interval(q_radial=q_radial)
     confidence_interval(0.0, 1.0, 2, level)
     A = ar1_matrix(phi, 4)
     part = Partition.pair(1, 3, 4)
@@ -584,7 +575,7 @@ def size_power_study(phi: float = 0.7, n: int = 10_000, reps: int = 200, p: int 
         raise DomainError("need reps >= 1 and p >= 3 (a pair plus one conditioning variable)")
     # these fail here, not in every replication: whether the critical value is
     # finite does not depend on df
-    _check_unit_interval(q_radial=q_radial, q_pred=q_pred, alpha=alpha)
+    check_unit_interval(q_radial=q_radial, q_pred=q_pred, alpha=alpha)
     critical_value(cv_method, alpha=alpha, n_pairs=p * (p - 1) // 2, df=2)
 
     def run_rep(sample):

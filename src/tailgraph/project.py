@@ -105,8 +105,6 @@ def _schur(gamma, part: Partition):
     1e12 or a solve residual above 1e-10 |rhs| is a :class:`ConditioningError`.
     """
     G = as_matrix(gamma)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise DimensionError("inner product matrix must be square")
     t, c = list(part.target), list(part.complement)
     if sorted(t + c) != list(range(G.shape[0])):
         raise DomainError("partition must cover all indices exactly once")
@@ -167,12 +165,10 @@ def ptc(gamma, i: int, j: int) -> float:
 
 def _check_projection(low: float, gamma_max: float) -> None:
     """Gate a conditional IPM C against targets in the span of the conditioning
-    variables: its least diagonal entry ``low`` <= 0 or below ``1e-14 *
-    gamma_max``, the largest absolute entry of Gamma, is rounding noise and a
-    :class:`DegenerateProjectionError`.  For ``C = (Theta_TT)^-1`` read off an
-    inverse that passed :func:`invert_ipm` it cannot fire: interlacing gives
-    ``C_ii >= 1 / lambda_max(Theta) = lambda_min(Gamma)``, and the 1e12
-    condition gate ``lambda_min(Gamma) >= 1e-12 gamma_max``.
+    variables: a least diagonal entry ``low`` <= 0 or below ``1e-14 gamma_max``
+    (Gamma's largest absolute entry) is a :class:`DegenerateProjectionError`.
+    The runner's precision path needs no gate: its ``C = (Theta_TT)^-1``, off an
+    inverse that passed :func:`invert_ipm`, has ``C_ii >= lambda_min(Gamma) >= 1e-12 gamma_max``.
     """
     if low <= 0.0 or low < 1e-14 * gamma_max:
         raise DegenerateProjectionError(
@@ -182,10 +178,7 @@ def _check_projection(low: float, gamma_max: float) -> None:
 def ptc_from_inverse(gamma_inv, i: int, j: int) -> float:
     """Partial tail correlation read off the full inverse inner product matrix."""
     G = as_matrix(gamma_inv)
-    if i == j or not (0 <= i < G.shape[0] and 0 <= j < G.shape[0]):
-        raise DomainError("need two distinct indices inside the matrix")
-    if G[i, i] <= 0.0 or G[j, j] <= 0.0:
-        raise DegenerateProjectionError("inverse has a nonpositive diagonal entry")
+    Partition.pair(i, j, G.shape[0])  # the index rule
     return float(ptc_matrix_from_inverse(G[np.ix_((i, j), (i, j))])[0, 1])
 
 
@@ -204,10 +197,15 @@ def invert_ipm(gamma) -> IPMatrix:
 
 
 def ptc_matrix_from_inverse(gamma_inv) -> np.ndarray:
-    """All-pairs ``-G_ij / sqrt(G_ii G_jj)`` for an inverse G; diagonal entries are NaN."""
+    """All-pairs ``-G_ij / sqrt(G_ii G_jj)`` for an inverse G; diagonal entries are NaN.
+
+    A diagonal entry that is not positive is a :class:`DegenerateProjectionError`.
+    """
     G = as_matrix(gamma_inv)
+    if not (np.diag(G) > 0.0).all():
+        raise DegenerateProjectionError("inverse has a nonpositive diagonal entry")
     # a power-of-two scale is exact and keeps each d_i d_j inside the float64 range
-    G = np.ldexp(G, -np.frexp(np.abs(np.diag(G)).max(initial=0.0))[1])
+    G = np.ldexp(G, -np.frexp(np.diag(G).max(initial=0.0))[1])
     d = np.diag(G)
     out = -G / np.sqrt(np.outer(d, d))
     np.fill_diagonal(out, np.nan)

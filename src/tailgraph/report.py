@@ -12,16 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, check_names
 
 
 _ADJUSTED = ("bonferroni", "none")  # critical values computed from the pairs' df
 
 
 def fixed_critical_value(method) -> float:
-    """A number, or "fixed:<c>", as a finite float used verbatim.
+    """A number, or "fixed:<c>", as a finite non-negative float used verbatim.
 
-    A non-finite or non-numeric value, or any other method, is a
+    A negative, non-finite or non-numeric value, or any other method, is a
     :class:`DomainError`.
     """
     if isinstance(method, str) and method.startswith("fixed:"):
@@ -32,8 +32,8 @@ def fixed_critical_value(method) -> float:
     if not isinstance(method, (int, float)):
         raise DomainError(f"unknown critical value method {method!r}")
     cv = float(method)
-    if not np.isfinite(cv):
-        raise DomainError(f"critical value must be finite, got {cv!r}")
+    if not 0.0 <= cv < np.inf:
+        raise DomainError(f"critical value must be finite and non-negative, got {cv!r}")
     return cv
 
 
@@ -97,22 +97,33 @@ class PtcTestReport:
     def from_dict(cls, payload) -> PtcTestReport:
         """Rebuild a report from :meth:`to_dict` output (``ptc`` is not read back).
 
-        Raises :class:`DataError` when a key is missing or a value is unusable.
+        The writer's rules hold or the report is a :class:`DataError`: distinct
+        column names, a finite non-negative critical value, every pair i < j
+        exactly once, and each record either tested (a finite t, ``reject`` equal
+        to ``|t| > c``) or errored (no t, ``reject`` None).  A missing key or
+        an unusable value is one too.
         """
         try:
             columns = list(payload["columns"])
-            records = []
+            check_names(columns, len(columns))
+            cv = fixed_critical_value(float(payload["critical_value"]))
+            records, seen = [], set()
             for d in payload["pairs"]:
                 rec = PairRecord(i=int(d["i"]), j=int(d["j"]), names=tuple(d["names"]),
                                  sigma_u=d["sigma_u"], tau2=d["tau2"], k=d["k"],
                                  t_stat=None if d["t"] is None else float(d["t"]),
                                  reject=d["reject"], error=d["error"])
-                if not (0 <= rec.i < rec.j < len(columns)
-                        and (rec.t_stat is None) != (rec.error is None)
-                        and (rec.t_stat is None or np.isfinite(rec.t_stat))):
+                tested = rec.error is None
+                if not (0 <= rec.i < rec.j < len(columns) and (rec.i, rec.j) not in seen
+                        and (rec.t_stat is not None) == tested
+                        and (np.isfinite(rec.t_stat) and rec.reject == (abs(rec.t_stat) > cv)
+                             if tested else rec.reject is None)):
                     raise ValueError(f"inconsistent pair record {d}")
+                seen.add((rec.i, rec.j))
                 records.append(rec)
-            cv = fixed_critical_value(float(payload["critical_value"]))  # finite, or a DomainError
+            p = len(columns)
+            if len(seen) != p * (p - 1) // 2:
+                raise ValueError(f"{len(seen)} pair records for {p} columns")
             return cls(records=records, critical_value=cv,
                        adjustment=payload["adjustment"], alpha=payload["alpha"],
                        columns=columns, quantiles=dict(payload["quantiles"]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, check_unit_interval
 from .tpdm import IPMatrix, solve_delta
 from .xlinear import softplus, softplus_inv, zero_clip
 
@@ -83,8 +83,7 @@ def ar1_matrix(phi: float, p: int) -> np.ndarray:
     Entry (i, j) is ``phi^(i-j)`` for i >= j, realizing the recursion
     ``X_i = phi (*) X_{i-1} (+) Z_i`` started from zero.
     """
-    if not 0.0 < phi < 1.0:
-        raise DomainError("phi must lie in (0, 1)")
+    check_unit_interval(phi=phi)
     if p < 1:
         raise DomainError("p must be >= 1")
     lag = np.arange(p)[:, None] - np.arange(p)[None, :]

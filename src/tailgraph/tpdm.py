@@ -41,6 +41,8 @@ from .errors import (
     DomainError,
     InsufficientExceedancesError,
     NumericalError,
+    check_names,
+    check_unit_interval,
 )
 
 MIN_EXCEEDANCES = 10
@@ -69,8 +71,8 @@ class TailSample:
             raise DataError("sample entries must be finite and strictly positive")
         if self.columns is None:
             self.columns = [f"X{i + 1}" for i in range(self.data.shape[1])]
-        elif len(self.columns) != self.data.shape[1]:
-            raise DimensionError("column label count does not match data width")
+        else:
+            self.columns = check_names(self.columns, self.data.shape[1])
 
     @property
     def n(self) -> int:
@@ -90,9 +92,7 @@ class IPMatrix:
     mass: float | str | None = None
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise DimensionError("inner product matrix must be square")
+        self.entries = square_matrix(self.entries)
         if not np.allclose(self.entries, self.entries.T, atol=1e-12):
             raise DomainError("inner product matrix must be symmetric")
 
@@ -106,11 +106,21 @@ class IPMatrix:
         return self.entries
 
 
+def square_matrix(matrix, what: str = "inner product matrix", finite: bool = True) -> np.ndarray:
+    """``matrix`` as a float array: 2-D and square, and with ``finite`` finite."""
+    M = np.asarray(matrix, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionError(f"{what} must be square, got shape {M.shape}")
+    if finite and not np.isfinite(M).all():
+        raise DataError(f"{what} must be finite")
+    return M
+
+
 def as_matrix(gamma) -> np.ndarray:
-    """Extract a plain array from an IPMatrix or array-like."""
+    """The entries of an IPMatrix, or an array-like checked by :func:`square_matrix`."""
     if isinstance(gamma, IPMatrix):
         return gamma.entries
-    return np.asarray(gamma, dtype=float)
+    return square_matrix(gamma)
 
 
 # A cached function, not a module constant: perfbench calls cache_clear() on it.
@@ -185,6 +195,8 @@ def _pair_radii(xi, xj):
     b = np.asarray(xj, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise DimensionError("polar2 expects two equal-length 1-D sequences")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("paired observations must be finite")
     with np.errstate(over="ignore"):
         s = _squares(a, b)
     r = _radii(s, (a, b))
@@ -219,7 +231,7 @@ def _strict_exceedances(r: np.ndarray, thr, context: str = ""):
 
 def _order_statistics(v: np.ndarray, q: float, n: int):
     """``(a, b, g)`` of numpy's ``linear`` q-quantile of n values: the
-    ``floor((n-1) q)``-th smallest a, the next b and the fraction g between.
+    ``floor((n-1) q)``-th smallest a, the next b and the fraction g between; callers check q.
 
     ``v`` holds, in any order, every value at or above a (by default all n of
     them), each a square, a sum of squares or a root of one: +0, positive,
@@ -228,8 +240,6 @@ def _order_statistics(v: np.ndarray, q: float, n: int):
     partition at a, shifted by the ``n - v.size`` values left out, puts
     every larger value after it, and b is the integer minimum of those.
     """
-    if not 0.0 < q < 1.0:
-        raise DomainError("radial quantile must lie in (0, 1)")
     if not v.size:
         return 0.0, 0.0, 0.0
     h = (n - 1) * q  # numpy's virtual index; a rewritten form changes the last bit
@@ -327,8 +337,8 @@ def _resolve_mass(mass, r_k: float, k: int, n: int, name: str = "fixed", value=N
     except (TypeError, ValueError):
         raise DomainError(f"mass must be 'estimate', {name!r} or a positive number, "
                           f"got {mass!r}") from None
-    if m <= 0:
-        raise DomainError("fixed mass must be positive")
+    if not 0.0 < m < math.inf:
+        raise DomainError("fixed mass must be positive and finite")
     return m
 
 
@@ -358,17 +368,17 @@ def estimate_sigma_pair(xi, xj, q_radial: float = 0.95, mass="fixed"):
     dropped as in :func:`polar2`.
     """
     a, b, s, _ = _pair_radii(xi, xj)
-    _check_pair_sample(a.size, q_radial)
+    _check_estimate_args(q_radial, mass, a.size)
     sigma, k, wa, wb = _pair_moment(a, b, s, a.size, q_radial, mass)
     return sigma, k, np.column_stack((wa, wb))
 
 
-def _check_pair_sample(n: int, q_radial: float):
-    """The pair estimate's argument errors, in its order: too few rows, then q."""
-    if n < 50:
+def _check_estimate_args(q_radial: float, mass, n_pair: int | None = None):
+    """An estimate's argument errors in order: q, the mass, too few rows for a pair."""
+    check_unit_interval(q_radial=q_radial)
+    _resolve_mass(mass, 1.0, 1, 1, "fixed", 2.0)  # raises its argument errors, if any
+    if n_pair is not None and n_pair < 50:
         raise DataError("need at least 50 paired observations")
-    if not 0.0 < q_radial < 1.0:
-        raise DomainError("radial quantile must lie in (0, 1)")
 
 
 def _tail_candidates(cols: np.ndarray, q_radial: float) -> np.ndarray:
@@ -392,6 +402,7 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
     """
     X = sample.data
     n, p = X.shape
+    _check_estimate_args(q_radial, mass, n if mode == "pairwise" else None)
     if mode == "global":
         with np.errstate(over="ignore"):
             s = np.sum(X ** 2, axis=1)
@@ -405,7 +416,6 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
     S = np.zeros((p, p))
     K = np.zeros((p, p), dtype=int)
     if p:
-        _check_pair_sample(n, q_radial)
         cols = np.ascontiguousarray(X.T)  # a pair's gathers read two contiguous rows
         cand = _tail_candidates(cols, q_radial)
     with np.errstate(over="ignore"):

@@ -23,7 +23,8 @@ from tailgraph.cli import _format_matrix_csv, _read_csv_checked, main, read_csv_
 
 from conftest import assert_singular_but_testable, with_copied_column
 
-NO2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "no2_tstats.csv")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+NO2_FIXTURE = os.path.join(DATA, "no2_tstats.csv")
 
 
 def run(*argv):
@@ -427,6 +428,16 @@ class TestGraphCmd:
         assert exit_info.value.code == 2
         assert capsys.readouterr().err.rstrip().endswith(f"argument --critical: {lib.value}")
 
+    @pytest.mark.parametrize("name", ["near_copy", "ar4"])
+    def test_reads_reports_written_before_the_reader_checked_them(self, tmp_path, name):
+        """Reports written by ``ptc-test`` before ``from_dict`` enforced the
+        writer's rules (one with errored pairs and a fixed critical value, one
+        Bonferroni) still read, and give the DOT file ``ptc-test`` wrote."""
+        out = tmp_path / "g.dot"
+        assert run("graph", "--report", os.path.join(DATA, f"{name}_report.json"),
+                   "--out", out) == 0
+        assert out.read_text() == Path(DATA, f"{name}_graph.dot").read_text()
+
     def test_stats_requires_critical(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
             run("graph", "--stats", NO2_FIXTURE, "--out", tmp_path / "g.dot")
@@ -438,7 +449,7 @@ def _write_inputs(tmp_path, case):
     """Input files for one failure-table case; returns the CLI arguments."""
     prep = tmp_path / "prep.csv"
     if case in ("malformed sidecar", "non-positive cell", "nan cell", "ptc-test --alpha 1e-300",
-                "ptc-test --critical fixed:nan"):
+                "ptc-test --critical fixed:nan", "ptc-test --critical fixed:-1"):
         X = construct(ar1_matrix(0.7, 3), sample_noise(3, 600, seed=1))
         if case == "non-positive cell":
             X[7, 1] = -1.0
@@ -456,6 +467,9 @@ def _write_inputs(tmp_path, case):
         X = construct(ar1_matrix(0.6, 5), sample_noise(5, 4000, seed=13))
         prep.write_text(_format_matrix_csv(with_copied_column(X, 2, jitter=0.0),
                                            [f"X{i + 1}" for i in range(6)]))
+    elif case.endswith(tuple(_BAD_HEADERS)):
+        X = construct(ar1_matrix(0.7, 4), sample_noise(4, 600, seed=1))
+        prep.write_text(_format_matrix_csv(X, _BAD_HEADERS[case.split(" on ", 1)[1]]))
     elif case == "ptc-test on a two-column sample":
         X = construct(ar1_matrix(0.7, 2), sample_noise(2, 600, seed=1))
         prep.write_text(_format_matrix_csv(X, ["a", "b"]))
@@ -472,9 +486,14 @@ def _write_inputs(tmp_path, case):
                                       "critical_value": float("inf"), "adjustment": "none",
                                       "alpha": 1e-300, "quantiles": {}}))
     elif case in ("graph --json into a missing directory", "graph --json onto a directory"):
-        report.write_text(json.dumps({"columns": ["a", "b", "c"], "pairs": [],
-                                      "critical_value": 3.0, "adjustment": "none",
-                                      "alpha": 0.05, "quantiles": {}}))
+        report.write_text(Path(DATA, "ar4_report.json").read_text())
+    elif case.startswith("graph --report with"):
+        payload = json.loads(Path(DATA, "near_copy_report.json").read_text())
+        if case.endswith("a repeated pair"):  # and pair (0, 2) left out
+            payload["pairs"][1] = payload["pairs"][0]
+        else:
+            payload["pairs"][0]["reject"] = not payload["pairs"][0]["reject"]
+        report.write_text(json.dumps(payload))
     if case == "graph --json onto a directory":
         (tmp_path / "adir").mkdir()
     return {
@@ -499,6 +518,18 @@ def _write_inputs(tmp_path, case):
         "coverage --seed -5": ["coverage", "--seed", -5, "--out", tmp_path / "c.json"],
         "ptc-test --critical fixed:nan": ["ptc-test", "--input", prep, "--critical", "fixed:nan",
                                           "--out-prefix", tmp_path / "t"],
+        "ptc-test --critical fixed:-1": ["ptc-test", "--input", prep, "--critical", "fixed:-1",
+                                         "--out-prefix", tmp_path / "t"],
+        "graph --critical fixed:-1": ["graph", "--stats", NO2_FIXTURE, "--critical", "fixed:-1",
+                                      "--out", tmp_path / "g.dot"],
+        "graph --report with a repeated pair": ["graph", "--report", report,
+                                                "--out", tmp_path / "g.dot"],
+        "graph --report with a flipped reject flag": ["graph", "--report", report,
+                                                      "--out", tmp_path / "g.dot"],
+        **{f"ptc-test on {h}": ["ptc-test", "--input", prep, "--out-prefix", tmp_path / "t"]
+           for h in _BAD_HEADERS},
+        **{f"preprocess on {h}": ["preprocess", "--input", prep, "--output", tmp_path / "o.csv"]
+           for h in _BAD_HEADERS},
         "graph --critical fixed:inf": ["graph", "--report", report, "--critical", "fixed:inf",
                                        "--out", tmp_path / "g.dot", "--json", tmp_path / "g.json"],
         "ptc-test --alpha 1e-300": ["ptc-test", "--input", prep, "--alpha", 1e-300,
@@ -549,6 +580,12 @@ def _write_inputs(tmp_path, case):
     }[case]
 
 
+_BAD_HEADERS = {  # each gave wrong output files at exit 0 before names were checked
+    "header a,a,b,c": ["a", "a", "b", "c"],
+    "header ' a,a ,b,c'": [" a", "a ", "b", "c"],  # the reader strips names
+    "a blank column name": ["a", " ", "b", "c"],
+}
+
 FAILURE_TABLE = [
     # (case, exit code); the sidecar is not read, so a malformed one is harmless
     ("malformed sidecar", 0),
@@ -596,6 +633,12 @@ FAILURE_TABLE = [
     # the input's shape is at fault, not a computation
     ("ptc-test on a two-column sample", 3),  # no pair has a conditioning variable
     ("graph --stats on a non-square matrix", 3),
+    *((f"{cmd} on {h}", 3) for h in _BAD_HEADERS for cmd in ("ptc-test", "preprocess")),
+    ("ptc-test --critical fixed:-1", 2),  # every pair would be rejected
+    ("graph --critical fixed:-1", 2),
+    # the report reader keeps the writer's rules
+    ("graph --report with a repeated pair", 3),
+    ("graph --report with a flipped reject flag", 3),
 ]
 
 

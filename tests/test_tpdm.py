@@ -544,10 +544,10 @@ class TestPairwiseCandidates:
 
     @pytest.mark.parametrize("X, q, mass", [
         (1.0 + np.arange(80.0).reshape(40, 2), 0.95, "fixed"),  # n < 50
-        (1.0 + np.arange(80.0).reshape(40, 2), 1.5, "fixed"),  # n < 50 comes before q
+        (1.0 + np.arange(80.0).reshape(40, 2), 1.5, "fixed"),  # q comes before n < 50
         (1.0 + np.random.default_rng(0).random((60, 2)), 0.95, "fixed"),  # too few exceedances
         (np.full((200, 3), 2.0), 0.9, "fixed"),  # constant: every row a candidate, no exceedance
-        (1.0 + np.random.default_rng(1).random((500, 3)), 0.9, "bogus"),  # mass, at the first pair
+        (1.0 + np.random.default_rng(1).random((500, 3)), 0.9, "bogus"),  # mass, on entry
         (1.0 + np.random.default_rng(2).random((500, 3)), 1.0, "fixed"),
     ], ids=["short", "short-and-bad-q", "few-exceedances", "constant", "bad-mass", "bad-q"])
     def test_errors_match_the_pair_loop(self, X, q, mass):

@@ -51,11 +51,11 @@ def graph_from_stats(stats_matrix, names, critical: float) -> ExtremalGraph:
     """Edges are the pairs above the diagonal whose |t| is finite and exceeds ``critical``.
 
     ``names`` label the rows, one distinct name each (by default 1..p); a NaN
-    cell is a pair without a statistic.  ``critical`` is read as
-    :func:`~tailgraph.report.fixed_critical_value` reads it.
+    cell is a pair without a statistic.  ``critical`` is any number ``float``
+    accepts, finite and non-negative (:func:`~tailgraph.report.fixed_critical_value`).
     """
     T = square_matrix(stats_matrix, "test statistic matrix", finite=False)
-    critical = fixed_critical_value(critical)
+    critical = fixed_critical_value(float(critical))
     p = T.shape[0]
     names = check_names(names, p) if names is not None else [str(i + 1) for i in range(p)]
     edges = []

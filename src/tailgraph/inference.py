@@ -422,7 +422,7 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
         total = float(prod.sum())  # shared by both moments
         sigma_u, m_tilde, k = _sigma_u(prod, r, total, "trace", n, m_trace)
         tau2 = _tau2(prod, total, m_tilde)  # positive, with k >= 2
-        return C, sigma_u, tau2, k, sigma_u / math.sqrt(tau2 / k)  # t_statistic
+        return C, sigma_u, tau2, k, t_statistic(sigma_u, tau2, k)
 
     return theta, fit
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     ConditioningError,
+    DataError,
     DegenerateProjectionError,
     DimensionError,
     DomainError,
@@ -228,6 +229,8 @@ def project_onto_span(x_coefs, A2):
     M = np.asarray(A2, dtype=float)
     if M.ndim != 2 or x.ndim != 1 or M.shape[1] != x.shape[0]:
         raise DimensionError("generator matrix columns must match the coefficient length")
+    if not (np.isfinite(x).all() and np.isfinite(M).all()):
+        raise DataError("coefficients and span generators must be finite")
     gram = M @ M.T
     factor = _spd_factor(gram, "span generators")
     b = _cho_solve(factor, M @ x)

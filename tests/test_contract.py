@@ -6,6 +6,7 @@ import copy
 import json
 import os
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from tailgraph import (
     sample_noise,
     tpdm,
 )
-from tailgraph.project import ptc_matrix_from_inverse
+from tailgraph.project import project_onto_span, ptc_matrix_from_inverse
 from tailgraph.report import fixed_critical_value
 
 NAN_3X3 = np.full((3, 3), np.nan)
@@ -74,6 +75,15 @@ class TestMatrixEntryPoints:
     def test_ipmatrix_refuses_non_finite_entries(self):
         with pytest.raises(DataError, match="must be finite"):
             IPMatrix(np.full((2, 2), np.inf))
+
+    @pytest.mark.parametrize("cell", ["x", "A2"])
+    def test_span_projection_refuses_non_finite_input(self, cell):
+        x, A2 = np.array([1.0, 2.0, 3.0]), np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        (x if cell == "x" else A2)[1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="must be finite"):
+                project_onto_span(x, A2)
 
 
 def test_pair_estimate_refuses_non_finite_input():
@@ -147,6 +157,12 @@ class TestCriticalValue:
             graph_from_stats(np.zeros((3, 3)), None, -1.0)
         assert len(graph_from_stats(np.full((3, 3), 0.5), None, 0.0).edges) == 3
 
+    @pytest.mark.parametrize("value", [np.float32(0.25), np.int64(0), Decimal("0.25"), "0.25"],
+                             ids=["float32", "int64", "Decimal", "str"])
+    def test_graph_takes_any_number_float_takes(self, value):
+        graph = graph_from_stats(np.full((3, 3), 0.5), None, value)
+        assert len(graph.edges) == 3 and graph.critical_value == float(value)
+
 
 def _near_copy_report():
     with open(os.path.join(DATA_DIR, "near_copy_report.json")) as fh:
@@ -194,6 +210,8 @@ _CALLABLES = {
     "ptc_from_inverse": lambda a: ptc_from_inverse(a, 0, 1),
     "ptc": lambda a: ptc(a, 0, 1),
     "graph_from_stats": lambda a: graph_from_stats(a, None, 2.0),
+    # x is A2's last row, so a non-finite cell there reaches both arguments
+    "project_onto_span": lambda a: project_onto_span(np.atleast_1d(a)[-1:].ravel(), a),
     "estimate_sigma_pair": lambda a: estimate_sigma_pair(a, np.flip(a)),
 }
 

@@ -23,8 +23,8 @@ _EXPORTS = {  # module -> the public names it defines
     "inference": ("CoverageResult", "ResidualSample", "confidence_interval", "coverage_study",
                   "critical_value", "estimate_sigma_u", "estimate_tau2", "ptc_test_all_pairs",
                   "residuals", "size_power_study", "t_statistic"),
-    "project": ("ConditionalIPM", "Partition", "conditional_ipm", "invert_ipm", "predict",
-                "project_onto_span", "ptc", "ptc_from_inverse", "ptc_matrix", "solve_b"),
+    "project": ("Partition", "conditional_ipm", "invert_ipm", "predict", "project_onto_span",
+                "ptc", "ptc_from_inverse", "ptc_matrix", "solve_b"),
     "report": ("PairRecord", "PtcTestReport"),
     "rvsim": ("AngularPointMass", "angular_points", "ar1_matrix", "construct", "sample_noise",
               "theoretical_ipm", "theoretical_tpdm"),

@@ -259,21 +259,22 @@ def cmd_simulate(args, rvsim) -> int:
 def cmd_preprocess(args) -> int:
     columns, raw = read_csv_matrix(args.input)
     sample = tpdm.marginal_transform(raw, columns=columns)
+    delta = tpdm.solve_delta()
     sidecar = {
-        "delta": sample.delta,
-        "margin": sample.margin,
+        "delta": delta,
+        "margin": "shifted-pareto",
         "n": sample.n,
         "columns": sample.columns,
         "source": os.path.abspath(args.input),
     }
     _write_outputs((args.output, _format_matrix_csv(sample.data, sample.columns)),
                    (args.output + ".json", _json_text(args.output + ".json", sidecar)))
-    print(f"wrote preprocessed sample to {args.output} (delta={sample.delta:.6f})")
+    print(f"wrote preprocessed sample to {args.output} (delta={delta:.6f})")
     return 0
 
 
 def _load_sample(path: str) -> TailSample:
-    # the preprocess sidecar is not read: no estimate depends on delta or margin
+    # the preprocess sidecar is not read: no estimate depends on it
     columns, data = read_csv_matrix(path)
     return TailSample(data, columns=columns)
 

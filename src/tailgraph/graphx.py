@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, check_names
+from .errors import DataError, DomainError, check_names
 from .report import PtcTestReport, fixed_critical_value
 from .tpdm import square_matrix
 
@@ -25,9 +25,6 @@ class ExtremalGraph:
     critical_value: float
     skipped: list[tuple[int, int, str]] = field(default_factory=list)
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, j, _ in self.edges}
-
 
 def build_graph(report: PtcTestReport) -> ExtremalGraph:
     """Edges are the pairs whose |t| exceeds the report's critical value.
@@ -40,7 +37,7 @@ def build_graph(report: PtcTestReport) -> ExtremalGraph:
     for rec in report.records:
         i, j = min(rec.i, rec.j), max(rec.i, rec.j)
         if rec.error is None:
-            T[i, j] = rec.t_stat
+            T[i, j] = T[j, i] = rec.t_stat
         else:
             skipped.append((i, j, rec.error))
     return replace(graph_from_stats(T, report.columns, report.critical_value),
@@ -48,13 +45,16 @@ def build_graph(report: PtcTestReport) -> ExtremalGraph:
 
 
 def graph_from_stats(stats_matrix, names, critical: float) -> ExtremalGraph:
-    """Edges are the pairs above the diagonal whose |t| is finite and exceeds ``critical``.
+    """Edges are the pairs whose |t| is finite and exceeds ``critical``.
 
     ``names`` label the rows, one distinct name each (by default 1..p); a NaN
-    cell is a pair without a statistic.  ``critical`` is any number ``float``
+    cell is a pair without a statistic.  A matrix unequal to its transpose (NaN
+    matching NaN) is a :class:`DataError`.  ``critical`` is any number ``float``
     accepts, finite and non-negative (:func:`~tailgraph.report.fixed_critical_value`).
     """
     T = square_matrix(stats_matrix, "test statistic matrix", finite=False)
+    if not np.array_equal(T, T.T, equal_nan=True):
+        raise DataError("test statistic matrix must be symmetric")
     critical = fixed_critical_value(float(critical))
     p = T.shape[0]
     names = check_names(names, p) if names is not None else [str(i + 1) for i in range(p)]
@@ -77,8 +77,8 @@ def emit_dot(graph: ExtremalGraph, width_scale: float = 4.0) -> str:
     Output is byte-identical across runs for identical input: nodes in order,
     edges sorted by index pair, errored pairs listed in a comment header.
     """
-    if width_scale <= 0:
-        raise DomainError("width_scale must be positive")
+    if not 0.0 < width_scale < np.inf:
+        raise DomainError(f"width_scale must be positive and finite, got {width_scale!r}")
     lines = ["graph extremal {"]
     lines.append(f"  // critical value: {graph.critical_value:g}")
     for i, j, why in graph.skipped:
@@ -88,7 +88,7 @@ def emit_dot(graph: ExtremalGraph, width_scale: float = 4.0) -> str:
         lines.append(f"  {_quote(name)};")
     max_w = max((w for _, _, w in graph.edges), default=0.0)
     for i, j, w in sorted(graph.edges):
-        pen = width_scale * w / max_w if max_w > 0 else width_scale
+        pen = width_scale * (w / max_w) if max_w > 0 else width_scale  # at most width_scale
         lines.append(f"  {_quote(graph.nodes[i])} -- {_quote(graph.nodes[j])}"
                      f" [penwidth={pen:.4f}, label=\"{w:.2f}\"];")
     lines.append("}")

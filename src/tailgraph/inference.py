@@ -35,6 +35,7 @@ from .errors import (
     DomainError,
     NumericalError,
     TailgraphError,
+    check_integer,
     check_unit_interval,
 )
 # perfbench/tracing.py wraps ptc_matrix, solve_b and conditional_ipm here: keep them importable
@@ -132,14 +133,9 @@ def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trac
     """
     check_unit_interval(q_res=q_res)
     prod, r = _estimator_mask((res.w[:, 0] * res.w[:, 1], res.r, res.n_total), q_res)
-    return _sigma_u(prod, r, float(prod.sum()), mass, res.n_total, res.m_trace)
-
-
-def _sigma_u(prod, r, total: float, mass, n_total: int, m_trace):
-    """``(sigma_u, m, k)`` from the exceedances' products, radii and product sum."""
     k = prod.size
-    m = _resolve_mass(mass, _least(r, mass), k, n_total, "trace", m_trace)
-    return m / k * total, m, k
+    m = _resolve_mass(mass, _least(r, mass), k, res.n_total, "trace", res.m_trace)
+    return m / k * float(prod.sum()), m, k
 
 
 def estimate_tau2(res: ResidualSample, m_tilde: float, q_res: float | None = None) -> float:
@@ -174,13 +170,26 @@ def _tau2(prod, total: float, m_tilde: float) -> float:
     return tau2
 
 
+def _check_t_args(sigma_u_hat: float, tau2_hat: float, k: int) -> None:
+    """The arguments of a t statistic or interval: a finite ``sigma_u_hat``, a
+    positive finite ``tau2_hat`` (else a :class:`DegenerateVarianceError`) and an
+    integer ``k >= 2``."""
+    if not math.isfinite(sigma_u_hat):
+        raise DomainError(f"sigma_u must be finite, got {sigma_u_hat!r}")
+    if not 0.0 < tau2_hat < math.inf:
+        raise DegenerateVarianceError(f"tau2 must be positive and finite, got {tau2_hat!r}")
+    check_integer(2, k=k)
+
+
 def t_statistic(sigma_u_hat: float, tau2_hat: float, k: int) -> float:
-    """Studentized statistic ``sigma_u_hat / sqrt(tau2_hat / k)``."""
-    if tau2_hat <= 0.0:
-        raise DegenerateVarianceError("tau2 must be positive")
-    if k < 2:
-        raise DomainError("need k >= 2")
-    return float(sigma_u_hat / math.sqrt(tau2_hat / k))
+    """Studentized statistic ``sigma_u_hat / sqrt(tau2_hat / k)``; one past the
+    float64 range is a :class:`NumericalError`."""
+    _check_t_args(sigma_u_hat, tau2_hat, k)
+    se = math.sqrt(tau2_hat / k)
+    t = float(sigma_u_hat) / se if se > 0.0 else math.inf
+    if not math.isfinite(t):
+        raise NumericalError(f"t statistic lies past the float64 range (se = {se!r})")
+    return t
 
 
 def _large_a_coefficients(count: int) -> list[float]:
@@ -322,10 +331,7 @@ def confidence_interval(sigma_u_hat: float, tau2_hat: float, k: int, level: floa
     is infinite, is a :class:`NumericalError`.
     """
     check_unit_interval(level=level)
-    if tau2_hat <= 0.0:
-        raise DegenerateVarianceError("tau2 must be positive")
-    if not float(k).is_integer() or k < 2:
-        raise DomainError("need an integer k >= 2")
+    _check_t_args(sigma_u_hat, tau2_hat, k)
     quantile = _t_upper_quantile(int(k) - 1, 1.0 - (1.0 + level) / 2.0)
     if not math.isfinite(quantile):
         raise NumericalError(f"t quantile at level {level!r} (k={k}) is not finite")
@@ -347,11 +353,9 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
     if not (isinstance(method, str) and method in _ADJUSTED):
         return fixed_critical_value(method)
     check_unit_interval(alpha=alpha)
-    if df is None or not float(df).is_integer() or df < 2:
-        raise DomainError("need an integer df >= 2")
+    check_integer(2, df=df)
     if method == "bonferroni":
-        if not n_pairs or n_pairs < 1:
-            raise DomainError("bonferroni needs the number of pairs")
+        check_integer(1, n_pairs=n_pairs)
         level = 1.0 - alpha / (2.0 * n_pairs)
     else:
         level = 1.0 - alpha / 2.0
@@ -418,10 +422,10 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
             m_trace = float(C[0, 0] + C[1, 1])
         idx, r, _ = _tail_rows(U, q_pred)
         n = U.shape[1]
-        prod, r = _estimator_mask(((U[0].take(idx) / r) * (U[1].take(idx) / r), r, n), q_res)
-        total = float(prod.sum())  # shared by both moments
-        sigma_u, m_tilde, k = _sigma_u(prod, r, total, "trace", n, m_trace)
-        tau2 = _tau2(prod, total, m_tilde)  # positive, with k >= 2
+        prod, _ = _estimator_mask(((U[0].take(idx) / r) * (U[1].take(idx) / r), r, n), q_res)
+        k, total = prod.size, float(prod.sum())  # the sum is shared by both moments
+        sigma_u = m_trace / k * total  # the total mass is the trace of C
+        tau2 = _tau2(prod, total, m_trace)  # positive, with k >= 2
         return C, sigma_u, tau2, k, t_statistic(sigma_u, tau2, k)
 
     return theta, fit
@@ -450,7 +454,7 @@ def ptc_test_all_pairs(sample: TailSample, q_radial: float = 0.95, q_pred: float
     theta, fit = _pair_pipeline(sample, sigma_hat, q_pred, q_res)
     records = []
     for i, j in combinations(range(sample.p), 2):
-        rec = PairRecord(i=i, j=j, names=(sample.columns[i], sample.columns[j]))
+        rec = PairRecord(i=i, j=j)
         try:
             _, rec.sigma_u, rec.tau2, rec.k, rec.t_stat = fit((i, j))
         except TailgraphError as exc:
@@ -479,7 +483,7 @@ def _replicate(A, n, seeds, run_rep):
     for seed in seeds:
         try:
             X = construct(A, sample_noise(A.shape[1], n, seed=seed))
-            rows.append(run_rep(TailSample(X, margin="raw")))
+            rows.append(run_rep(TailSample(X)))
         except TailgraphError as exc:
             failures[type(exc).__name__] += 1
             last = exc
@@ -541,7 +545,7 @@ def coverage_study(phi: float = 0.7, n: int = 10_000, reps: int = 500,
     confidence_interval(0.0, 1.0, 2, level)
     A = ar1_matrix(phi, 4)
     part = Partition.pair(1, 3, 4)
-    true_c = conditional_ipm(theoretical_ipm(A), part).matrix[0, 1]
+    true_c = conditional_ipm(theoretical_ipm(A), part)[0, 1]
 
     def run_rep(sample):
         sigma_hat = estimate_tpdm(sample, q_radial=q_radial, mode="global", mass="estimate")

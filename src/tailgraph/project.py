@@ -55,20 +55,6 @@ class Partition:
         return cls(target=(i,), complement=tuple(k for k in range(p) if k != i))
 
 
-@dataclass
-class ConditionalIPM:
-    """Inner product matrix of prediction errors for a partition's targets."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-
 def _spd_factor(G: np.ndarray, context: str):
     """Lower Cholesky factor of the symmetric part, with an explicit conditioning gate."""
     if G.shape[0] == 0:
@@ -142,13 +128,13 @@ def predict(b, x2) -> np.ndarray:
     return tmatmul(w.T, x2)
 
 
-def conditional_ipm(gamma, part: Partition) -> ConditionalIPM:
-    """Schur complement ``Gamma_11 - Gamma_12 Gamma_22^-1 Gamma_21``.
+def conditional_ipm(gamma, part: Partition) -> np.ndarray:
+    """Symmetrized Schur complement ``Gamma_11 - Gamma_12 Gamma_22^-1 Gamma_21``.
 
     May carry negative off-diagonal entries; no nonnegativity is assumed or
     enforced; raises :class:`ConditioningError` where :func:`solve_b` does.
     """
-    return ConditionalIPM(_schur(gamma, part)[1])
+    return _schur(gamma, part)[1]
 
 
 def ptc(gamma, i: int, j: int) -> float:
@@ -158,7 +144,7 @@ def ptc(gamma, i: int, j: int) -> float:
     onto the span of the remaining variables.
     """
     G = as_matrix(gamma)
-    C = conditional_ipm(G, Partition.pair(i, j, G.shape[0])).matrix
+    C = conditional_ipm(G, Partition.pair(i, j, G.shape[0]))
     d = C.diagonal()
     _check_projection(d.min(), np.abs(G).max())
     return float(C[0, 1] / np.sqrt(d[0] * d[1]))

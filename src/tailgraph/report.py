@@ -43,7 +43,6 @@ class PairRecord:
 
     i: int
     j: int
-    names: tuple[str, str]
     sigma_u: float | None = None
     tau2: float | None = None
     k: int | None = None
@@ -64,13 +63,6 @@ class PtcTestReport:
     quantiles: dict = field(default_factory=dict)
     ptc: np.ndarray | None = None
 
-    def record(self, i: int, j: int) -> PairRecord:
-        a, b = min(i, j), max(i, j)
-        for rec in self.records:
-            if (rec.i, rec.j) == (a, b):
-                return rec
-        raise KeyError((i, j))
-
     def n_rejected(self) -> int:
         return sum(1 for r in self.records if r.reject)
 
@@ -85,7 +77,7 @@ class PtcTestReport:
                 [None if np.isnan(v) else float(v) for v in row] for row in self.ptc],
             "pairs": [
                 {
-                    "i": r.i, "j": r.j, "names": list(r.names),
+                    "i": r.i, "j": r.j, "names": [self.columns[r.i], self.columns[r.j]],
                     "sigma_u": r.sigma_u, "tau2": r.tau2, "k": r.k,
                     "t": r.t_stat, "reject": r.reject, "error": r.error,
                 }
@@ -99,9 +91,9 @@ class PtcTestReport:
 
         The writer's rules hold or the report is a :class:`DataError`: distinct
         column names, a finite non-negative critical value, every pair i < j
-        exactly once, and each record either tested (a finite t, ``reject`` equal
-        to ``|t| > c``) or errored (no t, ``reject`` None).  A missing key or
-        an unusable value is one too.
+        exactly once with the names of columns i and j, and each record either
+        tested (a finite t, ``reject`` equal to ``|t| > c``) or errored (no t,
+        ``reject`` None).  A missing key or an unusable value is one too.
         """
         try:
             columns = list(payload["columns"])
@@ -109,12 +101,13 @@ class PtcTestReport:
             cv = fixed_critical_value(float(payload["critical_value"]))
             records, seen = [], set()
             for d in payload["pairs"]:
-                rec = PairRecord(i=int(d["i"]), j=int(d["j"]), names=tuple(d["names"]),
-                                 sigma_u=d["sigma_u"], tau2=d["tau2"], k=d["k"],
+                rec = PairRecord(i=int(d["i"]), j=int(d["j"]), sigma_u=d["sigma_u"],
+                                 tau2=d["tau2"], k=d["k"],
                                  t_stat=None if d["t"] is None else float(d["t"]),
                                  reject=d["reject"], error=d["error"])
                 tested = rec.error is None
                 if not (0 <= rec.i < rec.j < len(columns) and (rec.i, rec.j) not in seen
+                        and d["names"] == [columns[rec.i], columns[rec.j]]
                         and (rec.t_stat is not None) == tested
                         and (np.isfinite(rec.t_stat) and rec.reject == (abs(rec.t_stat) > cv)
                              if tested else rec.reject is None)):
@@ -134,7 +127,7 @@ class PtcTestReport:
 
     def to_csv_rows(self):
         for r in self.records:
-            yield (r.i, r.j, r.names[0], r.names[1],
+            yield (r.i, r.j, self.columns[r.i], self.columns[r.j],
                    "" if r.sigma_u is None else repr(r.sigma_u),
                    "" if r.tau2 is None else repr(r.tau2),
                    "" if r.k is None else r.k,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, check_unit_interval
+from .errors import DimensionError, DomainError, check_integer, check_unit_interval
 from .tpdm import IPMatrix, solve_delta
 from .xlinear import softplus, softplus_inv, zero_clip
 
@@ -84,8 +84,9 @@ def ar1_matrix(phi: float, p: int) -> np.ndarray:
     ``X_i = phi (*) X_{i-1} (+) Z_i`` started from zero.
     """
     check_unit_interval(phi=phi)
-    if p < 1:
-        raise DomainError("p must be >= 1")
+    check_integer(1, p=p)
+    if 8 * int(p) ** 2 > np.iinfo(np.intp).max:  # a numpy integer would wrap
+        raise DomainError(f"a {p} x {p} matrix exceeds the largest array size")
     lag = np.arange(p)[:, None] - np.arange(p)[None, :]
     return np.where(lag >= 0, float(phi) ** np.maximum(lag, 0), 0.0)
 

@@ -57,8 +57,6 @@ class TailSample:
     """n x p matrix of positive observations on a common marginal scale."""
 
     data: np.ndarray
-    margin: str = "raw"  # "raw" or "shifted-pareto"
-    delta: float | None = None
     columns: list[str] | None = None
 
     def __post_init__(self):
@@ -89,16 +87,11 @@ class IPMatrix:
 
     entries: np.ndarray
     k_used: np.ndarray | None = None  # per-pair exceedance counts (estimated only)
-    mass: float | str | None = None
 
     def __post_init__(self):
         self.entries = square_matrix(self.entries)
         if not np.allclose(self.entries, self.entries.T, atol=1e-12):
             raise DomainError("inner product matrix must be symmetric")
-
-    @property
-    def p(self) -> int:
-        return self.entries.shape[0]
 
     def __array__(self, dtype=None, copy=None):
         if dtype is not None:
@@ -175,7 +168,7 @@ def marginal_transform(raw, columns=None) -> TailSample:
             raise DegenerateMarginError(f"column {j} is constant")
         fhat = _average_ranks(col) / (n + 1)
         out[:, j] = 1.0 / np.sqrt(1.0 - fhat) - delta
-    return TailSample(out, margin="shifted-pareto", delta=delta, columns=columns)
+    return TailSample(out, columns=columns)
 
 
 def polar2(xi, xj):
@@ -410,7 +403,7 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
         m = _resolve_mass(mass, _least(radii, mass), k, n, "fixed", p)
         W = X.take(idx, axis=0) / radii[:, None]
         S = (m / k) * (W.T @ W)
-        return IPMatrix(S, k_used=np.full((p, p), k), mass=m)
+        return IPMatrix(S, k_used=np.full((p, p), k))
     if mode != "pairwise":
         raise DomainError(f"unknown mode {mode!r}")
     S = np.zeros((p, p))
@@ -426,4 +419,4 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
                 sigma, k, _, _ = _pair_moment(a, b, _squares(a, b), n, q_radial, mass)
                 S[i, j] = S[j, i] = sigma
                 K[i, j] = K[j, i] = k
-    return IPMatrix(S, k_used=K, mass=mass)
+    return IPMatrix(S, k_used=K)

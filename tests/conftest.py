@@ -37,6 +37,20 @@ def overflow_sample():
     return TailSample(X)
 
 
+def record(report, i, j):
+    """The record of pair {i, j} in a test report."""
+    pair = (min(i, j), max(i, j))
+    for rec in report.records:
+        if (rec.i, rec.j) == pair:
+            return rec
+    raise KeyError((i, j))
+
+
+def edge_set(graph):
+    """The (i, j) pairs of a graph's edges."""
+    return {(i, j) for i, j, _ in graph.edges}
+
+
 def random_spd(rng, p, jitter=0.5):
     """Random symmetric positive definite matrix with bounded conditioning."""
     M = rng.normal(size=(p, p + 2))
@@ -69,7 +83,7 @@ def assert_singular_but_testable(sample, q_radial, mode, mass):
     tested = 0
     for i, j in combinations(range(sample.p), 2):
         try:
-            C = conditional_ipm(gamma, Partition.pair(i, j, sample.p)).matrix
+            C = conditional_ipm(gamma, Partition.pair(i, j, sample.p))
         except ConditioningError:
             continue
         assert np.diag(C).min() > 1e-13 * scale, (i, j)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from tailgraph import (CoverageResult, DomainError, PairRecord, PtcTestReport, TailSample,
                        ar1_matrix, construct, critical_value, marginal_transform,
-                       sample_noise)
+                       sample_noise, solve_delta)
 from tailgraph import cli, inference
 from tailgraph.cli import _format_matrix_csv, _read_csv_checked, main, read_csv_matrix
 
@@ -99,7 +99,9 @@ class TestPreprocess:
         out = tmp_path / "prep.csv"
         assert run("preprocess", "--input", simulated, "--output", out) == 0
         meta = json.loads((tmp_path / "prep.csv.json").read_text())
-        assert meta["delta"] == pytest.approx(0.9352, abs=5e-4)
+        assert list(meta) == ["delta", "margin", "n", "columns", "source"]
+        assert meta["delta"] == solve_delta() == pytest.approx(0.9352, abs=5e-4)
+        assert meta["margin"] == "shifted-pareto"
         columns, data = read_csv_matrix(str(out))
         assert data.min() > 1 - meta["delta"] - 1e-12
 
@@ -379,9 +381,9 @@ class TestGraphCmd:
     def test_report_with_fixed_critical_override(self, tmp_path):
         path = tmp_path / "r.json"
         report = PtcTestReport(
-            records=[PairRecord(0, 1, ("a", "b"), t_stat=5.0, k=40, reject=True),
-                     PairRecord(0, 2, ("a", "c"), t_stat=-2.0, k=40, reject=False),
-                     PairRecord(1, 2, ("b", "c"), error="ConditioningError: x")],
+            records=[PairRecord(0, 1, t_stat=5.0, k=40, reject=True),
+                     PairRecord(0, 2, t_stat=-2.0, k=40, reject=False),
+                     PairRecord(1, 2, error="ConditioningError: x")],
             critical_value=3.0, adjustment="none", alpha=0.05, columns=["a", "b", "c"])
         path.write_text(json.dumps(report.to_dict()))
         adj = tmp_path / "g.json"
@@ -476,6 +478,8 @@ def _write_inputs(tmp_path, case):
     stats = tmp_path / "stats.csv"
     if case == "graph --stats on a non-square matrix":
         stats.write_text("a,b,c\n0,1,2\n1,0,3\n")
+    elif case == "graph --stats on a matrix filled below the diagonal":
+        stats.write_text("a,b,c\n0,nan,nan\n9,0,nan\n9,9,0\n")
     report = tmp_path / "r_report.json"
     if case == "malformed report":
         report.write_text("{bad")
@@ -491,6 +495,8 @@ def _write_inputs(tmp_path, case):
         payload = json.loads(Path(DATA, "near_copy_report.json").read_text())
         if case.endswith("a repeated pair"):  # and pair (0, 2) left out
             payload["pairs"][1] = payload["pairs"][0]
+        elif case.endswith("swapped names"):
+            payload["pairs"][0]["names"].reverse()
         else:
             payload["pairs"][0]["reject"] = not payload["pairs"][0]["reject"]
         report.write_text(json.dumps(payload))
@@ -526,6 +532,8 @@ def _write_inputs(tmp_path, case):
                                                 "--out", tmp_path / "g.dot"],
         "graph --report with a flipped reject flag": ["graph", "--report", report,
                                                       "--out", tmp_path / "g.dot"],
+        "graph --report with swapped names": ["graph", "--report", report,
+                                              "--out", tmp_path / "g.dot"],
         **{f"ptc-test on {h}": ["ptc-test", "--input", prep, "--out-prefix", tmp_path / "t"]
            for h in _BAD_HEADERS},
         **{f"preprocess on {h}": ["preprocess", "--input", prep, "--output", tmp_path / "o.csv"]
@@ -540,6 +548,8 @@ def _write_inputs(tmp_path, case):
                                            "--out-prefix", tmp_path / "t"],
         "graph --stats on a non-square matrix": ["graph", "--stats", stats, "--critical",
                                                  "fixed:2", "--out", tmp_path / "g.dot"],
+        "graph --stats on a matrix filled below the diagonal": [
+            "graph", "--stats", stats, "--critical", "fixed:2", "--out", tmp_path / "g.dot"],
         "ptc-test on a sample scaled by 1e78": ["ptc-test", "--input", prep, "--mode", "global",
                                                 "--mass", "estimate", "--out-prefix",
                                                 tmp_path / "t"],
@@ -633,12 +643,14 @@ FAILURE_TABLE = [
     # the input's shape is at fault, not a computation
     ("ptc-test on a two-column sample", 3),  # no pair has a conditioning variable
     ("graph --stats on a non-square matrix", 3),
+    ("graph --stats on a matrix filled below the diagonal", 3),  # it read as no edges
     *((f"{cmd} on {h}", 3) for h in _BAD_HEADERS for cmd in ("ptc-test", "preprocess")),
     ("ptc-test --critical fixed:-1", 2),  # every pair would be rejected
     ("graph --critical fixed:-1", 2),
     # the report reader keeps the writer's rules
     ("graph --report with a repeated pair", 3),
     ("graph --report with a flipped reject flag", 3),
+    ("graph --report with swapped names", 3),  # the names were written back out as given
 ]
 
 

@@ -16,26 +16,42 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import DATA_DIR
 from tailgraph import (
+    ConditioningError,
     DataError,
+    DegenerateVarianceError,
     DimensionError,
     DomainError,
     IPMatrix,
+    NumericalError,
+    Partition,
     PtcTestReport,
+    ResidualSample,
     TailSample,
     TailgraphError,
     ar1_matrix,
+    conditional_ipm,
+    confidence_interval,
     construct,
     critical_value,
+    emit_dot,
+    estimate_mass,
     estimate_sigma_pair,
+    estimate_tau2,
     estimate_tpdm,
     graph_from_stats,
     invert_ipm,
+    marginal_transform,
     ptc,
     ptc_from_inverse,
     ptc_matrix,
+    residuals,
     sample_noise,
+    t_statistic,
+    tadd,
     tpdm,
+    tscale,
 )
+from tailgraph.cli import _read_csv_checked, main
 from tailgraph.project import project_onto_span, ptc_matrix_from_inverse
 from tailgraph.report import fixed_critical_value
 
@@ -174,7 +190,7 @@ class TestReportReader:
 
     @pytest.mark.parametrize("breakage", [
         "repeated pair", "missing pair", "flipped reject", "reject on an errored pair",
-        "reject missing", "repeated column", "negative critical value",
+        "reject missing", "repeated column", "negative critical value", "names contradict columns",
     ])
     def test_broken_rule_is_data_error(self, breakage):
         payload = copy.deepcopy(_near_copy_report())
@@ -193,6 +209,8 @@ class TestReportReader:
             tested["reject"] = None
         elif breakage == "repeated column":
             payload["columns"][1] = payload["columns"][0]
+        elif breakage == "names contradict columns":
+            tested["names"] = tested["names"][::-1]
         else:
             payload["critical_value"] = -0.01
         with pytest.raises(DataError, match="malformed report"):
@@ -239,3 +257,115 @@ def test_hostile_arrays_give_a_result_or_a_tailgraph_error(name, a):
             _CALLABLES[name](a)
         except TailgraphError:
             pass
+
+
+class TestStatisticMatrix:
+    """``graph_from_stats`` reads one triangle, so the other must agree with it."""
+
+    @pytest.mark.parametrize("T", [
+        [[0.0, np.nan, np.nan], [9.0, 0.0, np.nan], [9.0, 9.0, 0.0]],
+        [[0.0, 9.0, 0.1], [0.1, 0.0, 9.0], [9.0, 0.1, 0.0]],
+    ], ids=["filled below the diagonal, NaN above", "three-cycle"])
+    def test_asymmetric_matrix_is_data_error(self, T):
+        with pytest.raises(DataError, match="symmetric"):
+            graph_from_stats(np.array(T), None, 1.0)
+
+
+_GRAPH = graph_from_stats(np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 2.0], [1.0, 2.0, 0.0]]), None, 1.5)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: t_statistic(0.1, 1.0, 2.5), DomainError),
+    (lambda: t_statistic(0.1, np.nan, 10), DegenerateVarianceError),
+    (lambda: t_statistic(np.nan, 1.0, 10), DomainError),
+    (lambda: confidence_interval(0.1, np.nan, 10), DegenerateVarianceError),
+    (lambda: critical_value("bonferroni", n_pairs=2.5, df=10), DomainError),
+    (lambda: ar1_matrix(0.5, 2.5), DomainError),
+    (lambda: emit_dot(_GRAPH, width_scale=np.nan), DomainError),
+    (lambda: emit_dot(_GRAPH, width_scale=np.inf), DomainError),
+], ids=["t k=2.5", "t tau2=nan", "t sigma_u=nan", "interval tau2=nan", "bonferroni n_pairs=2.5",
+        "ar1 p=2.5", "dot width nan", "dot width inf"])
+def test_scalar_argument_rules(call, error):
+    with pytest.raises(error):
+        call()
+
+
+_HOSTILE_SCALARS = (np.nan, np.inf, -np.inf, 0.0, -1.0, 2.5, 1e308)
+_SCALAR_CALLS = {  # name -> (function, one valid value per argument)
+    "t_statistic": (t_statistic, (0.1, 1.0, 10)),
+    "confidence_interval": (confidence_interval, (0.1, 1.0, 10, 0.95)),
+    "critical_value bonferroni": (
+        lambda alpha, n_pairs, df: critical_value("bonferroni", alpha, n_pairs, df), (0.05, 6, 10)),
+    "critical_value none": (lambda alpha, df: critical_value("none", alpha, df=df), (0.05, 10)),
+    "ar1_matrix": (ar1_matrix, (0.7, 4)),
+    "emit_dot": (lambda width: emit_dot(_GRAPH, width_scale=width), (4.0,)),
+}
+
+
+@settings(max_examples=300)
+@given(name=st.sampled_from(sorted(_SCALAR_CALLS)), data=st.data())
+def test_hostile_scalars_give_a_finite_result_or_a_tailgraph_error(name, data):
+    fn, valid = _SCALAR_CALLS[name]
+    args = [data.draw(st.sampled_from(_HOSTILE_SCALARS + (v,))) for v in valid]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = fn(*args)
+        except TailgraphError:
+            return
+    if isinstance(out, str):
+        assert "inf" not in out and "nan" not in out, out
+    else:
+        assert np.isfinite(np.asarray(out, dtype=float)).all(), out
+
+
+_Q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+_COND_8E11 = (_Q * np.logspace(0, -11.9, 3)) @ _Q.T  # passes the 1e12 gate, not the 1e-8 check
+_ONE_ROW = ResidualSample(u=np.ones((1, 2)), r=np.ones(1), w=np.full((1, 2), 0.5 ** 0.5),
+                          n_total=100, threshold=0.5)
+
+REACHED_RAISES = [  # (case, call, documented class, message)
+    ("--mass bogus", lambda: main(["tpdm", "--input", "x.csv", "--mass", "bogus",
+                                   "--out-prefix", "x"]), SystemExit, "^2$"),  # the exit code
+    # the checked reader runs after the fast one failed: a file gone by then
+    ("file gone before the checked read", lambda: _read_csv_checked(
+        os.path.join(DATA_DIR, "missing.csv")), DataError, "cannot read"),
+    ("emit_dot width 0", lambda: emit_dot(_GRAPH, width_scale=0.0), DomainError, "width_scale"),
+    ("residuals of one target", lambda: residuals(np.ones((60, 3)), Partition.single(0, 3),
+                                                  np.zeros((2, 2))), DomainError, "two target"),
+    ("tau2 of one row", lambda: estimate_tau2(_ONE_ROW, 1.0), DegenerateVarianceError,
+     "at least 2 exceedances"),
+    ("t past the float64 range", lambda: t_statistic(1e308, 2.5, 1e300), NumericalError,
+     "past the float64 range"),
+    ("bonferroni without n_pairs", lambda: critical_value("bonferroni", df=10), DomainError,
+     "integer n_pairs"),
+    ("single index out of range", lambda: Partition.single(3, 3), DomainError, "out of range"),
+    ("partition for another p", lambda: conditional_ipm(np.eye(4), Partition.pair(0, 1, 3)),
+     DomainError, "cover all indices"),
+    ("span of the wrong width", lambda: project_onto_span(np.ones(3), np.ones((2, 4))),
+     DimensionError, "columns must match"),
+    ("noise of the wrong width", lambda: construct(np.eye(3), np.ones((5, 2))), DimensionError,
+     "does not conform"),
+    ("non-positive noise", lambda: construct(np.eye(2), np.array([[1.0, 0.0]])), DomainError,
+     "strictly positive"),
+    ("ar1_matrix p=0", lambda: ar1_matrix(0.5, 0), DomainError, "integer p"),
+    ("ar1_matrix past any array", lambda: ar1_matrix(0.5, 10 ** 10), DomainError,
+     "largest array size"),
+    ("inverse that fails its check", lambda: invert_ipm(_COND_8E11), ConditioningError,
+     "inverse verification failed"),
+    ("asymmetric IPMatrix", lambda: IPMatrix([[1.0, 0.5], [0.4, 1.0]]), DomainError, "symmetric"),
+    ("3-D raw data", lambda: marginal_transform(np.ones((2, 2, 2))), DimensionError, "2-D"),
+    ("mass of k > n", lambda: estimate_mass(np.ones(5), 6, 5), DomainError, "1 <= k <= n"),
+    ("tadd of a negative", lambda: tadd(np.array([1.0, -1.0]), np.ones(2)), DomainError,
+     "strictly positive"),
+    ("tscale by nan", lambda: tscale(np.nan, np.ones(2)), DomainError, "must be finite"),
+]
+
+
+@pytest.mark.parametrize("call, error, match", [row[1:] for row in REACHED_RAISES],
+                         ids=[row[0] for row in REACHED_RAISES])
+def test_every_raise_is_reached(call, error, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            call()

@@ -139,18 +139,18 @@ class TestPredict:
 class TestConditionalIPM:
     def test_identity(self):
         C = conditional_ipm(np.eye(4), Partition.pair(0, 1, 4))
-        np.testing.assert_allclose(C.matrix, np.eye(2), atol=0)
+        np.testing.assert_allclose(C, np.eye(2), atol=0)
 
     def test_ar1_lag2_offdiagonal_zero(self):
         G = theoretical_ipm(ar1_matrix(0.7, 4))
         C = conditional_ipm(G, Partition.pair(1, 3, 4))
-        assert abs(C.matrix[0, 1]) < 1e-10
+        assert abs(C[0, 1]) < 1e-10
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_matches_explicit_inverse_oracle(self, seed):
         G = random_spd(np.random.default_rng(seed), 6)
         part = Partition.pair(0, 1, 6)
-        C = conditional_ipm(G, part).matrix
+        C = conditional_ipm(G, part)
         t, c = list(part.target), list(part.complement)
         oracle = G[np.ix_(t, t)] - G[np.ix_(t, c)] @ np.linalg.inv(G[np.ix_(c, c)]) @ G[np.ix_(c, t)]
         np.testing.assert_allclose(C, oracle, atol=1e-9)
@@ -159,12 +159,12 @@ class TestConditionalIPM:
         A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
         G = A @ A.T
         C = conditional_ipm(G, Partition.pair(0, 1, 3))
-        assert C.matrix[0, 1] == pytest.approx(-1.0 / 3.0, abs=1e-12)
+        assert C[0, 1] == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
     def test_empty_complement_returns_target_block(self):
         G = np.array([[2.0, 0.5], [0.5, 1.0]])
         C = conditional_ipm(G, Partition.pair(0, 1, 2))
-        np.testing.assert_allclose(C.matrix, G, atol=0)
+        np.testing.assert_allclose(C, G, atol=0)
 
     @pytest.mark.parametrize("error, fails", [(0.0, False), (1e-13, False), (1e-8, True),
                                               (1e-3, True)])

@@ -82,8 +82,6 @@ class TestMarginalTransform:
         sample = marginal_transform(np.array([[1.0], [2.0], [3.0]]))
         expected = np.array([1.0 / np.sqrt(0.75), 1.0 / np.sqrt(0.5), 2.0]) - delta
         np.testing.assert_allclose(sample.data[:, 0], expected, atol=1e-12)
-        assert sample.margin == "shifted-pareto"
-        assert sample.delta == pytest.approx(delta)
 
     def test_preserves_order(self):
         raw = np.random.default_rng(1).normal(size=(500, 1))
@@ -238,8 +236,15 @@ class TestEstimateMass:
     def test_global_tpdm_uses_the_same_estimate(self):
         X = construct(ar1_matrix(0.7, 3), sample_noise(3, 5000, seed=8))
         S = estimate_tpdm(TailSample(X), 0.95, mode="global", mass="estimate")
-        r = np.sqrt(np.sum(X ** 2, axis=1))
-        assert S.mass == estimate_mass(r, int(S.k_used[0, 0]), r.size)
+        assert np.trace(S.entries) == pytest.approx(_global_mass(X, S), rel=1e-12)
+
+
+def _global_mass(X, S):
+    """``estimate_mass`` on the radii of X's rows, scaled so that none overflows,
+    at the global TPDM S's k.  The angles are unit vectors, so it is S's trace."""
+    m = np.abs(X).max(axis=1)
+    r = m * np.sqrt(np.sum((X / m[:, None]) ** 2, axis=1))
+    return estimate_mass(r, int(S.k_used[0, 0]), r.size)
 
 
 class TestResolveMass:
@@ -268,31 +273,31 @@ class TestResolveMass:
 class TestEstimateTpdm:
     def test_comonotone_pairwise(self):
         x = 1.0 / np.sqrt(1.0 - np.random.default_rng(3).random(5000))
-        sample = TailSample(np.column_stack([x, x]), margin="shifted-pareto")
+        sample = TailSample(np.column_stack([x, x]))
         S = estimate_tpdm(sample, 0.95, mode="pairwise", mass="fixed")
         np.testing.assert_allclose(S.entries, np.ones((2, 2)), atol=1e-12)
 
     def test_symmetric_output(self):
         X = construct(ar1_matrix(0.5, 4), sample_noise(4, 3000, seed=9))
-        S = estimate_tpdm(TailSample(X, margin="raw"), 0.9, mode="pairwise", mass="estimate")
+        S = estimate_tpdm(TailSample(X), 0.9, mode="pairwise", mass="estimate")
         np.testing.assert_array_equal(S.entries, S.entries.T)
         assert S.k_used.min() >= 10
 
     def test_row_permutation_invariance(self):
         X = construct(ar1_matrix(0.5, 3), sample_noise(3, 2000, seed=10))
-        S1 = estimate_tpdm(TailSample(X, margin="raw"), 0.9, mode="global", mass="estimate")
+        S1 = estimate_tpdm(TailSample(X), 0.9, mode="global", mass="estimate")
         perm = np.random.default_rng(0).permutation(2000)
-        S2 = estimate_tpdm(TailSample(X[perm], margin="raw"), 0.9, mode="global", mass="estimate")
+        S2 = estimate_tpdm(TailSample(X[perm]), 0.9, mode="global", mass="estimate")
         np.testing.assert_allclose(S1.entries, S2.entries, atol=1e-12)
 
     def test_global_trace_equals_mass(self):
         X = construct(ar1_matrix(0.7, 4), sample_noise(4, 5000, seed=11))
-        S = estimate_tpdm(TailSample(X, margin="raw"), 0.95, mode="global", mass="estimate")
-        assert np.trace(S.entries) == pytest.approx(S.mass, rel=1e-12)
+        S = estimate_tpdm(TailSample(X), 0.95, mode="global", mass="estimate")
+        assert np.trace(S.entries) == pytest.approx(_global_mass(X, S), rel=1e-12)
 
     def test_global_fixed_mass_uses_dimension(self):
         x = 1.0 / np.sqrt(1.0 - np.random.default_rng(3).random((4000, 2)))
-        S = estimate_tpdm(TailSample(x, margin="shifted-pareto"), 0.9, mode="global", mass="fixed")
+        S = estimate_tpdm(TailSample(x), 0.9, mode="global", mass="fixed")
         assert np.trace(S.entries) == pytest.approx(2.0, rel=1e-12)
 
     def test_global_radii_survive_overflowing_squares(self, overflow_sample):
@@ -300,7 +305,8 @@ class TestEstimateTpdm:
             warnings.simplefilter("error")
             S = estimate_tpdm(overflow_sample, 0.95, mode="global", mass="estimate")
         assert np.all(np.isfinite(S.entries))
-        assert np.trace(S.entries) == pytest.approx(S.mass, rel=1e-12)  # unit angles
+        assert np.trace(S.entries) == pytest.approx(_global_mass(overflow_sample.data, S),
+                                                    rel=1e-12)
 
     @pytest.mark.parametrize("scale", [2.0 ** -520, 2.0 ** 1000])
     def test_global_fixed_mass_is_scale_free(self, overflow_sample, scale):
@@ -344,7 +350,7 @@ class TestEstimateTpdm:
         from tailgraph import invert_ipm
 
         X = construct(ar1_matrix(0.7, 4), sample_noise(4, 10 ** 5, seed=400))
-        S = estimate_tpdm(TailSample(X, margin="raw"), 0.98, mode="global", mass="estimate")
+        S = estimate_tpdm(TailSample(X), 0.98, mode="global", mass="estimate")
         Q = invert_ipm(S).entries
         off = max(abs(Q[0, 2]), abs(Q[0, 3]), abs(Q[1, 3]))
         assert off < 0.3

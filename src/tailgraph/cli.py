@@ -16,7 +16,6 @@ import argparse
 import csv
 import errno
 import gc
-import importlib
 import io
 import json
 import os
@@ -242,7 +241,10 @@ def _critical_arg(value: str, named=_ADJUSTED):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def cmd_simulate(args, rvsim) -> int:
+# Each handler imports the package modules past tpdm that it uses in its own
+# body, so that a command loads only those (README, "Imports and start-up").
+def cmd_simulate(args) -> int:
+    from . import rvsim
     seed = _resolve_seed(args)
     if args.a_matrix:
         _, A = read_csv_matrix(args.a_matrix)
@@ -279,7 +281,8 @@ def _load_sample(path: str) -> TailSample:
     return TailSample(data, columns=columns)
 
 
-def cmd_tpdm(args, project) -> int:
+def cmd_tpdm(args) -> int:
+    from . import project
     sample = _load_sample(args.input)
     sigma = tpdm.estimate_tpdm(sample, q_radial=args.radial_quantile,
                                mode=args.mode, mass=args.mass)
@@ -307,7 +310,8 @@ def cmd_tpdm(args, project) -> int:
     return 0
 
 
-def cmd_ptc_test(args, inference, graphx) -> int:
+def cmd_ptc_test(args) -> int:
+    from . import graphx, inference
     sample = _load_sample(args.input)
     report = inference.ptc_test_all_pairs(
         sample, q_radial=args.radial_quantile, q_pred=args.pred_quantile,
@@ -325,7 +329,8 @@ def cmd_ptc_test(args, inference, graphx) -> int:
     return 0
 
 
-def cmd_coverage(args, inference) -> int:
+def cmd_coverage(args) -> int:
+    from . import inference
     seed = _resolve_seed(args)
     result = inference.coverage_study(
         phi=args.phi, n=args.n, reps=args.reps, q_radial=args.radial_quantile,
@@ -336,7 +341,8 @@ def cmd_coverage(args, inference) -> int:
     return 0
 
 
-def cmd_size_power(args, inference) -> int:
+def cmd_size_power(args) -> int:
+    from . import inference
     rejections, errors, failures = inference.size_power_study(
         phi=args.phi, n=args.n, reps=args.reps, p=args.p, q_radial=args.radial_quantile,
         q_pred=args.pred_quantile, cv_method=args.critical, alpha=args.alpha, seed=_resolve_seed(args))
@@ -352,7 +358,8 @@ def cmd_size_power(args, inference) -> int:
     return 0
 
 
-def cmd_graph(args, graphx) -> int:
+def cmd_graph(args) -> int:
+    from . import graphx
     if args.report is not None:
         try:
             with open(args.report) as fh:
@@ -371,21 +378,6 @@ def cmd_graph(args, graphx) -> int:
     _write_outputs(*outputs)
     print(f"graph with {len(graph.edges)} edges -> {args.out}")
     return 0
-
-
-# command -> (handler, the package modules it is called with).  The one place
-# rvsim, project, inference and graphx are imported: a command loads only
-# what it uses.  The handler is looked up by name when it runs, so a wrapper
-# installed on this module's attribute is the one called.
-COMMANDS = {
-    "simulate": ("cmd_simulate", ("rvsim",)),
-    "preprocess": ("cmd_preprocess", ()),
-    "tpdm": ("cmd_tpdm", ("project",)),
-    "ptc-test": ("cmd_ptc_test", ("inference", "graphx")),
-    "coverage": ("cmd_coverage", ("inference",)),
-    "size-power": ("cmd_size_power", ("inference",)),
-    "graph": ("cmd_graph", ("graphx",)),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -469,10 +461,9 @@ def main(argv=None) -> int:
     n, p = getattr(args, "n", 1), getattr(args, "p", 4)  # coverage samples four variables
     if 8 * max(n * p, p * p) > np.iinfo(np.intp).max:  # float64 sample, coefficient matrix
         parser.error(f"--n {n} and --p {p} exceed the largest array size")
-    handler, modules = COMMANDS[args.command]
-    loaded = {m: importlib.import_module(f".{m}", __package__) for m in modules}
     try:
-        return globals()[handler](args, **loaded)
+        # looked up when it runs, so a wrapper installed on this module's attribute is called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     # the parser has checked every argument, so a domain or dimension error can
     # only come from an input file: too few columns, or a matrix that is not square
     except (DataError, DomainError, DimensionError) as exc:

@@ -40,14 +40,6 @@ class NumericalError(TailgraphError):
 class ConditioningError(NumericalError):
     """Matrix is singular or too ill-conditioned for a reliable solve."""
 
-    def __init__(self, cond, limit=1e12, context=""):
-        self.cond = float(cond)
-        self.limit = float(limit)
-        msg = f"condition number estimate {cond:.3e} exceeds {limit:.0e}"
-        if context:
-            msg = f"{context}: {msg}"
-        super().__init__(msg)
-
 
 class DegenerateProjectionError(NumericalError):
     """A projection target lies in the span of the conditioning set."""

@@ -43,7 +43,7 @@ from .project import (Partition, conditional_ipm, ptc_matrix,  # noqa: F401
                       ptc_matrix_from_inverse, solve_b)
 from .report import _ADJUSTED, PairRecord, PtcTestReport, fixed_critical_value
 from .rvsim import ar1_matrix, construct, sample_noise, theoretical_ipm
-from .tpdm import (_TINY, TailSample, _least, _radial_exceedances, _resolve_mass, _squares,
+from .tpdm import (_TINY, TailSample, _estimated_mass, _radial_exceedances, _read_mass, _squares,
                    _strict_exceedances, as_matrix, estimate_tpdm)
 from .xlinear import softplus_inv
 
@@ -132,9 +132,11 @@ def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trac
     (``(R_(k)^2/n) k`` on the residual radii) or a positive number.
     """
     check_unit_interval(q_res=q_res)
+    m = _read_mass(mass, "trace", res.m_trace)
     prod, r = _estimator_mask((res.w[:, 0] * res.w[:, 1], res.r, res.n_total), q_res)
     k = prod.size
-    m = _resolve_mass(mass, _least(r, mass), k, res.n_total, "trace", res.m_trace)
+    if m is None:
+        m = _estimated_mass(float(r.min()), k, res.n_total)
     return m / k * float(prod.sum()), m, k
 
 

@@ -1,8 +1,7 @@
 """All-pairs test reports and fixed critical values.
 
 The report types are read back by ``tailgraph graph --report`` and drawn by
-:mod:`tailgraph.graphx`; neither needs the t distribution, so this module
-imports numpy alone.  :func:`tailgraph.inference.critical_value` parses
+:mod:`tailgraph.graphx`.  :func:`tailgraph.inference.critical_value` parses
 fixed values here and computes the adjusted ones itself.
 """
 

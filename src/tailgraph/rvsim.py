@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, check_integer, check_unit_interval
+from .errors import (DataError, DimensionError, DomainError, NumericalError, check_integer,
+                     check_unit_interval)
 from .tpdm import IPMatrix, solve_delta
 from .xlinear import softplus, softplus_inv, zero_clip
 
@@ -71,10 +72,16 @@ def construct(A, Z) -> np.ndarray:
         noise = noise[None, :]
     if M.ndim != 2 or noise.shape[1] != M.shape[1]:
         raise DimensionError(f"matrix {M.shape} does not conform with noise {noise.shape}")
+    if not np.isfinite(M).all():
+        raise DataError("coefficient matrix must be finite")
     if np.any(noise <= 0.0):
         raise DomainError("noise must be strictly positive")
     _check_columns(M)
-    return softplus(softplus_inv(noise) @ M.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = softplus_inv(noise) @ M.T
+    if not np.isfinite(Y).all():
+        raise NumericalError("transformed-linear product lies past the float64 range")
+    return softplus(Y)
 
 
 def ar1_matrix(phi: float, p: int) -> np.ndarray:

@@ -110,10 +110,8 @@ def square_matrix(matrix, what: str = "inner product matrix", finite: bool = Tru
 
 
 def as_matrix(gamma) -> np.ndarray:
-    """The entries of an IPMatrix, or an array-like checked by :func:`square_matrix`."""
-    if isinstance(gamma, IPMatrix):
-        return gamma.entries
-    return square_matrix(gamma)
+    """The entries of ``gamma``, an IPMatrix or an array-like held to its rule."""
+    return (gamma if isinstance(gamma, IPMatrix) else IPMatrix(gamma)).entries
 
 
 # A cached function, not a module constant: perfbench calls cache_clear() on it.
@@ -304,23 +302,27 @@ def estimate_mass(r, k: int, n: int) -> float:
     radii = np.asarray(r, dtype=float)
     if not 1 <= k <= n or k > radii.size:
         raise DomainError("need 1 <= k <= n")
-    r_k = float(np.partition(radii, radii.size - k)[radii.size - k])
-    return _resolve_mass("estimate", r_k, k, n)
+    return _estimated_mass(float(np.partition(radii, radii.size - k)[radii.size - k]), k, n)
 
 
-def _resolve_mass(mass, r_k: float, k: int, n: int, name: str = "fixed", value=None) -> float:
-    """Total angular mass m of the estimator ``(m/k) sum w_1 w_2``.
+def _estimated_mass(r_k: float, k: int, n: int) -> float:
+    """``(r_(k)^2 / n) k``, the total mass from r_k, the k-th largest of n radii."""
+    m = r_k * r_k / n * k  # not r_k ** 2: libm's pow is not correctly rounded
+    if m == math.inf:
+        raise NumericalError(f"estimated mass overflows: threshold radius {r_k!r}")
+    return m
 
-    ``mass`` is "estimate" (``(r_(k)^2/n) k`` from the k-th largest of n
-    radii), the caller's ``name`` for its own ``value`` (the fixed mass of
-    the TPDM, the conditional-IPM trace of the residual test), or a positive
-    number used verbatim.
+
+def _read_mass(mass, name: str, value) -> float | None:
+    """The total angular mass m of the estimator ``(m/k) sum w_1 w_2``, read once.
+
+    ``mass`` is "estimate" (None: :func:`_estimated_mass` of the exceedances),
+    the caller's ``name`` for its own ``value`` (the fixed mass of the TPDM,
+    the conditional-IPM trace of the residual test), or a positive number
+    used verbatim.
     """
     if mass == "estimate":
-        m = r_k * r_k / n * k  # not r_k ** 2: libm's pow is not correctly rounded
-        if m == math.inf:
-            raise NumericalError(f"estimated mass overflows: threshold radius {r_k!r}")
-        return m
+        return None
     if mass == name:
         if value is None:
             raise DomainError(f"mass={name!r} needs a value for this sample")
@@ -335,20 +337,15 @@ def _resolve_mass(mass, r_k: float, k: int, n: int, name: str = "fixed", value=N
     return m
 
 
-def _pair_moment(a, b, s, n: int, q_radial: float, mass):
+def _pair_moment(a, b, s, n: int, q_radial: float, mass: float | None):
     """``(sigma, k, wa, wb)`` of one TPDM entry from the coordinates (a, b) and
     squared radii s of rows holding every exceedance of the pair's n radii
     (see :func:`_radial_exceedances`); ``(wa, wb)`` are the exceedances' unit
-    angles, the only ones formed."""
+    angles, the only ones formed.  ``mass`` is read by :func:`_read_mass`."""
     idx, rk, k, _ = _radial_exceedances(s, q_radial, (a, b), "pair estimate", n)
-    m = _resolve_mass(mass, _least(rk, mass), k, n, "fixed", 2.0)
+    m = _estimated_mass(float(rk.min()), k, n) if mass is None else mass
     wa, wb = a.take(idx) / rk, b.take(idx) / rk
     return m / k * float((wa * wb).sum()), k, wa, wb
-
-
-def _least(radii: np.ndarray, mass):
-    """The least exceedance radius, r_(k), which only ``mass="estimate"`` reads."""
-    return float(radii.min()) if mass == "estimate" else None
 
 
 def estimate_sigma_pair(xi, xj, q_radial: float = 0.95, mass="fixed"):
@@ -361,17 +358,19 @@ def estimate_sigma_pair(xi, xj, q_radial: float = 0.95, mass="fixed"):
     dropped as in :func:`polar2`.
     """
     a, b, s, _ = _pair_radii(xi, xj)
-    _check_estimate_args(q_radial, mass, a.size)
-    sigma, k, wa, wb = _pair_moment(a, b, s, a.size, q_radial, mass)
+    m = _check_estimate_args(q_radial, mass, 2.0, a.size)
+    sigma, k, wa, wb = _pair_moment(a, b, s, a.size, q_radial, m)
     return sigma, k, np.column_stack((wa, wb))
 
 
-def _check_estimate_args(q_radial: float, mass, n_pair: int | None = None):
-    """An estimate's argument errors in order: q, the mass, too few rows for a pair."""
+def _check_estimate_args(q_radial: float, mass, fixed: float, n_pair: int | None = None):
+    """An estimate's argument errors in order: q, the mass, too few rows for a
+    pair.  Returns the mass read by :func:`_read_mass`, ``fixed`` for "fixed"."""
     check_unit_interval(q_radial=q_radial)
-    _resolve_mass(mass, 1.0, 1, 1, "fixed", 2.0)  # raises its argument errors, if any
+    m = _read_mass(mass, "fixed", fixed)
     if n_pair is not None and n_pair < 50:
         raise DataError("need at least 50 paired observations")
+    return m
 
 
 def _tail_candidates(cols: np.ndarray, q_radial: float) -> np.ndarray:
@@ -395,12 +394,14 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
     """
     X = sample.data
     n, p = X.shape
-    _check_estimate_args(q_radial, mass, n if mode == "pairwise" else None)
+    m = _check_estimate_args(q_radial, mass, p if mode == "global" else 2.0,
+                             n if mode == "pairwise" else None)
     if mode == "global":
         with np.errstate(over="ignore"):
             s = np.sum(X ** 2, axis=1)
         idx, radii, k, _ = _radial_exceedances(s, q_radial, X.T, "global TPDM")
-        m = _resolve_mass(mass, _least(radii, mass), k, n, "fixed", p)
+        if m is None:
+            m = _estimated_mass(float(radii.min()), k, n)
         W = X.take(idx, axis=0) / radii[:, None]
         S = (m / k) * (W.T @ W)
         return IPMatrix(S, k_used=np.full((p, p), k))
@@ -416,7 +417,7 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
             for j in range(i, p):
                 rows = (cand[i] | cand[j]).nonzero()[0]
                 a, b = cols[i].take(rows), cols[j].take(rows)
-                sigma, k, _, _ = _pair_moment(a, b, _squares(a, b), n, q_radial, mass)
+                sigma, k, _, _ = _pair_moment(a, b, _squares(a, b), n, q_radial, m)
                 S[i, j] = S[j, i] = sigma
                 K[i, j] = K[j, i] = k
     return IPMatrix(S, k_used=K)

@@ -332,6 +332,24 @@ class TestSizePowerCmd:
         assert capsys.readouterr().out.startswith("seed: ")
 
 
+def test_main_calls_the_functions_on_their_modules(tmp_path, monkeypatch, simulated):
+    """``main`` looks a handler up on ``cli`` and the handler its library
+    function up on its module when they run, so wrappers installed there (as
+    perfbench's tracer installs them) are the ones called."""
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
+
+    count(cli, "cmd_preprocess")
+    count(inference, "ptc_test_all_pairs")
+    prep = tmp_path / "prep.csv"
+    assert run("preprocess", "--input", simulated, "--output", prep) == 0
+    assert run("ptc-test", "--input", prep, "--out-prefix", tmp_path / "r") == 0
+    assert calls == ["cmd_preprocess", "ptc_test_all_pairs"]
+
+
 def test_allocation_failure_is_numerical_error(tmp_path, monkeypatch, capsys):
     """An allocation failure exits 4 with one line; the sampler is stubbed, nothing is allocated."""
     def no_memory(*args, **kwargs):
@@ -475,6 +493,11 @@ def _write_inputs(tmp_path, case):
     elif case == "ptc-test on a two-column sample":
         X = construct(ar1_matrix(0.7, 2), sample_noise(2, 600, seed=1))
         prep.write_text(_format_matrix_csv(X, ["a", "b"]))
+    amat = tmp_path / "a.csv"
+    if case == "simulate --a-matrix with a nan cell":
+        amat.write_text("a,b\n1,nan\n0,1\n")
+    elif case == "simulate --a-matrix past the float64 range":
+        amat.write_text("a,b\n1e308,1e308\n1e308,1e308\n")
     stats = tmp_path / "stats.csv"
     if case == "graph --stats on a non-square matrix":
         stats.write_text("a,b,c\n0,1,2\n1,0,3\n")
@@ -579,6 +602,10 @@ def _write_inputs(tmp_path, case):
         "simulate --phi nan": ["simulate", "--phi", "nan", "--out", tmp_path / "s.csv"],
         "simulate --a-matrix --phi 1.5": ["simulate", "--a-matrix", NO2_FIXTURE, "--phi", 1.5,
                                           "--out", tmp_path / "s.csv"],
+        "simulate --a-matrix with a nan cell": ["simulate", "--a-matrix", amat, "--n", 100,
+                                                "--seed", 1, "--out", tmp_path / "s.csv"],
+        "simulate --a-matrix past the float64 range": ["simulate", "--a-matrix", amat, "--n", 100,
+                                                       "--seed", 1, "--out", tmp_path / "s.csv"],
         "coverage --phi 0": ["coverage", "--phi", 0, "--out", tmp_path / "c.json"],
         "size-power --phi -2": ["size-power", "--phi", -2, "--out", tmp_path / "s.json"],
         "coverage --reps 10": ["coverage", "--reps", 10, "--out", tmp_path / "c.json"],
@@ -640,6 +667,9 @@ FAILURE_TABLE = [
     ("size-power --reps 0", 2),
     ("size-power every replication fails", 4),
     ("size-power --alpha 1e-300", 4),  # as for ptc-test, found before the first sample
+    # the coefficient matrix is checked on entry, and its product for overflow, with no warning
+    ("simulate --a-matrix with a nan cell", 3),
+    ("simulate --a-matrix past the float64 range", 4),
     # the input's shape is at fault, not a computation
     ("ptc-test on a two-column sample", 3),  # no pair has a conditioning variable
     ("graph --stats on a non-square matrix", 3),
@@ -852,7 +882,8 @@ def test_import_budget(tmp_path):
     ``statistics``: ``import tailgraph`` and every command, tpdm, ptc-test,
     coverage and size-power included (delta is a literal; factorisations run
     on numpy and the t quantile on ``math``).  No module of the package
-    imports scipy."""
+    imports scipy.  Past ``cli`` and what it imports, a command loads only the
+    package modules it uses."""
     for path in Path(cli.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -873,6 +904,7 @@ if sys.argv[1:]:
     assert tailgraph.cli.main(sys.argv[1:]) == 0
 print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                   "statistics": "statistics" in sys.modules,
+                  "package": sorted(m for m in sys.modules if m.startswith("tailgraph.")),
                   "delta": repr(tailgraph.tpdm.solve_delta())}))
 """
     commands = [
@@ -897,6 +929,14 @@ print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "
         assert got["delta"] == "0.9352083872762512"
         assert got["scipy"] == [], argv
         assert not got["statistics"], argv
+        loaded = {m.split(".")[1] for m in got["package"]} - {"cli", "errors", "report", "tpdm"}
+        assert sorted(loaded) == _LOADED[argv[0] if argv else None], argv
+
+
+_RUNNER = ["graphx", "inference", "project", "rvsim", "xlinear"]
+_LOADED = {None: [], "simulate": ["rvsim", "xlinear"], "preprocess": [],
+           "tpdm": ["project", "xlinear"], "ptc-test": _RUNNER,
+           "coverage": _RUNNER[1:], "size-power": _RUNNER[1:], "graph": ["graphx"]}
 
 
 # CLI fuzz: argument vectors drawn from a vocabulary of valid, boundary and

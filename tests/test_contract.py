@@ -46,6 +46,7 @@ from tailgraph import (
     ptc_matrix,
     residuals,
     sample_noise,
+    solve_b,
     t_statistic,
     tadd,
     tpdm,
@@ -56,6 +57,7 @@ from tailgraph.project import project_onto_span, ptc_matrix_from_inverse
 from tailgraph.report import fixed_critical_value
 
 NAN_3X3 = np.full((3, 3), np.nan)
+ASYMMETRIC = np.array([[2.0, 1.0, 0.2], [0.0, 2.0, 0.3], [0.2, 0.3, 2.0]])
 
 
 class TestMatrixEntryPoints:
@@ -74,6 +76,18 @@ class TestMatrixEntryPoints:
             warnings.simplefilter("error")
             with pytest.raises(error):
                 fn(G)
+
+    @pytest.mark.parametrize("fn", [
+        invert_ipm, ptc_matrix, lambda G: ptc(G, 0, 1),
+        lambda G: conditional_ipm(G, Partition.pair(0, 1, 3)),
+        lambda G: solve_b(G, Partition.pair(0, 1, 3)),
+        lambda G: ptc_from_inverse(G, 0, 1), ptc_matrix_from_inverse,
+    ], ids=["invert_ipm", "ptc_matrix", "ptc", "conditional_ipm", "solve_b", "ptc_from_inverse",
+            "ptc_matrix_from_inverse"])
+    def test_plain_matrix_takes_the_ipmatrix_rule(self, fn):
+        # each read one triangle of this matrix, or failed a check with a wrong reason
+        with pytest.raises(DomainError, match="must be symmetric"):
+            fn(ASYMMETRIC)
 
     @pytest.mark.parametrize("i, j", [(0, 0), (0, 3), (-1, 1)])
     def test_pair_indices_follow_partition_pair(self, i, j):
@@ -352,7 +366,7 @@ REACHED_RAISES = [  # (case, call, documented class, message)
     ("ar1_matrix past any array", lambda: ar1_matrix(0.5, 10 ** 10), DomainError,
      "largest array size"),
     ("inverse that fails its check", lambda: invert_ipm(_COND_8E11), ConditioningError,
-     "inverse verification failed"),
+     r"^inverse verification failed: \|G G\^-1 - I\| reaches \d\.\d{3}e-\d\d, limit 1e-08$"),
     ("asymmetric IPMatrix", lambda: IPMatrix([[1.0, 0.5], [0.4, 1.0]]), DomainError, "symmetric"),
     ("3-D raw data", lambda: marginal_transform(np.ones((2, 2, 2))), DimensionError, "2-D"),
     ("mass of k > n", lambda: estimate_mass(np.ones(5), 6, 5), DomainError, "1 <= k <= n"),

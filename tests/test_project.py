@@ -88,9 +88,9 @@ class TestSolveB:
     def test_singular_block_raises_with_estimate(self):
         G = np.ones((3, 3)) + np.eye(3) * 1e-15
         G[0, 0] = 2.0
-        with pytest.raises(ConditioningError) as exc:
+        with pytest.raises(ConditioningError, match="condition number estimate") as exc:
             solve_b(G, Partition.single(0, 3))
-        assert exc.value.cond > 1e12
+        assert float(str(exc.value).split("estimate ")[1].split()[0]) > 1e12
 
     def test_graded_complement_block_meets_residual_check(self):
         # complement variables on scales 1e-5 ... 1: cond 1.1e10, inside the gate.

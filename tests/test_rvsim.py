@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from tailgraph import (
     LOG2,
+    DataError,
     DomainError,
+    NumericalError,
     angular_points,
     ar1_matrix,
     construct,
@@ -103,6 +107,18 @@ class TestConstruct:
         Z = sample_noise(2, 20, seed=5)
         with pytest.warns(UserWarning, match="no positive entry"):
             construct(A, Z)
+
+    @pytest.mark.parametrize("cell, error, match", [
+        (np.nan, DataError, "coefficient matrix must be finite"),
+        (-np.inf, DataError, "coefficient matrix must be finite"),
+        (1e308, NumericalError, "past the float64 range"),
+    ])
+    def test_coefficient_matrix_checked_on_entry(self, cell, error, match):
+        Z = sample_noise(2, 100, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from the product
+            with pytest.raises(error, match=match):
+                construct(np.full((2, 2), cell), Z)
 
     def test_composition_on_sampled_data(self):
         rng = np.random.default_rng(6)

@@ -29,7 +29,8 @@ from tailgraph import (
     solve_delta,
 )
 from tailgraph import inference, tpdm
-from tailgraph.tpdm import MIN_EXCEEDANCES, _average_ranks, _radial_exceedances, _resolve_mass
+from tailgraph.tpdm import (MIN_EXCEEDANCES, _average_ranks, _estimated_mass, _radial_exceedances,
+                            _read_mass)
 
 
 def _preimage_mean(delta: float) -> float:
@@ -248,19 +249,22 @@ def _global_mass(X, S):
 
 
 class TestResolveMass:
+    """The mass argument, read by ``_read_mass``; an estimate is ``_estimated_mass``."""
+
     def test_named_value_and_number_verbatim(self):
-        assert _resolve_mass("fixed", 3.0, 10, 100, "fixed", 2.0) == 2.0
-        assert _resolve_mass("trace", 3.0, 10, 100, "trace", 1.25) == 1.25
-        assert _resolve_mass(0.5, 3.0, 10, 100) == 0.5
+        assert _read_mass("fixed", "fixed", 2.0) == 2.0
+        assert _read_mass("trace", "trace", 1.25) == 1.25
+        assert _read_mass(0.5, "fixed", 2.0) == 0.5
 
     def test_estimate_formula(self):
-        assert _resolve_mass("estimate", 3.0, 10, 100, "trace", None) == 9.0 / 100 * 10
+        assert _read_mass("estimate", "trace", None) is None
+        assert _estimated_mass(3.0, 10, 100) == 9.0 / 100 * 10
 
     @pytest.mark.parametrize("mass, name, value", [("trace", "trace", None), (0.0, "fixed", 2.0),
                                                    (-1.0, "fixed", 2.0)])
     def test_missing_or_non_positive_mass(self, mass, name, value):
         with pytest.raises(DomainError):
-            _resolve_mass(mass, 3.0, 10, 100, name, value)
+            _read_mass(mass, name, value)
 
     @pytest.mark.parametrize("mode", ["global", "pairwise"])
     @pytest.mark.parametrize("mass", ["bogus", "", None])
@@ -498,7 +502,9 @@ def _hypot_pairwise(X, q, mass):
             r = np.hypot(a, b)
             mask = r > np.quantile(r, q)
             k = int(mask.sum())
-            m = _resolve_mass(mass, float(r[mask].min()), k, n, "fixed", 2.0)
+            m = _read_mass(mass, "fixed", 2.0)
+            if m is None:
+                m = _estimated_mass(float(r[mask].min()), k, n)
             S[i, j] = S[j, i] = m / k * float(np.sum((a[mask] / r[mask]) * (b[mask] / r[mask])))
             K[i, j] = K[j, i] = k
     return S, K
@@ -608,7 +614,7 @@ def _mask_pair_moment(a, b, s, n, q_radial, mass):
         r = tpdm._radii(a * a + b * b, (a, b))
     mask, k = tpdm._strict_exceedances(r, _two_kth_threshold(r, q_radial, n), "pair estimate")
     rk = r[mask]
-    m = tpdm._resolve_mass(mass, float(rk.min()), k, n, "fixed", 2.0)
+    m = tpdm._estimated_mass(float(rk.min()), k, n) if mass is None else mass
     wk = np.column_stack((a[mask], b[mask])) / rk[:, None]
     return m / k * float(np.sum(wk[:, 0] * wk[:, 1])), k, wk[:, 0], wk[:, 1]
 

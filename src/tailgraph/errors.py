@@ -56,12 +56,13 @@ def check_unit_interval(**values):
             raise DomainError(f"{name} must lie in (0, 1)")
 
 
-def check_integer(minimum: int, **values):
-    """Raise :class:`DomainError` naming the first value that is not an integer
-    at least ``minimum``; None is not one."""
+def check_integer(minimum: int, **values) -> list:
+    """The values as ints, in order.  Raise :class:`DomainError` naming the first
+    value that is not an integer at least ``minimum``; None is not one."""
     for name, v in values.items():
         if v is None or not (float(v).is_integer() and v >= minimum):
             raise DomainError(f"need an integer {name} >= {minimum}, got {v!r}")
+    return [int(v) for v in values.values()]
 
 
 def check_names(names, count: int) -> list:

@@ -172,15 +172,15 @@ def _tau2(prod, total: float, m_tilde: float) -> float:
     return tau2
 
 
-def _check_t_args(sigma_u_hat: float, tau2_hat: float, k: int) -> None:
-    """The arguments of a t statistic or interval: a finite ``sigma_u_hat``, a
-    positive finite ``tau2_hat`` (else a :class:`DegenerateVarianceError`) and an
-    integer ``k >= 2``."""
+def _check_t_args(sigma_u_hat: float, tau2_hat: float, k: int) -> int:
+    """``k`` as an int, after checking the arguments of a t statistic or interval:
+    a finite ``sigma_u_hat``, a positive finite ``tau2_hat`` (else a
+    :class:`DegenerateVarianceError`) and an integer ``k >= 2``."""
     if not math.isfinite(sigma_u_hat):
         raise DomainError(f"sigma_u must be finite, got {sigma_u_hat!r}")
     if not 0.0 < tau2_hat < math.inf:
         raise DegenerateVarianceError(f"tau2 must be positive and finite, got {tau2_hat!r}")
-    check_integer(2, k=k)
+    return check_integer(2, k=k)[0]
 
 
 def t_statistic(sigma_u_hat: float, tau2_hat: float, k: int) -> float:
@@ -333,8 +333,8 @@ def confidence_interval(sigma_u_hat: float, tau2_hat: float, k: int, level: floa
     is infinite, is a :class:`NumericalError`.
     """
     check_unit_interval(level=level)
-    _check_t_args(sigma_u_hat, tau2_hat, k)
-    quantile = _t_upper_quantile(int(k) - 1, 1.0 - (1.0 + level) / 2.0)
+    k = _check_t_args(sigma_u_hat, tau2_hat, k)
+    quantile = _t_upper_quantile(k - 1, 1.0 - (1.0 + level) / 2.0)
     if not math.isfinite(quantile):
         raise NumericalError(f"t quantile at level {level!r} (k={k}) is not finite")
     half = quantile * np.sqrt(tau2_hat / k)
@@ -355,13 +355,13 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
     if not (isinstance(method, str) and method in _ADJUSTED):
         return fixed_critical_value(method)
     check_unit_interval(alpha=alpha)
-    check_integer(2, df=df)
+    df, = check_integer(2, df=df)
     if method == "bonferroni":
         check_integer(1, n_pairs=n_pairs)
         level = 1.0 - alpha / (2.0 * n_pairs)
     else:
         level = 1.0 - alpha / 2.0
-    cv = _t_upper_quantile(int(df), 1.0 - level)
+    cv = _t_upper_quantile(df, 1.0 - level)
     if not np.isfinite(cv):
         raise NumericalError(f"t quantile at level {level!r} (df={df}) is not finite; "
                              f"alpha={alpha!r} is too small")
@@ -539,8 +539,7 @@ def coverage_study(phi: float = 0.7, n: int = 10_000, reps: int = 500,
     the residual estimator.  Both the partition-based and the residual-based
     estimates are returned per replication.
     """
-    if reps < 1:
-        raise DomainError("reps must be >= 1")
+    reps, n = check_integer(1, reps=reps, n=n)
     # these fail here, not in every replication: whether the level's quantile
     # is finite does not depend on k
     check_unit_interval(q_radial=q_radial)
@@ -579,6 +578,7 @@ def size_power_study(phi: float = 0.7, n: int = 10_000, reps: int = 200, p: int 
     """
     if reps < 1 or p < 3:
         raise DomainError("need reps >= 1 and p >= 3 (a pair plus one conditioning variable)")
+    reps, n, p = check_integer(1, reps=reps, n=n, p=p)
     # these fail here, not in every replication: whether the critical value is
     # finite does not depend on df
     check_unit_interval(q_radial=q_radial, q_pred=q_pred, alpha=alpha)

@@ -43,16 +43,16 @@ class Partition:
 
     @classmethod
     def pair(cls, i: int, j: int, p: int) -> "Partition":
-        if i == j or not (0 <= i < p and 0 <= j < p):
+        if i == j or i not in range(p) or j not in range(p):  # integers in [0, p)
             raise DomainError("need two distinct indices inside the vector")
         rest = tuple(k for k in range(p) if k not in (i, j))
-        return cls(target=(i, j), complement=rest)
+        return cls(target=(int(i), int(j)), complement=rest)
 
     @classmethod
     def single(cls, i: int, p: int) -> "Partition":
-        if not 0 <= i < p:
+        if i not in range(p):
             raise DomainError("index out of range")
-        return cls(target=(i,), complement=tuple(k for k in range(p) if k != i))
+        return cls(target=(int(i),), complement=tuple(k for k in range(p) if k != i))
 
 
 def _spd_factor(G: np.ndarray, context: str):
@@ -165,8 +165,8 @@ def _check_projection(low: float, gamma_max: float) -> None:
 def ptc_from_inverse(gamma_inv, i: int, j: int) -> float:
     """Partial tail correlation read off the full inverse inner product matrix."""
     G = as_matrix(gamma_inv)
-    Partition.pair(i, j, G.shape[0])  # the index rule
-    return float(ptc_matrix_from_inverse(G[np.ix_((i, j), (i, j))])[0, 1])
+    t = Partition.pair(i, j, G.shape[0]).target
+    return float(ptc_matrix_from_inverse(G[np.ix_(t, t)])[0, 1])
 
 
 def invert_ipm(gamma) -> IPMatrix:

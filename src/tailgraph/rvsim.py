@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DataError, DimensionError, DomainError, NumericalError, check_integer,
-                     check_unit_interval)
+from .errors import DomainError, check_integer, check_unit_interval
 from .tpdm import IPMatrix, solve_delta
-from .xlinear import softplus, softplus_inv, zero_clip
+# perfbench/tracing.py wraps softplus and softplus_inv here: keep them importable
+from .xlinear import _coefficients, softplus, softplus_inv, tmatmul, zero_clip  # noqa: F401
 
 _DISTRIBUTIONS = ("shifted-pareto", "frechet")
 
@@ -41,8 +41,7 @@ def sample_noise(q: int, n: int, distribution: str = "shifted-pareto", seed=0) -
     ``(-log U)^(-1/2)``.  Each column uses its own substream spawned from the
     root seed, so streams stay fixed when q or n change.
     """
-    if q < 1 or n < 1:
-        raise DomainError("q and n must be >= 1")
+    q, n = check_integer(1, q=q, n=n)
     if distribution not in _DISTRIBUTIONS:
         raise DomainError(f"distribution must be one of {_DISTRIBUTIONS}")
     shift = solve_delta() if distribution == "shifted-pareto" else 0.0
@@ -57,31 +56,14 @@ def sample_noise(q: int, n: int, distribution: str = "shifted-pareto", seed=0) -
     return np.column_stack(cols)
 
 
-def _check_columns(A: np.ndarray):
-    bad = np.flatnonzero(A.max(axis=0) <= 0.0)
-    if bad.size:
-        warnings.warn(f"columns {bad.tolist()} have no positive entry and carry no tail mass",
-                      stacklevel=3)
-
-
 def construct(A, Z) -> np.ndarray:
     """Row-wise transformed-linear map: each row of Z becomes ``A (*) z``."""
-    M = np.asarray(A, dtype=float)
-    noise = np.asarray(Z, dtype=float)
-    if noise.ndim == 1:
-        noise = noise[None, :]
-    if M.ndim != 2 or noise.shape[1] != M.shape[1]:
-        raise DimensionError(f"matrix {M.shape} does not conform with noise {noise.shape}")
-    if not np.isfinite(M).all():
-        raise DataError("coefficient matrix must be finite")
-    if np.any(noise <= 0.0):
-        raise DomainError("noise must be strictly positive")
-    _check_columns(M)
-    with np.errstate(over="ignore", invalid="ignore"):
-        Y = softplus_inv(noise) @ M.T
-    if not np.isfinite(Y).all():
-        raise NumericalError("transformed-linear product lies past the float64 range")
-    return softplus(Y)
+    X = tmatmul(A, np.atleast_2d(Z))
+    bad = np.flatnonzero(~(np.asarray(A, dtype=float) > 0.0).any(axis=0))
+    if bad.size:
+        warnings.warn(f"columns {bad.tolist()} have no positive entry and carry no tail mass",
+                      stacklevel=2)
+    return X
 
 
 def ar1_matrix(phi: float, p: int) -> np.ndarray:
@@ -91,8 +73,8 @@ def ar1_matrix(phi: float, p: int) -> np.ndarray:
     ``X_i = phi (*) X_{i-1} (+) Z_i`` started from zero.
     """
     check_unit_interval(phi=phi)
-    check_integer(1, p=p)
-    if 8 * int(p) ** 2 > np.iinfo(np.intp).max:  # a numpy integer would wrap
+    p, = check_integer(1, p=p)  # a Python int: 8 p^2 cannot wrap
+    if 8 * p ** 2 > np.iinfo(np.intp).max:
         raise DomainError(f"a {p} x {p} matrix exceeds the largest array size")
     lag = np.arange(p)[:, None] - np.arange(p)[None, :]
     return np.where(lag >= 0, float(phi) ** np.maximum(lag, 0), 0.0)
@@ -100,7 +82,7 @@ def ar1_matrix(phi: float, p: int) -> np.ndarray:
 
 def theoretical_ipm(A) -> IPMatrix:
     """Inner product matrix ``A A'`` of the constructed vector."""
-    M = np.asarray(A, dtype=float)
+    M = _coefficients(A)
     G = M @ M.T
     return IPMatrix((G + G.T) / 2.0)
 

@@ -41,6 +41,7 @@ from .errors import (
     DomainError,
     InsufficientExceedancesError,
     NumericalError,
+    check_integer,
     check_names,
     check_unit_interval,
 )
@@ -300,7 +301,8 @@ def _radii(s: np.ndarray, cols, rows=None) -> np.ndarray:
 def estimate_mass(r, k: int, n: int) -> float:
     """Total-mass estimate ``(r_(k)^2 / n) * k`` from raw-scale radii."""
     radii = np.asarray(r, dtype=float)
-    if not 1 <= k <= n or k > radii.size:
+    k, n = check_integer(1, k=k, n=n)
+    if k > n or k > radii.size:
         raise DomainError("need 1 <= k <= n")
     return _estimated_mass(float(np.partition(radii, radii.size - k)[radii.size - k]), k, n)
 

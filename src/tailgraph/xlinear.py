@@ -3,9 +3,14 @@
 The transform ``t(y) = log(exp(y) + 1)`` (softplus) maps the reals onto
 (0, inf).  Conjugating ordinary linear algebra through ``t`` yields vector
 addition ``x1 (+) x2 = t(t^-1(x1) + t^-1(x2))``, scalar multiplication
-``a (*) x = t(a t^-1(x))`` and matrix application ``A (*) x = t(A t^-1(x))``,
-all of which keep results strictly positive.  The additive identity of the
-space is ``t(0) = log 2``.
+``a (*) x = t(a t^-1(x))`` and matrix application ``A (*) x = t(A t^-1(x))``.
+The additive identity of the space is ``t(0) = log 2``.
+
+All three are one map ``t(f(t^-1(x), ...))``, f linear, computed in one place
+under three rules.  Positivity: each x is finite and > 0, the domain of
+:func:`softplus_inv` (:class:`DomainError`).  Finite coefficients, checked by
+:func:`tmatmul` and :func:`zero_clip` (:class:`DataError`).  Range: an overflow
+is a :class:`NumericalError`, not a warning; an underflow to 0 gives 5e-324.
 
 Both transforms take one path for scalars and arrays of any shape and
 layout: masked ufuncs (``where=``) evaluate the closed form in place on the
@@ -21,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DataError, DimensionError, DomainError, NumericalError
 
 LOG2 = math.log(2.0)
 
@@ -64,46 +69,56 @@ def softplus_inv(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _positive_vector(x, name="x"):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError(f"{name} must be strictly positive and finite")
-    return arr
+def _transformed_linear(f, *xs):
+    """``t(f(t^-1(x), ...))``: the one transformed-linear map and its range rule."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = f(*map(softplus_inv, xs))
+    if not np.isfinite(y).all():
+        raise NumericalError("transformed-linear result lies past the float64 range")
+    out = softplus(y)  # exp(y) is 0 below y = -745: the least double > 0 stays in the orthant
+    return np.maximum(out, 5e-324, out=out) if np.ndim(out) else max(out, 5e-324)
+
+
+def _coefficients(A) -> np.ndarray:
+    """``A`` as a float array under the finite-coefficient rule."""
+    M = np.asarray(A, dtype=float)
+    if not np.isfinite(M).all():
+        raise DataError("coefficient matrix must be finite")
+    return M
 
 
 def tadd(x1, x2):
     """Vector addition in the transformed space, componentwise."""
-    a1 = _positive_vector(x1, "x1")
-    a2 = _positive_vector(x2, "x2")
+    a1, a2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     if a1.shape != a2.shape:
         raise DimensionError(f"shape mismatch {a1.shape} vs {a2.shape}")
-    return softplus(softplus_inv(a1) + softplus_inv(a2))
+    return _transformed_linear(np.add, a1, a2)
 
 
 def tscale(a, x):
     """Scalar multiplication ``a (*) x`` in the transformed space."""
     if not np.isfinite(a):
         raise DomainError("scalar must be finite")
-    return softplus(float(a) * softplus_inv(_positive_vector(x)))
+    return _transformed_linear(lambda y: float(a) * y, x)
 
 
 def tmatmul(A, x):
     """Matrix application ``A (*) x = t(A t^-1(x))``.
 
-    ``x`` has length q (the column count of A); the result has length p.
+    ``x`` is one vector of length q (the column count of A), giving a length-p
+    result, or rows (n, q), each mapped alike into an (n, p) result.
     Composes like ordinary matrix multiplication: ``B (*) (A (*) x)`` equals
     ``(BA) (*) x`` up to transform round trips.
     """
-    M = np.asarray(A, dtype=float)
-    v = _positive_vector(x)
-    if M.ndim != 2 or v.ndim != 1 or M.shape[1] != v.shape[0]:
-        raise DimensionError(f"cannot apply {M.shape} matrix to length-{v.shape[0] if v.ndim == 1 else v.shape} vector")
-    return softplus(M @ softplus_inv(v))
+    M, v = _coefficients(A), np.asarray(x, dtype=float)
+    if M.ndim != 2 or v.ndim not in (1, 2) or v.shape[-1] != M.shape[1]:
+        raise DimensionError(f"matrix {M.shape} does not conform with input {v.shape}")
+    return _transformed_linear(lambda y: y @ M.T, v)
 
 
 def zero_clip(A):
-    """Componentwise max(entry, 0)."""
-    return np.maximum(np.asarray(A, dtype=float), 0.0)
+    """Componentwise max(entry, 0) of a finite coefficient array."""
+    return np.maximum(_coefficients(A), 0.0)
 
 
 def tail_ratio(a):
@@ -112,5 +127,4 @@ def tail_ratio(a):
     Negative coefficients do not contribute to the upper tail, so the tail
     ratio of a combination with coefficients ``a`` is sum(max(a_j, 0)^2).
     """
-    arr = np.asarray(a, dtype=float)
-    return float(np.sum(zero_clip(arr) ** 2))
+    return float(np.sum(zero_clip(a) ** 2))

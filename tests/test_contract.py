@@ -28,10 +28,12 @@ from tailgraph import (
     ResidualSample,
     TailSample,
     TailgraphError,
+    angular_points,
     ar1_matrix,
     conditional_ipm,
     confidence_interval,
     construct,
+    coverage_study,
     critical_value,
     emit_dot,
     estimate_mass,
@@ -41,16 +43,23 @@ from tailgraph import (
     graph_from_stats,
     invert_ipm,
     marginal_transform,
+    predict,
     ptc,
     ptc_from_inverse,
     ptc_matrix,
     residuals,
     sample_noise,
+    size_power_study,
     solve_b,
     t_statistic,
     tadd,
+    tail_ratio,
+    theoretical_ipm,
+    theoretical_tpdm,
+    tmatmul,
     tpdm,
     tscale,
+    zero_clip,
 )
 from tailgraph.cli import _read_csv_checked, main
 from tailgraph.project import project_onto_span, ptc_matrix_from_inverse
@@ -304,6 +313,77 @@ def test_scalar_argument_rules(call, error):
         call()
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: Partition.single(0.5, 3), "out of range"),
+    (lambda: Partition.pair(0.5, 1, 3), "two distinct indices"),
+    (lambda: ptc(np.eye(3), 0.5, 1), "two distinct indices"),
+    (lambda: ptc_from_inverse(np.eye(3), 0.5, 1), "two distinct indices"),
+    (lambda: sample_noise(2.5, 10), "integer q"),
+    (lambda: estimate_mass(np.ones(5), 2.5, 5), "integer k"),
+    (lambda: coverage_study(reps=2.5), "integer reps"),
+    (lambda: coverage_study(n=2.5, reps=1), "integer n"),
+    (lambda: size_power_study(reps=2.5), "integer reps"),
+    (lambda: size_power_study(n=2.5, reps=1), "integer n"),
+], ids=["single i=0.5", "pair i=0.5", "ptc i=0.5", "ptc_from_inverse i=0.5", "noise q=2.5",
+        "mass k=2.5", "coverage reps=2.5", "coverage n=2.5", "size-power reps=2.5",
+        "size-power n=2.5"])
+def test_counts_and_indices_are_integers(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
+def test_integer_valued_indices_are_indices():
+    G = invert_ipm(ar1_matrix(0.7, 3) @ ar1_matrix(0.7, 3).T)
+    assert ptc_from_inverse(G, 1.0, np.float64(2)) == ptc_from_inverse(G, 1, 2)
+    assert ptc(np.eye(3), 0.0, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda A: tmatmul(A, np.ones(2)),
+    lambda A: predict(A[0], np.ones(2)),
+    lambda A: construct(A, np.ones((3, 2))),
+    zero_clip,
+    lambda A: tail_ratio(A[0]),
+    angular_points,
+    theoretical_ipm,
+    theoretical_tpdm,
+], ids=["tmatmul", "predict", "construct", "zero_clip", "tail_ratio", "angular_points",
+        "theoretical_ipm", "theoretical_tpdm"])
+def test_coefficients_must_be_finite(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="coefficient matrix must be finite"):
+            call(np.array([[np.nan, 1.0], [1.0, 1.0]]))
+
+
+_TL_CELLS = (5e-324, 1.0, 1e3, 1e308, 0.0, -1.0, np.nan, np.inf, -np.inf)
+_TL_COEFFICIENTS = (0.0, 0.5, -0.5, 1e308, -1e308, np.nan)
+_TRANSFORMED_LINEAR = {  # name -> call on rows X (n, q) and a coefficient matrix M (p, q)
+    "tadd": lambda X, M: tadd(X[0], X[-1]),
+    "tscale": lambda X, M: tscale(M[0, 0], X[0]),
+    "tmatmul vector": lambda X, M: tmatmul(M, X[0]),
+    "tmatmul rows": lambda X, M: tmatmul(M, X),
+    "predict": lambda X, M: predict(M[0], X[0]),
+    "construct": lambda X, M: construct(M, X),
+}
+
+
+@settings(max_examples=300)
+@given(name=st.sampled_from(sorted(_TRANSFORMED_LINEAR)), data=st.data())
+def test_transformed_linear_gives_a_positive_result_or_a_tailgraph_error(name, data):
+    n, p, q = (data.draw(st.integers(1, 2)) for _ in range(3))
+    X = data.draw(hnp.arrays(np.float64, (n, q), elements=st.sampled_from(_TL_CELLS)))
+    M = data.draw(hnp.arrays(np.float64, (p, q), elements=st.sampled_from(_TL_COEFFICIENTS)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "columns .* carry no tail mass", UserWarning)
+        try:
+            out = _TRANSFORMED_LINEAR[name](X, M)
+        except TailgraphError:
+            return
+    assert np.isfinite(out).all() and (out > 0.0).all(), out
+
+
 _HOSTILE_SCALARS = (np.nan, np.inf, -np.inf, 0.0, -1.0, 2.5, 1e308)
 _SCALAR_CALLS = {  # name -> (function, one valid value per argument)
     "t_statistic": (t_statistic, (0.1, 1.0, 10)),
@@ -361,7 +441,7 @@ REACHED_RAISES = [  # (case, call, documented class, message)
     ("noise of the wrong width", lambda: construct(np.eye(3), np.ones((5, 2))), DimensionError,
      "does not conform"),
     ("non-positive noise", lambda: construct(np.eye(2), np.array([[1.0, 0.0]])), DomainError,
-     "strictly positive"),
+     "softplus_inv requires finite input > 0"),
     ("ar1_matrix p=0", lambda: ar1_matrix(0.5, 0), DomainError, "integer p"),
     ("ar1_matrix past any array", lambda: ar1_matrix(0.5, 10 ** 10), DomainError,
      "largest array size"),
@@ -371,8 +451,10 @@ REACHED_RAISES = [  # (case, call, documented class, message)
     ("3-D raw data", lambda: marginal_transform(np.ones((2, 2, 2))), DimensionError, "2-D"),
     ("mass of k > n", lambda: estimate_mass(np.ones(5), 6, 5), DomainError, "1 <= k <= n"),
     ("tadd of a negative", lambda: tadd(np.array([1.0, -1.0]), np.ones(2)), DomainError,
-     "strictly positive"),
+     "softplus_inv requires finite input > 0"),
     ("tscale by nan", lambda: tscale(np.nan, np.ones(2)), DomainError, "must be finite"),
+    ("tscale past the float64 range", lambda: tscale(1e10, np.array([1e300])), NumericalError,
+     "^transformed-linear result lies past the float64 range$"),
 ]
 
 

@@ -102,6 +102,17 @@ class TestConstruct:
         Z = sample_noise(2, 100, seed=4)
         assert construct(A, Z).min() > 0.0
 
+    def test_underflowed_cell_is_the_least_positive_double(self):
+        """A heavy noise draw times -10 has a preimage below -745, where exp(y)
+        underflows; seed 0 reaches 3 such rows of 10,000."""
+        Z = sample_noise(2, 10_000, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "columns .* carry no tail mass", UserWarning)
+            X = construct([[1.0, -10.0]], Z)
+        assert X.shape == (10_000, 1) and X.min() > 0.0
+        assert np.count_nonzero(X == 5e-324) >= 3
+
     def test_nonpositive_column_warns(self):
         A = np.array([[1.0, -1.0], [0.5, -2.0]])
         Z = sample_noise(2, 20, seed=5)
@@ -119,6 +130,9 @@ class TestConstruct:
             warnings.simplefilter("error")  # no overflow warning from the product
             with pytest.raises(error, match=match):
                 construct(np.full((2, 2), cell), Z)
+
+    def test_scalar_noise_is_one_row(self):
+        np.testing.assert_allclose(construct(np.eye(1), 5.0), [[5.0]], rtol=1e-15)
 
     def test_composition_on_sampled_data(self):
         rng = np.random.default_rng(6)

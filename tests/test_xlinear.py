@@ -211,6 +211,13 @@ class TestVectorOps:
         with pytest.raises(DimensionError):
             tadd(np.ones(2), np.ones(3))
 
+    def test_underflow_gives_the_least_positive_double(self):
+        """t(y) = exp(y) is 0 in float64 below y of about -745; the result
+        stays inside the orthant, for arrays and for a scalar alike."""
+        assert tadd(np.array([5e-324, 1.0]), np.array([5e-324, 1.0]))[0] == 5e-324
+        out = tscale(3.0, 1e-200)  # 3 log(1e-200) = -1381.6
+        assert out == 5e-324 and type(out) is float
+
     def test_tscale_identity_and_zero(self):
         x = np.array([0.2, 3.0, 40.0])
         np.testing.assert_allclose(tscale(1.0, x), x, atol=1e-12)

@@ -17,14 +17,13 @@ import numpy as np
 
 from .errors import (
     ConditioningError,
-    DataError,
     DegenerateProjectionError,
     DimensionError,
     DomainError,
     NumericalError,
 )
-from .tpdm import IPMatrix, as_matrix
-from .xlinear import tmatmul
+from .tpdm import IPMatrix, _symmetric_part, as_matrix
+from .xlinear import _gram, tmatmul
 
 COND_LIMIT = 1e12
 
@@ -56,16 +55,16 @@ class Partition:
 
 
 def _spd_factor(G: np.ndarray, context: str):
-    """Lower Cholesky factor of the symmetric part, with an explicit conditioning gate."""
+    """Lower Cholesky factor of a symmetric G, with an explicit conditioning gate."""
     if G.shape[0] == 0:
         raise DimensionError(f"empty {context}")
-    eig = np.linalg.eigvalsh((G + G.T) / 2.0)
-    lo, hi = eig[0], eig[-1]
-    cond = hi / lo if lo > 0.0 else np.inf
+    eig = np.linalg.eigvalsh(G)
+    lo, hi = float(eig[0]), float(eig[-1])
+    cond = hi / lo if lo > 0.0 else np.inf  # Python floats: a ratio past 1.8e308 is inf, unwarned
     if cond > COND_LIMIT:
         raise ConditioningError(
             f"{context}: condition number estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    return np.linalg.cholesky((G + G.T) / 2.0)
+    return np.linalg.cholesky(G)
 
 
 def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -105,7 +104,7 @@ def _schur(gamma, part: Partition):
             raise ConditioningError(
                 f"solve residual too large: {resid:.3e} exceeds 1e-10 |rhs| = {bound:.3e}")
     C = G11 - G12 @ b
-    return b, (C + C.T) / 2.0
+    return b, _symmetric_part(C)
 
 
 def solve_b(gamma, part: Partition) -> np.ndarray:
@@ -145,9 +144,8 @@ def ptc(gamma, i: int, j: int) -> float:
     """
     G = as_matrix(gamma)
     C = conditional_ipm(G, Partition.pair(i, j, G.shape[0]))
-    d = C.diagonal()
-    _check_projection(d.min(), np.abs(G).max())
-    return float(C[0, 1] / np.sqrt(d[0] * d[1]))
+    _check_projection(C.diagonal().min(), np.abs(G).max())
+    return float(-ptc_matrix_from_inverse(C)[0, 1])  # C_01 / sqrt(C_00 C_11), scaled
 
 
 def _check_projection(low: float, gamma_max: float) -> None:
@@ -177,7 +175,7 @@ def invert_ipm(gamma) -> IPMatrix:
         inv = _cho_solve(factor, np.eye(G.shape[0]))
     if not np.isfinite(inv).all():  # G near the float64 minimum: its inverse overflows
         raise NumericalError("inverse of the inner product matrix lies past the float64 range")
-    inv = (inv + inv.T) / 2.0
+    inv = _symmetric_part(inv)
     error = np.abs(G @ inv - np.eye(G.shape[0])).max()
     if error >= 1e-8:
         raise ConditioningError(
@@ -211,17 +209,13 @@ def project_onto_span(x_coefs, A2):
 
     Returns ``(projection, residual)`` with ``x = projection + residual``
     exactly and the residual orthogonal to every row of A2.  A2 must have
-    full row rank.
+    full row rank.  The weights are :func:`solve_b` of x on the rows of A2,
+    in the inner product matrix of x stacked on A2: the projection theorem.
     """
     x = np.asarray(x_coefs, dtype=float)
     M = np.asarray(A2, dtype=float)
-    if M.ndim != 2 or x.ndim != 1 or M.shape[1] != x.shape[0]:
-        raise DimensionError("generator matrix columns must match the coefficient length")
-    if not (np.isfinite(x).all() and np.isfinite(M).all()):
-        raise DataError("coefficients and span generators must be finite")
-    gram = M @ M.T
-    factor = _spd_factor(gram, "span generators")
-    b = _cho_solve(factor, M @ x)
-    projection = b @ M
-    residual = x - projection
-    return projection, residual
+    if M.ndim != 2 or x.ndim != 1 or M.shape[1] != x.shape[0] or not M.shape[0]:
+        raise DimensionError("generator matrix must be non-empty; "
+                             "its columns must match the coefficient length")
+    projection = solve_b(_gram(np.vstack([x, M])), Partition.single(0, M.shape[0] + 1)) @ M
+    return projection, x - projection

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, check_integer, check_unit_interval
 from .tpdm import IPMatrix, solve_delta
 # perfbench/tracing.py wraps softplus and softplus_inv here: keep them importable
-from .xlinear import _coefficients, softplus, softplus_inv, tmatmul, zero_clip  # noqa: F401
+from .xlinear import _coefficients, _gram, softplus, softplus_inv, tail_ratio, tmatmul, zero_clip  # noqa: F401
 
 _DISTRIBUTIONS = ("shifted-pareto", "frechet")
 
@@ -82,9 +82,7 @@ def ar1_matrix(phi: float, p: int) -> np.ndarray:
 
 def theoretical_ipm(A) -> IPMatrix:
     """Inner product matrix ``A A'`` of the constructed vector."""
-    M = _coefficients(A)
-    G = M @ M.T
-    return IPMatrix((G + G.T) / 2.0)
+    return IPMatrix(_gram(A))
 
 
 def theoretical_tpdm(A) -> IPMatrix:
@@ -98,16 +96,14 @@ def angular_points(A) -> list[AngularPointMass]:
     Masses sum to the trace of the theoretical TPDM.  Columns whose clipped
     norm is zero carry no mass and are skipped with a warning.
     """
-    M = zero_clip(A)
     points = []
     skipped = []
-    for j in range(M.shape[1]):
-        col = M[:, j]
-        norm = float(np.linalg.norm(col))
-        if norm == 0.0:
+    for j, col in enumerate(zero_clip(_coefficients(A, 2)).T):
+        mass = tail_ratio(col)
+        if mass == 0.0:
             skipped.append(j)
             continue
-        points.append(AngularPointMass(direction=col / norm, mass=norm ** 2, column=j))
+        points.append(AngularPointMass(direction=col / np.sqrt(mass), mass=mass, column=j))
     if skipped:
         warnings.warn(f"columns {skipped} have zero clipped norm and contribute no angular mass",
                       stacklevel=2)

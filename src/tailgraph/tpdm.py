@@ -90,9 +90,11 @@ class IPMatrix:
     k_used: np.ndarray | None = None  # per-pair exceedance counts (estimated only)
 
     def __post_init__(self):
-        self.entries = square_matrix(self.entries)
-        if not np.allclose(self.entries, self.entries.T, atol=1e-12):
+        M = square_matrix(self.entries)
+        unit = np.ldexp(M, -np.frexp(np.abs(M).max(initial=0.0))[1])  # max |unit| in [0.5, 1)
+        if not np.allclose(unit, unit.T, atol=1e-12):
             raise DomainError("inner product matrix must be symmetric")
+        self.entries = _symmetric_part(M)
 
     def __array__(self, dtype=None, copy=None):
         if dtype is not None:
@@ -108,6 +110,13 @@ def square_matrix(matrix, what: str = "inner product matrix", finite: bool = Tru
     if finite and not np.isfinite(M).all():
         raise DataError(f"{what} must be finite")
     return M
+
+
+def _symmetric_part(M: np.ndarray) -> np.ndarray:
+    """``(M + M') / 2`` of a finite square M; ``M/2 + M'/2`` in cells where the sum overflows."""
+    with np.errstate(over="ignore"):
+        S = (M + M.T) / 2.0
+    return S if np.isfinite(S).all() else np.where(np.isfinite(S), S, M / 2.0 + M.T / 2.0)
 
 
 def as_matrix(gamma) -> np.ndarray:

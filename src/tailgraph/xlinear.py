@@ -11,6 +11,7 @@ under three rules.  Positivity: each x is finite and > 0, the domain of
 :func:`softplus_inv` (:class:`DomainError`).  Finite coefficients, checked by
 :func:`tmatmul` and :func:`zero_clip` (:class:`DataError`).  Range: an overflow
 is a :class:`NumericalError`, not a warning; an underflow to 0 gives 5e-324.
+The coefficient inner products ``A A'`` (:func:`_gram`) keep the last two rules.
 
 Both transforms take one path for scalars and arrays of any shape and
 layout: masked ufuncs (``where=``) evaluate the closed form in place on the
@@ -79,12 +80,24 @@ def _transformed_linear(f, *xs):
     return np.maximum(out, 5e-324, out=out) if np.ndim(out) else max(out, 5e-324)
 
 
-def _coefficients(A) -> np.ndarray:
-    """``A`` as a float array under the finite-coefficient rule."""
+def _coefficients(A, ndim=None) -> np.ndarray:
+    """``A`` as a float array under the finite-coefficient rule, with ``ndim`` axes if given."""
     M = np.asarray(A, dtype=float)
+    if ndim is not None and M.ndim != ndim:
+        raise DimensionError(f"coefficient matrix must have {ndim} axes, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise DataError("coefficient matrix must be finite")
     return M
+
+
+def _gram(A) -> np.ndarray:
+    """``A A'`` of a finite coefficient matrix; past the float64 range, a NumericalError."""
+    M = _coefficients(A, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = M @ M.T
+    if not np.isfinite(G).all():
+        raise NumericalError("coefficient inner products lie past the float64 range")
+    return G
 
 
 def tadd(x1, x2):
@@ -127,4 +140,4 @@ def tail_ratio(a):
     Negative coefficients do not contribute to the upper tail, so the tail
     ratio of a combination with coefficients ``a`` is sum(max(a_j, 0)^2).
     """
-    return float(np.sum(zero_clip(a) ** 2))
+    return float(_gram(zero_clip(a).reshape(1, -1))[0, 0])

@@ -177,6 +177,18 @@ class TestTpdm:
         meta = json.loads((tmp_path / "co_tpdm.json").read_text())
         assert "inverse_error" in meta
 
+    def test_tpdm_near_the_float64_maximum_is_one_error_line(self, tmp_path):
+        # the global TPDM's largest entry is about 1.5e308, where Gamma + Gamma' overflows
+        X = construct(ar1_matrix(0.7, 3), sample_noise(3, 2000, seed=1))
+        X[:, 0] *= 2 ** 515.75
+        src = tmp_path / "big.csv"
+        src.write_text(_format_matrix_csv(X, ["a", "b", "c"]))
+        code, err, _ = run_process("tpdm", "--input", src, "--mode", "global", "--mass",
+                                   "estimate", "--radial-quantile", 0.01,
+                                   "--out-prefix", tmp_path / "big")
+        assert code == 4
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
 
 class TestPtcTestCmd:
     @pytest.fixture()

@@ -254,18 +254,25 @@ _CALLABLES = {
     # x is A2's last row, so a non-finite cell there reaches both arguments
     "project_onto_span": lambda a: project_onto_span(np.atleast_1d(a)[-1:].ravel(), a),
     "estimate_sigma_pair": lambda a: estimate_sigma_pair(a, np.flip(a)),
+    "theoretical_ipm": theoretical_ipm,
+    "theoretical_tpdm": theoretical_tpdm,
+    "tail_ratio": tail_ratio,
+    "angular_points": angular_points,
 }
+# far from unit size, where a square or a product of two entries leaves the float64 range
+_SCALES = (1.0, 2.0 ** 600, 2.0 ** -600, 1e200, 1e-200, 1e303, 2.0 ** -1000)
 
 
 @st.composite
 def _hostile_arrays(draw):
     """An array of any shape in ``_SHAPES`` with cells of either sign, sometimes
-    symmetric positive definite, sometimes holding a NaN or an infinity, C- or
-    Fortran-ordered."""
+    symmetric positive definite, scaled by one of ``_SCALES``, sometimes holding
+    a NaN or an infinity, C- or Fortran-ordered."""
     cells = st.one_of(st.floats(0.01, 100.0), st.floats(-100.0, -0.01))
     a = draw(hnp.arrays(np.float64, draw(st.sampled_from(_SHAPES)), elements=cells))
     if a.ndim == 2 and a.shape[0] == a.shape[1] and draw(st.booleans()):
         a = a @ a.T + a.shape[0] * np.eye(a.shape[0])
+    a *= draw(st.sampled_from(_SCALES))
     if a.size and draw(st.booleans()):
         a.flat[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     return np.asfortranarray(a) if draw(st.booleans()) else a
@@ -275,7 +282,8 @@ def _hostile_arrays(draw):
 @given(name=st.sampled_from(sorted(_CALLABLES)), a=_hostile_arrays())
 def test_hostile_arrays_give_a_result_or_a_tailgraph_error(name, a):
     with warnings.catch_warnings():
-        warnings.simplefilter("error")
+        warnings.simplefilter("error", RuntimeWarning)  # angular_points documents a UserWarning
+        warnings.filterwarnings("ignore", "columns .* contribute no angular mass", UserWarning)
         try:
             _CALLABLES[name](a)
         except TailgraphError:
@@ -455,6 +463,10 @@ REACHED_RAISES = [  # (case, call, documented class, message)
     ("tscale by nan", lambda: tscale(np.nan, np.ones(2)), DomainError, "must be finite"),
     ("tscale past the float64 range", lambda: tscale(1e10, np.array([1e300])), NumericalError,
      "^transformed-linear result lies past the float64 range$"),
+    ("coefficient vector for a matrix", lambda: theoretical_ipm(np.ones(3)), DimensionError,
+     r"^coefficient matrix must have 2 axes, got shape \(3,\)$"),
+    ("Gram past the float64 range", lambda: tail_ratio(np.full(2, 1e200)), NumericalError,
+     "^coefficient inner products lie past the float64 range$"),
 ]
 
 

@@ -25,7 +25,7 @@ from tailgraph import (
     solve_b,
     theoretical_ipm,
 )
-from tailgraph import project
+from tailgraph import project, tpdm
 from conftest import random_spd
 
 
@@ -384,3 +384,66 @@ class TestProjectOntoSpan:
 def test_empty_block_is_a_dimension_error(call):
     with pytest.raises(DimensionError, match="empty"):
         call()
+
+
+class TestScaleAndSymmetry:
+    """Each quantity of the inner-product layer is computed once, at any float64 scale."""
+
+    G = theoretical_ipm(ar1_matrix(0.7, 4)).entries
+    # asymmetric by half an entry, but every entry below IPMatrix's absolute tolerance
+    TINY_ASYMMETRIC = np.array([[1e-13, 5e-14, 0.0], [0.0, 1e-13, 0.0], [0.0, 0.0, 1e-13]])
+
+    @staticmethod
+    def _quiet(call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return call()
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_ptc_is_scale_free(self, scale):
+        got = self._quiet(lambda: ptc(self.G * scale, 0, 1))
+        assert got == pytest.approx(ptc(self.G, 0, 1), rel=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("e", [-600, 600])
+    def test_ptc_is_exact_under_a_power_of_two(self, e):
+        for i, j in [(0, 1), (0, 3), (1, 2)]:
+            assert self._quiet(lambda: ptc(self.G * 2.0 ** e, i, j)) == ptc(self.G, i, j)
+
+    def test_ptc_keeps_the_bits_of_the_unscaled_formula(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            G = random_spd(rng, 5)
+            C = conditional_ipm(G, Partition.pair(1, 3, 5))
+            assert ptc(G, 1, 3) == C[0, 1] / np.sqrt(C[0, 0] * C[1, 1])
+
+    @pytest.mark.parametrize("call", [
+        lambda M: ptc_from_inverse(M, 0, 1),
+        lambda M: conditional_ipm(M, Partition.pair(0, 1, 3)),
+        lambda M: ptc_from_inverse(M * 1e13, 0, 1),
+    ], ids=["ptc_from_inverse", "conditional_ipm", "ptc_from_inverse x1e13"])
+    def test_symmetry_is_read_at_unit_scale(self, call):
+        with pytest.raises(DomainError, match="must be symmetric"):
+            self._quiet(lambda: call(self.TINY_ASYMMETRIC))
+
+    def test_inverse_of_a_small_matrix_passes_the_symmetry_rule(self):
+        # its rounding asymmetry, near 2**70 eps, sat where an entry is near 0
+        at_unit = ptc_from_inverse(np.linalg.inv(self.G), 0, 1)
+        got = self._quiet(lambda: ptc_from_inverse(np.linalg.inv(self.G * 2.0 ** -70), 0, 1))
+        assert got == pytest.approx(at_unit, rel=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("fn", [invert_ipm, ptc_matrix])
+    def test_symmetric_part_near_the_float64_maximum(self, fn):
+        gamma = theoretical_ipm(ar1_matrix(0.7, 3)).entries / 2 * 1.7e308
+        assert np.abs(gamma).max() > 1.4e308
+        with pytest.raises(ConditioningError):  # its largest eigenvalue is past the range
+            self._quiet(lambda: fn(gamma))
+
+    def test_inverse_near_the_float64_maximum(self):
+        inv = self._quiet(lambda: invert_ipm(self.G * 1e-308)).entries
+        assert np.isfinite(inv).all()
+        np.testing.assert_allclose(inv * 1e-308, invert_ipm(self.G).entries, atol=1e-12)
+
+    def test_symmetric_part_overflows_only_in_its_own_cells(self):
+        M = np.array([[1.0, 3.0, 1.7e308], [1.0, 2.0, 0.0], [1.7e308, 0.0, 2.0]])
+        S = self._quiet(lambda: tpdm._symmetric_part(M))
+        assert S[0, 2] == S[2, 0] == 1.7e308 and S[0, 1] == S[1, 0] == 2.0

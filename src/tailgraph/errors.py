@@ -1,5 +1,7 @@
 """Exception hierarchy and the argument rules shared across the package."""
 
+import numpy as np
+
 
 class TailgraphError(Exception):
     """Base class for all package errors."""
@@ -47,6 +49,19 @@ class DegenerateProjectionError(NumericalError):
 
 class DegenerateVarianceError(NumericalError):
     """Estimated variance is zero or negative; no valid test statistic."""
+
+
+def float_array(value, what: str, finite: bool = True) -> np.ndarray:
+    """``value`` as a float array, with ``finite`` finite.  One that numpy cannot
+    read as numbers (a string, a dict, a ragged list), or a NaN or infinity
+    where it must be finite, is a :class:`DataError` naming ``what``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"{what} must be numeric, got a {type(value).__name__}") from None
+    if finite and not np.isfinite(arr).all():
+        raise DataError(f"{what} must be finite")
+    return arr
 
 
 def check_unit_interval(**values):

@@ -44,7 +44,7 @@ from .project import (Partition, conditional_ipm, ptc_matrix,  # noqa: F401
 from .report import _ADJUSTED, PairRecord, PtcTestReport, fixed_critical_value
 from .rvsim import ar1_matrix, construct, sample_noise, theoretical_ipm
 from .tpdm import (_TINY, TailSample, _estimated_mass, _radial_exceedances, _read_mass, _squares,
-                   _strict_exceedances, as_matrix, estimate_tpdm)
+                   _strict_exceedances, as_matrix, as_sample, estimate_tpdm)
 from .xlinear import softplus_inv
 
 
@@ -68,9 +68,10 @@ def residuals(sample, part: Partition, b, q_pred: float = 0.98,
     """Compute preimage residuals and retain radius exceedances.
 
     Residuals are computed for every observation; rows whose residual radius
-    exceeds the empirical ``q_pred`` quantile are retained.
+    exceeds the empirical ``q_pred`` quantile are retained.  ``sample`` is a
+    TailSample or an array held to its rule.
     """
-    data = sample.data if isinstance(sample, TailSample) else np.asarray(sample, dtype=float)
+    data = as_sample(sample).data
     if len(part.target) != 2:
         raise DomainError("residual inference needs exactly two target variables")
     check_unit_interval(q_pred=q_pred)
@@ -433,7 +434,7 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
     return theta, fit
 
 
-def ptc_test_all_pairs(sample: TailSample, q_radial: float = 0.95, q_pred: float = 0.98,
+def ptc_test_all_pairs(sample, q_radial: float = 0.95, q_pred: float = 0.98,
                        q_res: float | None = None, cv_method="bonferroni",
                        alpha: float = 0.05, tpdm_mode: str = "pairwise",
                        tpdm_mass="fixed") -> PtcTestReport:
@@ -444,7 +445,9 @@ def ptc_test_all_pairs(sample: TailSample, q_radial: float = 0.95, q_pred: float
     thresholded at ``q_pred``, the angular-moment estimate and its variance,
     and the t statistic.  One global critical value is applied; per-pair
     failures are recorded in the report instead of aborting the run.
+    ``sample`` is a TailSample or an array held to its rule.
     """
+    sample = as_sample(sample)
     if sample.p < 3:
         raise DomainError("need at least 3 variables (a pair plus one conditioning variable)")
     check_unit_interval(q_pred=q_pred, q_res=q_res, alpha=alpha)

@@ -7,6 +7,9 @@ of the remaining variables leaves prediction errors whose 2 x 2 inner product
 matrix is the Schur complement ``Gamma_11 - Gamma_12 Gamma_22^-1 Gamma_21``;
 the partial tail correlation is its normalized off-diagonal entry, equal to
 ``-G_ij / sqrt(G_ii G_jj)`` for the full inverse G of Gamma.
+
+Each of these runs on Gamma at unit scale (``tpdm._unit_scale``), where it
+needs no overflow guard, and scales its result back by a power of two.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from .errors import (
     DimensionError,
     DomainError,
     NumericalError,
+    float_array,
 )
-from .tpdm import IPMatrix, _symmetric_part, as_matrix
+from .tpdm import IPMatrix, _unit_scale, as_matrix
 from .xlinear import _gram, tmatmul
 
 COND_LIMIT = 1e12
@@ -86,10 +90,12 @@ def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _schur(gamma, part: Partition):
     """``(b, C)`` from one factorization of the complement block: the weights
     ``b = Gamma_22^-1 Gamma_21`` (complement x targets) and the symmetrized
-    ``C = Gamma_11 - Gamma_12 b``.  A singular block, a condition number above
-    1e12 or a solve residual above 1e-10 |rhs| is a :class:`ConditioningError`.
+    ``C = Gamma_11 - Gamma_12 b``, both formed on Gamma at unit scale
+    (:func:`tpdm._unit_scale`): b is scale-free and C is scaled back.  A
+    singular block, a condition number above 1e12 or a solve residual above
+    1e-10 |rhs| is a :class:`ConditioningError`.
     """
-    G = as_matrix(gamma)
+    G, e = _unit_scale(as_matrix(gamma))
     t, c = list(part.target), list(part.complement)
     if sorted(t + c) != list(range(G.shape[0])):
         raise DomainError("partition must cover all indices exactly once")
@@ -99,12 +105,14 @@ def _schur(gamma, part: Partition):
         rhs = G12.T  # Gamma_21, complement x targets
         b = _cho_solve(_spd_factor(G22, "complement block"), rhs)
         resid = np.abs(G22 @ b - rhs).max()
+        # the floor: a target column below 1e-300 max|G| solves with subnormal rounding,
+        # about 5e-324 however well-conditioned the block, which 1e-10 |rhs| misses
         bound = 1e-10 * max(np.abs(rhs).max(), 1e-300)
         if resid > bound:
             raise ConditioningError(
                 f"solve residual too large: {resid:.3e} exceeds 1e-10 |rhs| = {bound:.3e}")
     C = G11 - G12 @ b
-    return b, _symmetric_part(C)
+    return b, np.ldexp((C + C.T) / 2.0, e)
 
 
 def solve_b(gamma, part: Partition) -> np.ndarray:
@@ -140,9 +148,10 @@ def ptc(gamma, i: int, j: int) -> float:
     """Partial tail correlation of variables i and j given all others.
 
     Cosine of the angle between the two prediction errors after projecting
-    onto the span of the remaining variables.
+    onto the span of the remaining variables.  Scale-free, so taken on Gamma
+    at unit scale (:func:`tpdm._unit_scale`): no C lands in the subnormal range.
     """
-    G = as_matrix(gamma)
+    G, _ = _unit_scale(as_matrix(gamma))
     C = conditional_ipm(G, Partition.pair(i, j, G.shape[0]))
     _check_projection(C.diagonal().min(), np.abs(G).max())
     return float(-ptc_matrix_from_inverse(C)[0, 1])  # C_01 / sqrt(C_00 C_11), scaled
@@ -168,19 +177,22 @@ def ptc_from_inverse(gamma_inv, i: int, j: int) -> float:
 
 
 def invert_ipm(gamma) -> IPMatrix:
-    """Symmetric inverse via factorization, verified to ``|G G^-1 - I| < 1e-8``."""
-    G = as_matrix(gamma)
-    factor = _spd_factor(G, "inner product matrix")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        inv = _cho_solve(factor, np.eye(G.shape[0]))
-    if not np.isfinite(inv).all():  # G near the float64 minimum: its inverse overflows
-        raise NumericalError("inverse of the inner product matrix lies past the float64 range")
-    inv = _symmetric_part(inv)
-    error = np.abs(G @ inv - np.eye(G.shape[0])).max()
+    """Symmetric inverse via factorization, verified to ``|G G^-1 - I| < 1e-8``.
+
+    Factored, solved, symmetrized and verified on Gamma at unit scale
+    (:func:`tpdm._unit_scale`), then scaled back; an inverse past the float64
+    range is a :class:`NumericalError`.
+    """
+    G, e = _unit_scale(as_matrix(gamma))
+    inv = _cho_solve(_spd_factor(G, "inner product matrix"), np.eye(len(G)))
+    inv = (inv + inv.T) / 2.0
+    error = np.abs(G @ inv - np.eye(len(G))).max()
     if error >= 1e-8:
         raise ConditioningError(
             f"inverse verification failed: |G G^-1 - I| reaches {error:.3e}, limit 1e-08")
-    return IPMatrix(inv)
+    if np.frexp(np.abs(inv).max())[1] - e > 1024:  # max |inv 2^-e| >= 2^1024
+        raise NumericalError("inverse of the inner product matrix lies past the float64 range")
+    return IPMatrix(np.ldexp(inv, -e))
 
 
 def ptc_matrix_from_inverse(gamma_inv) -> np.ndarray:
@@ -188,20 +200,22 @@ def ptc_matrix_from_inverse(gamma_inv) -> np.ndarray:
 
     A diagonal entry that is not positive is a :class:`DegenerateProjectionError`.
     """
-    G = as_matrix(gamma_inv)
-    if not (np.diag(G) > 0.0).all():
-        raise DegenerateProjectionError("inverse has a nonpositive diagonal entry")
-    # a power-of-two scale is exact and keeps each d_i d_j inside the float64 range
-    G = np.ldexp(G, -np.frexp(np.diag(G).max(initial=0.0))[1])
+    G, _ = _unit_scale(as_matrix(gamma_inv))  # exact; each d_i d_j stays in the float64 range
     d = np.diag(G)
+    if not (d > 0.0).all():
+        raise DegenerateProjectionError("inverse has a nonpositive diagonal entry")
     out = -G / np.sqrt(np.outer(d, d))
     np.fill_diagonal(out, np.nan)
     return out
 
 
 def ptc_matrix(gamma) -> np.ndarray:
-    """All-pairs partial tail correlations; diagonal entries are NaN."""
-    return ptc_matrix_from_inverse(invert_ipm(gamma))
+    """All-pairs partial tail correlations; diagonal entries are NaN.
+
+    Scale-free, so taken on Gamma at unit scale (:func:`tpdm._unit_scale`):
+    no inverse lands in the subnormal range or past the float64 range.
+    """
+    return ptc_matrix_from_inverse(invert_ipm(_unit_scale(as_matrix(gamma))[0]))
 
 
 def project_onto_span(x_coefs, A2):
@@ -212,8 +226,7 @@ def project_onto_span(x_coefs, A2):
     full row rank.  The weights are :func:`solve_b` of x on the rows of A2,
     in the inner product matrix of x stacked on A2: the projection theorem.
     """
-    x = np.asarray(x_coefs, dtype=float)
-    M = np.asarray(A2, dtype=float)
+    x, M = float_array(x_coefs, "coefficient vector"), float_array(A2, "generator matrix")
     if M.ndim != 2 or x.ndim != 1 or M.shape[1] != x.shape[0] or not M.shape[0]:
         raise DimensionError("generator matrix must be non-empty; "
                              "its columns must match the coefficient length")

@@ -44,6 +44,7 @@ from .errors import (
     check_integer,
     check_names,
     check_unit_interval,
+    float_array,
 )
 
 MIN_EXCEEDANCES = 10
@@ -61,11 +62,7 @@ class TailSample:
     columns: list[str] | None = None
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim == 1:
-            self.data = self.data[:, None]
-        if self.data.ndim != 2:
-            raise DimensionError("sample must be a 2-D array (observations x variables)")
+        self.data = _observations(self.data, "sample", finite=False)  # checked below, with > 0
         if not np.all(np.isfinite(self.data)) or np.any(self.data <= 0.0):
             raise DataError("sample entries must be finite and strictly positive")
         if self.columns is None:
@@ -90,11 +87,10 @@ class IPMatrix:
     k_used: np.ndarray | None = None  # per-pair exceedance counts (estimated only)
 
     def __post_init__(self):
-        M = square_matrix(self.entries)
-        unit = np.ldexp(M, -np.frexp(np.abs(M).max(initial=0.0))[1])  # max |unit| in [0.5, 1)
-        if not np.allclose(unit, unit.T, atol=1e-12):
+        U, e = _unit_scale(square_matrix(self.entries))
+        if not np.allclose(U, U.T, atol=1e-12):
             raise DomainError("inner product matrix must be symmetric")
-        self.entries = _symmetric_part(M)
+        self.entries = np.ldexp((U + U.T) / 2.0, e)
 
     def __array__(self, dtype=None, copy=None):
         if dtype is not None:
@@ -102,26 +98,48 @@ class IPMatrix:
         return self.entries
 
 
+def _observations(value, what: str, finite: bool = True) -> np.ndarray:
+    """``value`` as an (observations x variables) float array, a 1-D one as one
+    column, under :func:`~tailgraph.errors.float_array`'s rule."""
+    arr = float_array(value, what, finite)
+    arr = arr[:, None] if arr.ndim == 1 else arr
+    if arr.ndim != 2:
+        raise DimensionError(f"{what} must be a 2-D array (observations x variables)")
+    return arr
+
+
 def square_matrix(matrix, what: str = "inner product matrix", finite: bool = True) -> np.ndarray:
     """``matrix`` as a float array: 2-D and square, and with ``finite`` finite."""
-    M = np.asarray(matrix, dtype=float)
+    M = float_array(matrix, what, finite)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"{what} must be square, got shape {M.shape}")
-    if finite and not np.isfinite(M).all():
-        raise DataError(f"{what} must be finite")
     return M
 
 
-def _symmetric_part(M: np.ndarray) -> np.ndarray:
-    """``(M + M') / 2`` of a finite square M; ``M/2 + M'/2`` in cells where the sum overflows."""
-    with np.errstate(over="ignore"):
-        S = (M + M.T) / 2.0
-    return S if np.isfinite(S).all() else np.where(np.isfinite(S), S, M / 2.0 + M.T / 2.0)
+def _unit_scale(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(U, e)`` with ``M = U 2^e``, e even and max|U| in [1/4, 1) (e = 0 for a zero M).
+
+    The inner-product layer's one range rule: it works on U, where no sum,
+    product or solve of a well-conditioned positive semi-definite matrix
+    leaves the float64 range, and scales its results back by a power of two.
+    A power of four is exact and passes exactly through Cholesky's square
+    roots, so results keep the bits of the same computation on M, except in
+    cells more than about 2^1020 below max|M|, or scaled back into the
+    subnormal range.
+    """
+    e = math.frexp(float(np.abs(M).max(initial=0.0)))[1]
+    e += e % 2  # even: max|U| = max|M| 2^-e lies in [1/4, 1)
+    return np.ldexp(M, -e), e
 
 
 def as_matrix(gamma) -> np.ndarray:
     """The entries of ``gamma``, an IPMatrix or an array-like held to its rule."""
     return (gamma if isinstance(gamma, IPMatrix) else IPMatrix(gamma)).entries
+
+
+def as_sample(sample) -> TailSample:
+    """``sample``, a TailSample or an array-like held to its rule."""
+    return sample if isinstance(sample, TailSample) else TailSample(sample)
 
 
 # A cached function, not a module constant: perfbench calls cache_clear() on it.
@@ -158,13 +176,7 @@ def marginal_transform(raw, columns=None) -> TailSample:
     empirical CDF never reaches 1.  A constant column raises
     :class:`DegenerateMarginError`.
     """
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise DimensionError("raw data must be a 2-D array")
-    if not np.all(np.isfinite(arr)):
-        raise DataError("raw data contains non-finite values")
+    arr = _observations(raw, "raw data")
     n, p = arr.shape
     if n < 2:
         raise DataError("need at least 2 observations per column")
@@ -192,12 +204,9 @@ def polar2(xi, xj):
 def _pair_radii(xi, xj):
     """``(a, b, s, r)``: paired coordinates, their squared radii and radii,
     zero-radius rows dropped."""
-    a = np.asarray(xi, dtype=float)
-    b = np.asarray(xj, dtype=float)
+    a, b = float_array(xi, "paired observations"), float_array(xj, "paired observations")
     if a.shape != b.shape or a.ndim != 1:
         raise DimensionError("polar2 expects two equal-length 1-D sequences")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise DataError("paired observations must be finite")
     with np.errstate(over="ignore"):
         s = _squares(a, b)
     r = _radii(s, (a, b))
@@ -392,7 +401,7 @@ def _tail_candidates(cols: np.ndarray, q_radial: float) -> np.ndarray:
     return cols >= CANDIDATE_FACTOR * a[:, None]
 
 
-def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairwise",
+def estimate_tpdm(sample, q_radial: float = 0.95, mode: str = "pairwise",
                   mass="fixed") -> IPMatrix:
     """Estimate the TPDM of a sample from threshold exceedances.
 
@@ -401,9 +410,10 @@ def estimate_tpdm(sample: TailSample, q_radial: float = 0.95, mode: str = "pairw
     the full p-vector radius (the convention for simulation studies).  With
     ``mass="fixed"`` the total mass is 2 per pair, or p for the global radius,
     which presumes unit-scale margins.  Each pair reads only its tail
-    candidates and gives the bits of :func:`estimate_sigma_pair`.
+    candidates and gives the bits of :func:`estimate_sigma_pair`.  ``sample``
+    is a TailSample or an array held to its rule (:func:`as_sample`).
     """
-    X = sample.data
+    X = as_sample(sample).data
     n, p = X.shape
     m = _check_estimate_args(q_radial, mass, p if mode == "global" else 2.0,
                              n if mode == "pairwise" else None)

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, DimensionError, DomainError, NumericalError
+from .errors import DimensionError, DomainError, NumericalError, float_array
 
 LOG2 = math.log(2.0)
 
@@ -82,11 +82,9 @@ def _transformed_linear(f, *xs):
 
 def _coefficients(A, ndim=None) -> np.ndarray:
     """``A`` as a float array under the finite-coefficient rule, with ``ndim`` axes if given."""
-    M = np.asarray(A, dtype=float)
+    M = float_array(A, "coefficient matrix")
     if ndim is not None and M.ndim != ndim:
         raise DimensionError(f"coefficient matrix must have {ndim} axes, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise DataError("coefficient matrix must be finite")
     return M
 
 

@@ -47,6 +47,7 @@ from tailgraph import (
     ptc,
     ptc_from_inverse,
     ptc_matrix,
+    ptc_test_all_pairs,
     residuals,
     sample_noise,
     size_power_study,
@@ -244,6 +245,9 @@ _SHAPES = [(), (0,), (3,), (300,), (0, 0), (1, 1), (2, 3), (3, 2), (3, 3), (4, 4
            (3, 3, 1)]
 _CALLABLES = {
     "TailSample": TailSample,
+    "marginal_transform": marginal_transform,
+    "estimate_tpdm": estimate_tpdm,
+    "ptc_test_all_pairs": ptc_test_all_pairs,
     "IPMatrix": IPMatrix,
     "invert_ipm": invert_ipm,
     "ptc_matrix": ptc_matrix,
@@ -266,13 +270,15 @@ _SCALES = (1.0, 2.0 ** 600, 2.0 ** -600, 1e200, 1e-200, 1e303, 2.0 ** -1000)
 @st.composite
 def _hostile_arrays(draw):
     """An array of any shape in ``_SHAPES`` with cells of either sign, sometimes
-    symmetric positive definite, scaled by one of ``_SCALES``, sometimes holding
-    a NaN or an infinity, C- or Fortran-ordered."""
+    symmetric positive definite, scaled by one of ``_SCALES`` or so that its
+    largest cell is 1.7e308, sometimes holding a NaN or an infinity, C- or
+    Fortran-ordered."""
     cells = st.one_of(st.floats(0.01, 100.0), st.floats(-100.0, -0.01))
     a = draw(hnp.arrays(np.float64, draw(st.sampled_from(_SHAPES)), elements=cells))
     if a.ndim == 2 and a.shape[0] == a.shape[1] and draw(st.booleans()):
         a = a @ a.T + a.shape[0] * np.eye(a.shape[0])
-    a *= draw(st.sampled_from(_SCALES))
+    scale = draw(st.sampled_from(_SCALES + (None,)))  # every cell is at least 0.01 in size
+    a *= 1.7e308 / np.abs(a).max(initial=0.01) if scale is None else scale
     if a.size and draw(st.booleans()):
         a.flat[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     return np.asfortranarray(a) if draw(st.booleans()) else a
@@ -288,6 +294,23 @@ def test_hostile_arrays_give_a_result_or_a_tailgraph_error(name, a):
             _CALLABLES[name](a)
         except TailgraphError:
             pass
+
+
+# the value itself in every array argument: two calls above reshape theirs with numpy
+_RAW_CALLABLES = {**_CALLABLES, "project_onto_span": lambda v: project_onto_span(v, v),
+                  "estimate_sigma_pair": lambda v: estimate_sigma_pair(v, v)}
+
+
+@pytest.mark.parametrize("value, error", [
+    (None, TailgraphError), ("x", DataError), ([[1.0, 2.0], [3.0]], DataError), ({}, DataError),
+], ids=["None", "string", "ragged list", "dict"])
+@pytest.mark.parametrize("name", sorted(_RAW_CALLABLES))
+def test_non_numeric_input_is_a_tailgraph_error(name, value, error):
+    # numpy reads None as a 0-d NaN, which a shape or finite rule refuses
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            _RAW_CALLABLES[name](value)
 
 
 class TestStatisticMatrix:
@@ -467,6 +490,10 @@ REACHED_RAISES = [  # (case, call, documented class, message)
      r"^coefficient matrix must have 2 axes, got shape \(3,\)$"),
     ("Gram past the float64 range", lambda: tail_ratio(np.full(2, 1e200)), NumericalError,
      "^coefficient inner products lie past the float64 range$"),
+    ("inverse past the float64 range", lambda: invert_ipm(np.eye(2) * 1e-309), NumericalError,
+     "^inverse of the inner product matrix lies past the float64 range$"),
+    ("non-numeric matrix", lambda: invert_ipm("x"), DataError,
+     "^inner product matrix must be numeric, got a str$"),
 ]
 
 

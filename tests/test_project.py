@@ -431,19 +431,67 @@ class TestScaleAndSymmetry:
         got = self._quiet(lambda: ptc_from_inverse(np.linalg.inv(self.G * 2.0 ** -70), 0, 1))
         assert got == pytest.approx(at_unit, rel=4 * np.finfo(float).eps)
 
-    @pytest.mark.parametrize("fn", [invert_ipm, ptc_matrix])
-    def test_symmetric_part_near_the_float64_maximum(self, fn):
+    @pytest.mark.parametrize("fn, power", [(invert_ipm, -1), (ptc_matrix, 0)],
+                             ids=["invert_ipm", "ptc_matrix"])
+    def test_symmetric_part_near_the_float64_maximum(self, fn, power):
+        # its largest eigenvalue is past the range, but not at unit scale
         gamma = theoretical_ipm(ar1_matrix(0.7, 3)).entries / 2 * 1.7e308
         assert np.abs(gamma).max() > 1.4e308
-        with pytest.raises(ConditioningError):  # its largest eigenvalue is past the range
-            self._quiet(lambda: fn(gamma))
+        got = np.asarray(self._quiet(lambda: fn(gamma)))
+        np.testing.assert_array_equal(got, np.ldexp(np.asarray(fn(gamma / 4)), 2 * power))
 
     def test_inverse_near_the_float64_maximum(self):
         inv = self._quiet(lambda: invert_ipm(self.G * 1e-308)).entries
         assert np.isfinite(inv).all()
         np.testing.assert_allclose(inv * 1e-308, invert_ipm(self.G).entries, atol=1e-12)
 
-    def test_symmetric_part_overflows_only_in_its_own_cells(self):
-        M = np.array([[1.0, 3.0, 1.7e308], [1.0, 2.0, 0.0], [1.7e308, 0.0, 2.0]])
-        S = self._quiet(lambda: tpdm._symmetric_part(M))
-        assert S[0, 2] == S[2, 0] == 1.7e308 and S[0, 1] == S[1, 0] == 2.0
+    def test_symmetric_part_near_the_float64_maximum_is_the_cell_mean(self):
+        # (M + M')/2 overflows in the last column unless formed at unit scale; there the
+        # asymmetric cells near 1 lie inside IPMatrix's tolerance
+        x, y = 1.7e308, np.nextafter(1.7e308, np.inf)
+        M = np.array([[1.0, 3.0, x], [1.0, 2.0, 0.0], [y, 0.0, 2.0]])
+        S = self._quiet(lambda: tpdm.IPMatrix(M).entries)
+        assert S[0, 2] == S[2, 0] == x / 2 + y / 2 and S[0, 1] == S[1, 0] == 2.0
+
+    # condition 817, but its largest eigenvalue and its Schur products lie past the
+    # float64 range unless formed at unit scale
+    NEAR_MAX = np.array([[1.7e308, 1.03e308, 5.39e307], [1.03e308, 6.79e307, 3.84e307],
+                         [5.39e307, 3.84e307, 2.38e307]])
+
+    @pytest.mark.parametrize("fn, power", [
+        (lambda G: solve_b(G, Partition.single(0, 3)), 0),
+        (lambda G: conditional_ipm(G, Partition.single(0, 3)), 1),
+        (lambda G: invert_ipm(G).entries, -1),
+        (ptc_matrix, 0),
+        (lambda G: ptc(G, 0, 1), 0),
+    ], ids=["solve_b", "conditional_ipm", "invert_ipm", "ptc_matrix", "ptc"])
+    def test_well_conditioned_gamma_near_the_float64_maximum(self, fn, power):
+        got = self._quiet(lambda: fn(self.NEAR_MAX))
+        np.testing.assert_array_equal(got, np.ldexp(fn(self.NEAR_MAX / 4), 2 * power))
+
+    def test_power_of_four_equivariance_over_the_float64_range(self):
+        G = theoretical_ipm(ar1_matrix(0.7, 5)).entries
+        part = Partition.pair(1, 3, 5)
+        inv, C, b = invert_ipm(G).entries, conditional_ipm(G, part), solve_b(G, part)
+
+        def exponent(x):
+            return math.frexp(float(x))[1]
+
+        # every 4^j at which G 4^j is exact (its cells normal) and its inverse finite
+        scales = [j for j in range(-600, 600) if exponent(G.min()) + 2 * j >= -1021
+                  and exponent(G.max()) + 2 * j <= 1024
+                  and exponent(np.abs(inv).max()) - 2 * j <= 1024]
+        assert len(scales) > 1000
+        for j in scales:
+            Gj = np.ldexp(G, 2 * j)
+            got = self._quiet(lambda: (invert_ipm(Gj).entries, conditional_ipm(Gj, part),
+                                       solve_b(Gj, part)))
+            for value, want in zip(got, (np.ldexp(inv, -2 * j), np.ldexp(C, 2 * j), b)):
+                assert np.array_equal(value, want), j
+
+    def test_target_far_below_the_rest_of_gamma_solves(self):
+        # at unit scale already; its solve rounds near 5e-324, which 1e-10 |rhs| alone
+        # would not cover
+        G = np.array([[0.5, 1e-320, 3e-321], [1e-320, 0.5, 0.25], [3e-321, 0.25, 0.375]])
+        b = self._quiet(lambda: solve_b(G, Partition.single(0, 3)))
+        np.testing.assert_allclose(b, np.linalg.solve(G[1:, 1:], G[1:, 0]), rtol=0, atol=1e-322)

@@ -1,5 +1,7 @@
 """Exception hierarchy and the argument rules shared across the package."""
 
+import contextlib
+
 import numpy as np
 
 
@@ -65,18 +67,22 @@ def float_array(value, what: str, finite: bool = True) -> np.ndarray:
 
 
 def check_unit_interval(**values):
-    """Raise :class:`DomainError` naming the first value outside (0, 1); None is unset."""
+    """Raise :class:`DomainError` naming the first value not in (0, 1); None is unset."""
     for name, v in values.items():
-        if v is not None and not 0.0 < v < 1.0:
-            raise DomainError(f"{name} must lie in (0, 1)")
+        with contextlib.suppress(TypeError, ValueError):  # a string, an array of several values
+            if v is None or 0.0 < v < 1.0:
+                continue
+        raise DomainError(f"{name} must lie in (0, 1)")
 
 
 def check_integer(minimum: int, **values) -> list:
     """The values as ints, in order.  Raise :class:`DomainError` naming the first
     value that is not an integer at least ``minimum``; None is not one."""
     for name, v in values.items():
-        if v is None or not (float(v).is_integer() and v >= minimum):
-            raise DomainError(f"need an integer {name} >= {minimum}, got {v!r}")
+        with contextlib.suppress(TypeError, ValueError):  # a string or another non-number
+            if v is not None and float(v).is_integer() and v >= minimum:
+                continue
+        raise DomainError(f"need an integer {name} >= {minimum}, got {v!r}")
     return [int(v) for v in values.values()]
 
 

@@ -30,8 +30,10 @@ def build_graph(report: PtcTestReport) -> ExtremalGraph:
     """Edges are the pairs whose |t| exceeds the report's critical value.
 
     Pairs that errored during testing yield no edge and are listed in
-    ``skipped``.
+    ``skipped``.  Anything but a :class:`PtcTestReport` is a :class:`DataError`.
     """
+    if not isinstance(report, PtcTestReport):
+        raise DataError(f"build_graph needs a PtcTestReport, got a {type(report).__name__}")
     T = np.full((len(report.columns),) * 2, np.nan)  # an errored pair stays NaN: no edge
     skipped = []
     for rec in report.records:

@@ -37,14 +37,15 @@ from .errors import (
     TailgraphError,
     check_integer,
     check_unit_interval,
+    float_array,
 )
 # perfbench/tracing.py wraps ptc_matrix, solve_b and conditional_ipm here: keep them importable
 from .project import (Partition, conditional_ipm, ptc_matrix,  # noqa: F401
                       ptc_matrix_from_inverse, solve_b)
 from .report import _ADJUSTED, PairRecord, PtcTestReport, fixed_critical_value
 from .rvsim import ar1_matrix, construct, sample_noise, theoretical_ipm
-from .tpdm import (_TINY, TailSample, _estimated_mass, _radial_exceedances, _read_mass, _squares,
-                   _strict_exceedances, as_matrix, as_sample, estimate_tpdm)
+from .tpdm import (_TINY, TailSample, _angular_moment, _radial_exceedances, _read_mass, _squares,
+                   as_matrix, as_sample, estimate_tpdm)
 from .xlinear import softplus_inv
 
 
@@ -75,7 +76,7 @@ def residuals(sample, part: Partition, b, q_pred: float = 0.98,
     if len(part.target) != 2:
         raise DomainError("residual inference needs exactly two target variables")
     check_unit_interval(q_pred=q_pred)
-    B = np.asarray(b, dtype=float)
+    B = float_array(b, "weights")
     if B.shape != (len(part.complement), 2):
         raise DimensionError(f"weights must be ({len(part.complement)}, 2), got {B.shape}")
     return _retain_exceedances(_preimage_residuals(softplus_inv(data).T, part, B), q_pred, m_trace)
@@ -83,46 +84,23 @@ def residuals(sample, part: Partition, b, q_pred: float = 0.98,
 
 def _preimage_residuals(Yt, part: Partition, B):
     """``Yt[T] - B^T Yt[R]``, the residuals as two C-ordered rows, for the
-    preimages Y held as the rows of ``Yt = Y^T``, target T and complement R."""
-    return Yt[list(part.target)] - B.T @ Yt[list(part.complement)]
-
-
-def _tail_rows(U, q_pred: float):
-    """``(idx, r, thr)`` of the residuals, the two rows of U, whose radius
-    exceeds their empirical ``q_pred`` quantile thr."""
-    with np.errstate(over="ignore"):
-        s = _squares(U[0], U[1])
-    idx, r, _, thr = _radial_exceedances(s, q_pred, U, "residual radii")
-    return idx, r, thr
+    preimages Y held as the rows of ``Yt = Y^T``, target T and complement R.
+    A residual past the float64 range is a :class:`NumericalError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = Yt[list(part.target)] - B.T @ Yt[list(part.complement)]
+    if not np.isfinite(U).all():
+        raise NumericalError("preimage residuals lie past the float64 range")
+    return U
 
 
 def _retain_exceedances(U, q_pred: float, m_trace) -> ResidualSample:
-    """The residuals of :func:`_tail_rows`, U holding all of them as two rows."""
-    idx, r, thr = _tail_rows(U, q_pred)
+    """The residuals, the two rows of U, whose radius exceeds its ``q_pred`` quantile."""
+    with np.errstate(over="ignore"):
+        s = _squares(U[0], U[1])
+    idx, r, _, thr = _radial_exceedances(s, q_pred, U, "residual radii")
     u = U.take(idx, axis=1).T
     return ResidualSample(u=u, r=r, w=u / r[:, None], n_total=U.shape[1], threshold=thr,
                           m_trace=m_trace)
-
-
-def _estimator_mask(tail, q_res: float | None):
-    """``(prod, r)``: the angular products ``w1 w2`` and radii of the estimator's
-    exceedances, from ``tail = (prod, r, n_total)`` of the retained rows.
-
-    ``q_res=None`` keeps every retained row.  Otherwise a retained set at or
-    below ``floor((1 - q_res) * n_total)`` rows is used whole, else it is
-    re-thresholded at the matching upper order statistic (strict, ties
-    dropped).  ``q_res`` is checked by the callers.
-    """
-    prod, r, n_total = tail
-    k = r.size
-    k_target = k if q_res is None else math.floor((1.0 - q_res) * n_total + 1e-9)
-    if k_target >= k:
-        return prod, r
-    # threshold at the (k+1)-th upper order statistic so the strict
-    # exceedance count equals k (absent ties, which are dropped)
-    cut = k - k_target - 1
-    mask, _ = _strict_exceedances(r, np.partition(r, cut)[cut], "residual estimator")
-    return prod[mask], r[mask]
 
 
 def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trace"):
@@ -130,15 +108,12 @@ def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trac
 
     Returns ``(sigma_u_hat, m_tilde, k)``.  ``mass`` is "trace" (total mass
     taken as the trace of the estimated conditional IPM), "estimate"
-    (``(R_(k)^2/n) k`` on the residual radii) or a positive number.
+    (``(R_(k)^2/n) k`` on the residual radii) or a positive number.  ``q_res``
+    thresholds the retained rows again (``tpdm._angular_moment``).
     """
     check_unit_interval(q_res=q_res)
     m = _read_mass(mass, "trace", res.m_trace)
-    prod, r = _estimator_mask((res.w[:, 0] * res.w[:, 1], res.r, res.n_total), q_res)
-    k = prod.size
-    if m is None:
-        m = _estimated_mass(float(r.min()), k, res.n_total)
-    return m / k * float(prod.sum()), m, k
+    return _angular_moment(res.w[:, 0] * res.w[:, 1], res.r, res.n_total, m, q_res)[:3]
 
 
 def estimate_tau2(res: ResidualSample, m_tilde: float, q_res: float | None = None) -> float:
@@ -150,16 +125,17 @@ def estimate_tau2(res: ResidualSample, m_tilde: float, q_res: float | None = Non
     :class:`NumericalError` when it lies past the float64 range.
     """
     check_unit_interval(q_res=q_res)
-    prod, _ = _estimator_mask((res.w[:, 0] * res.w[:, 1], res.r, res.n_total), q_res)
-    return _tau2(prod, float(prod.sum()), m_tilde)
+    _, _, _, prod = _angular_moment(res.w[:, 0] * res.w[:, 1], res.r, res.n_total,
+                                    float(m_tilde), q_res)
+    return _tau2(prod, m_tilde)
 
 
-def _tau2(prod, total: float, m_tilde: float) -> float:
-    """``tau2`` from the exceedances' products and their sum."""
+def _tau2(prod, m_tilde: float) -> float:
+    """``tau2`` from the products :func:`tpdm._angular_moment` kept."""
     k = prod.size
     if k < 2:
         raise DegenerateVarianceError(f"need at least 2 exceedances for tau2, got {k}")
-    e1 = total / (k - 1)
+    e1 = float(prod.sum()) / (k - 1)
     spread = float((prod ** 2).sum()) / (k - 1) - e1 * e1
     # m~ = f 2^e: m~^2 is never formed, so it cannot overflow where m~^2 spread does not
     f, e = math.frexp(m_tilde)
@@ -370,7 +346,7 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
 
 
 def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
-    """``(Theta, fit)`` where ``fit(pair)`` returns ``(C, sigma_u, tau2, k, t)``.
+    """``(Theta, fit)``; ``fit(pair)`` returns the pair's C and its :class:`PairRecord`.
 
     ``Y = t^-1(X)``, ``Theta = Gamma^-1`` and ``Zt = Theta Y^T``, the columns
     of ``Z = Y Theta`` as rows, are computed once.  The pair T then has
@@ -423,13 +399,11 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
             project._check_projection(C.diagonal().min(), gamma_max)
             U = _preimage_residuals(Yt, part, b)
             m_trace = float(C[0, 0] + C[1, 1])
-        idx, r, _ = _tail_rows(U, q_pred)
-        n = U.shape[1]
-        prod, _ = _estimator_mask(((U[0].take(idx) / r) * (U[1].take(idx) / r), r, n), q_res)
-        k, total = prod.size, float(prod.sum())  # the sum is shared by both moments
-        sigma_u = m_trace / k * total  # the total mass is the trace of C
-        tau2 = _tau2(prod, total, m_trace)  # positive, with k >= 2
-        return C, sigma_u, tau2, k, t_statistic(sigma_u, tau2, k)
+        res = _retain_exceedances(U, q_pred, m_trace)  # the total mass is the trace of C
+        sigma_u, _, k, prod = _angular_moment(res.w[:, 0] * res.w[:, 1], res.r, res.n_total,
+                                              m_trace, q_res)
+        tau2 = _tau2(prod, m_trace)  # positive, with k >= 2
+        return C, PairRecord(i, j, sigma_u, tau2, k, t_statistic(sigma_u, tau2, k))
 
     return theta, fit
 
@@ -459,11 +433,10 @@ def ptc_test_all_pairs(sample, q_radial: float = 0.95, q_pred: float = 0.98,
     theta, fit = _pair_pipeline(sample, sigma_hat, q_pred, q_res)
     records = []
     for i, j in combinations(range(sample.p), 2):
-        rec = PairRecord(i=i, j=j)
         try:
-            _, rec.sigma_u, rec.tau2, rec.k, rec.t_stat = fit((i, j))
+            _, rec = fit((i, j))
         except TailgraphError as exc:
-            rec.error = f"{type(exc).__name__}: {exc}"
+            rec = PairRecord(i, j, error=f"{type(exc).__name__}: {exc}")
         records.append(rec)
     ok = [r for r in records if r.error is None]
     if adjusted:
@@ -554,9 +527,9 @@ def coverage_study(phi: float = 0.7, n: int = 10_000, reps: int = 500,
     def run_rep(sample):
         sigma_hat = estimate_tpdm(sample, q_radial=q_radial, mode="global", mass="estimate")
         _, fit = _pair_pipeline(sample, sigma_hat, q_pred=q_radial, q_res=None)
-        C, sigma_u, tau2, k, t_val = fit(part.target)
-        lo, hi = confidence_interval(sigma_u, tau2, k, level)
-        return (lo <= true_c <= hi, C[0, 1], sigma_u, k, t_val)
+        C, rec = fit(part.target)
+        lo, hi = confidence_interval(rec.sigma_u, rec.tau2, rec.k, level)
+        return (lo <= true_c <= hi, C[0, 1], rec.sigma_u, rec.k, rec.t_stat)
 
     rows, failures = _replicate(A, n, np.random.SeedSequence(seed).spawn(reps), run_rep)
     covered, part_est, res_est, ks, ts = (np.asarray(col) for col in zip(*rows))

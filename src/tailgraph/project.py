@@ -27,7 +27,7 @@ from .errors import (
     float_array,
 )
 from .tpdm import IPMatrix, _unit_scale, as_matrix
-from .xlinear import _gram, tmatmul
+from .xlinear import _coefficients, _gram, tmatmul
 
 COND_LIMIT = 1e12
 
@@ -93,7 +93,8 @@ def _schur(gamma, part: Partition):
     ``C = Gamma_11 - Gamma_12 b``, both formed on Gamma at unit scale
     (:func:`tpdm._unit_scale`): b is scale-free and C is scaled back.  A
     singular block, a condition number above 1e12 or a solve residual above
-    1e-10 |rhs| is a :class:`ConditioningError`.
+    1e-10 |rhs| is a :class:`ConditioningError`; weights or a C past the
+    float64 range (an indefinite Gamma only) a :class:`NumericalError`.
     """
     G, e = _unit_scale(as_matrix(gamma))
     t, c = list(part.target), list(part.complement)
@@ -101,17 +102,20 @@ def _schur(gamma, part: Partition):
         raise DomainError("partition must cover all indices exactly once")
     G11, G12, G22 = G[np.ix_(t, t)], G[np.ix_(t, c)], G[np.ix_(c, c)]
     b = np.zeros((0, len(t)))  # an empty complement: C is Gamma_11
-    if c:
-        rhs = G12.T  # Gamma_21, complement x targets
-        b = _cho_solve(_spd_factor(G22, "complement block"), rhs)
-        resid = np.abs(G22 @ b - rhs).max()
-        # the floor: a target column below 1e-300 max|G| solves with subnormal rounding,
-        # about 5e-324 however well-conditioned the block, which 1e-10 |rhs| misses
-        bound = 1e-10 * max(np.abs(rhs).max(), 1e-300)
-        if resid > bound:
-            raise ConditioningError(
-                f"solve residual too large: {resid:.3e} exceeds 1e-10 |rhs| = {bound:.3e}")
-    C = G11 - G12 @ b
+    with np.errstate(over="ignore", invalid="ignore"):  # the range is checked below
+        if c:
+            rhs = G12.T  # Gamma_21, complement x targets
+            b = _cho_solve(_spd_factor(G22, "complement block"), rhs)
+            resid = np.abs(G22 @ b - rhs).max()
+            # the floor: a target column below 1e-300 max|G| solves with subnormal rounding,
+            # about 5e-324 however well-conditioned the block, which 1e-10 |rhs| misses
+            bound = 1e-10 * max(np.abs(rhs).max(), 1e-300)
+            if resid > bound:  # a NaN residual passes: its weights fail the range check
+                raise ConditioningError(
+                    f"solve residual too large: {resid:.3e} exceeds 1e-10 |rhs| = {bound:.3e}")
+        C = G11 - G12 @ b
+    if not np.isfinite(C).all():  # so is C wherever a weight is not: G11 and G12 are finite
+        raise NumericalError("prediction weights lie past the float64 range")
     return b, np.ldexp((C + C.T) / 2.0, e)
 
 
@@ -129,7 +133,7 @@ def solve_b(gamma, part: Partition) -> np.ndarray:
 
 def predict(b, x2) -> np.ndarray:
     """Realized best predictor ``b' (*) x2`` for observed complement values."""
-    w = np.asarray(b, dtype=float)
+    w = _coefficients(b)
     if w.ndim == 1:
         w = w[:, None]
     return tmatmul(w.T, x2)

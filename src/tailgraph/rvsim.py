@@ -58,7 +58,7 @@ def sample_noise(q: int, n: int, distribution: str = "shifted-pareto", seed=0) -
 
 def construct(A, Z) -> np.ndarray:
     """Row-wise transformed-linear map: each row of Z becomes ``A (*) z``."""
-    X = tmatmul(A, np.atleast_2d(Z))
+    X = tmatmul(A, np.atleast_2d(Z))  # which holds A to the coefficient rule
     bad = np.flatnonzero(~(np.asarray(A, dtype=float) > 0.0).any(axis=0))
     if bad.size:
         warnings.warn(f"columns {bad.tolist()} have no positive entry and carry no tail mass",

@@ -184,7 +184,7 @@ def marginal_transform(raw, columns=None) -> TailSample:
     out = np.empty_like(arr)
     for j in range(p):
         col = arr[:, j]
-        if np.ptp(col) == 0.0:
+        if col.min() == col.max():  # not np.ptp: max - min can overflow
             raise DegenerateMarginError(f"column {j} is constant")
         fhat = _average_ranks(col) / (n + 1)
         out[:, j] = 1.0 / np.sqrt(1.0 - fhat) - delta
@@ -227,16 +227,13 @@ def _squares(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return s
 
 
-def _strict_exceedances(r: np.ndarray, thr, context: str = ""):
-    """``(mask, k)`` of the radii strictly above ``thr``; ties at it are excluded.
-
-    Raises :class:`InsufficientExceedancesError` when k < MIN_EXCEEDANCES.
-    """
-    mask = r > thr
-    k = int(np.count_nonzero(mask))
-    if k < MIN_EXCEEDANCES:
-        raise InsufficientExceedancesError(k, MIN_EXCEEDANCES, context)
-    return mask, k
+def _strict_exceedances(r: np.ndarray, thr, context: str = "") -> np.ndarray:
+    """Indices of the radii strictly above ``thr`` (ties at it drop); fewer than
+    MIN_EXCEEDANCES is an :class:`InsufficientExceedancesError`."""
+    keep = (r > thr).nonzero()[0]
+    if keep.size < MIN_EXCEEDANCES:
+        raise InsufficientExceedancesError(keep.size, MIN_EXCEEDANCES, context)
+    return keep
 
 
 def _order_statistics(v: np.ndarray, q: float, n: int):
@@ -290,9 +287,7 @@ def _radial_exceedances(s: np.ndarray, q: float, cols, context: str = "", n: int
         r = _radii(s, cols)
         a, b, g = _order_statistics(r, q, n)
     thr = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g  # numpy's _lerp
-    keep = (r > thr).nonzero()[0]
-    if keep.size < MIN_EXCEEDANCES:
-        raise InsufficientExceedancesError(keep.size, MIN_EXCEEDANCES, context)
+    keep = _strict_exceedances(r, thr, context)
     return keep if rows is None else rows.take(keep), r.take(keep), keep.size, thr
 
 
@@ -318,7 +313,9 @@ def _radii(s: np.ndarray, cols, rows=None) -> np.ndarray:
 
 def estimate_mass(r, k: int, n: int) -> float:
     """Total-mass estimate ``(r_(k)^2 / n) * k`` from raw-scale radii."""
-    radii = np.asarray(r, dtype=float)
+    radii = float_array(r, "radii")
+    if radii.ndim != 1 or (radii < 0.0).any():
+        raise DataError("radii must be a 1-D array of non-negative values")
     k, n = check_integer(1, k=k, n=n)
     if k > n or k > radii.size:
         raise DomainError("need 1 <= k <= n")
@@ -331,6 +328,24 @@ def _estimated_mass(r_k: float, k: int, n: int) -> float:
     if m == math.inf:
         raise NumericalError(f"estimated mass overflows: threshold radius {r_k!r}")
     return m
+
+
+def _angular_moment(prod, r, n: int, mass: float | None, q_res: float | None = None):
+    """``(sigma, m, k, prod)``, ``sigma = (m/k) sum prod`` over k exceedances (radii
+    ``r``, angular products ``prod``) of n radii; m is ``mass`` (None:
+    :func:`_estimated_mass`).  ``q_res`` (checked by the callers) cuts more than
+    ``floor((1 - q_res) n)`` rows to that many at the matching upper order
+    statistic (strict, ties dropped).  An empty set is an InsufficientExceedancesError."""
+    k = r.size
+    k_target = k if q_res is None else math.floor((1.0 - q_res) * n + 1e-9)
+    if k_target < k:
+        cut = k - k_target - 1  # the (k_target + 1)-th largest
+        keep = _strict_exceedances(r, np.partition(r, cut)[cut], "residual estimator")
+        prod, r, k = prod.take(keep), r.take(keep), keep.size
+    if not k:
+        raise InsufficientExceedancesError(0, 1, "residual estimator")
+    m = _estimated_mass(float(r.min()), k, n) if mass is None else mass
+    return m / k * float(prod.sum()), m, k, prod
 
 
 def _read_mass(mass, name: str, value) -> float | None:
@@ -362,10 +377,10 @@ def _pair_moment(a, b, s, n: int, q_radial: float, mass: float | None):
     squared radii s of rows holding every exceedance of the pair's n radii
     (see :func:`_radial_exceedances`); ``(wa, wb)`` are the exceedances' unit
     angles, the only ones formed.  ``mass`` is read by :func:`_read_mass`."""
-    idx, rk, k, _ = _radial_exceedances(s, q_radial, (a, b), "pair estimate", n)
-    m = _estimated_mass(float(rk.min()), k, n) if mass is None else mass
+    idx, rk, _, _ = _radial_exceedances(s, q_radial, (a, b), "pair estimate", n)
     wa, wb = a.take(idx) / rk, b.take(idx) / rk
-    return m / k * float((wa * wb).sum()), k, wa, wb
+    sigma, _, k, _ = _angular_moment(wa * wb, rk, n, mass)
+    return sigma, k, wa, wb
 
 
 def estimate_sigma_pair(xi, xj, q_radial: float = 0.95, mass="fixed"):
@@ -421,8 +436,7 @@ def estimate_tpdm(sample, q_radial: float = 0.95, mode: str = "pairwise",
         with np.errstate(over="ignore"):
             s = np.sum(X ** 2, axis=1)
         idx, radii, k, _ = _radial_exceedances(s, q_radial, X.T, "global TPDM")
-        if m is None:
-            m = _estimated_mass(float(radii.min()), k, n)
+        m = _estimated_mass(float(radii.min()), k, n) if m is None else m
         W = X.take(idx, axis=0) / radii[:, None]
         S = (m / k) * (W.T @ W)
         return IPMatrix(S, k_used=np.full((p, p), k))

@@ -41,7 +41,7 @@ def softplus(y):
 
     Accepts scalars or arrays; raises :class:`DomainError` on non-finite input.
     """
-    arr = np.asarray(y, dtype=float)
+    arr = float_array(y, "softplus input", finite=False)  # checked below, as a DomainError
     if not np.all(np.isfinite(arr)):
         raise DomainError("softplus requires finite input")
     hi = arr > _BRANCH
@@ -59,7 +59,7 @@ def softplus_inv(x):
     observations: expm1 keeps full precision down to denormal x, where
     log(expm1(x)) = log(x) + x/2 + O(x^2).  Raises :class:`DomainError` for x <= 0.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = float_array(x, "softplus_inv input", finite=False)  # checked below, with > 0
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError("softplus_inv requires finite input > 0")
     hi = arr > _BRANCH
@@ -100,7 +100,7 @@ def _gram(A) -> np.ndarray:
 
 def tadd(x1, x2):
     """Vector addition in the transformed space, componentwise."""
-    a1, a2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    a1, a2 = (float_array(x, "transformed-linear operand", finite=False) for x in (x1, x2))
     if a1.shape != a2.shape:
         raise DimensionError(f"shape mismatch {a1.shape} vs {a2.shape}")
     return _transformed_linear(np.add, a1, a2)
@@ -121,7 +121,7 @@ def tmatmul(A, x):
     Composes like ordinary matrix multiplication: ``B (*) (A (*) x)`` equals
     ``(BA) (*) x`` up to transform round trips.
     """
-    M, v = _coefficients(A), np.asarray(x, dtype=float)
+    M, v = _coefficients(A), float_array(x, "transformed-linear operand", finite=False)
     if M.ndim != 2 or v.ndim not in (1, 2) or v.shape[-1] != M.shape[1]:
         raise DimensionError(f"matrix {M.shape} does not conform with input {v.shape}")
     return _transformed_linear(lambda y: y @ M.T, v)

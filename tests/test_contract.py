@@ -21,6 +21,7 @@ from tailgraph import (
     DegenerateVarianceError,
     DimensionError,
     DomainError,
+    InsufficientExceedancesError,
     IPMatrix,
     NumericalError,
     Partition,
@@ -30,6 +31,7 @@ from tailgraph import (
     TailgraphError,
     angular_points,
     ar1_matrix,
+    build_graph,
     conditional_ipm,
     confidence_interval,
     construct,
@@ -38,6 +40,7 @@ from tailgraph import (
     emit_dot,
     estimate_mass,
     estimate_sigma_pair,
+    estimate_sigma_u,
     estimate_tau2,
     estimate_tpdm,
     graph_from_stats,
@@ -51,6 +54,8 @@ from tailgraph import (
     residuals,
     sample_noise,
     size_power_study,
+    softplus,
+    softplus_inv,
     solve_b,
     t_statistic,
     tadd,
@@ -243,6 +248,8 @@ class TestReportReader:
 
 _SHAPES = [(), (0,), (3,), (300,), (0, 0), (1, 1), (2, 3), (3, 2), (3, 3), (4, 4), (300, 2),
            (3, 3, 1)]
+# a pair of five variables: its weights are (3, 2), one of the shapes above
+_FIVE = TailSample(construct(ar1_matrix(0.7, 5), sample_noise(5, 600, seed=4)))
 _CALLABLES = {
     "TailSample": TailSample,
     "marginal_transform": marginal_transform,
@@ -262,6 +269,13 @@ _CALLABLES = {
     "theoretical_tpdm": theoretical_tpdm,
     "tail_ratio": tail_ratio,
     "angular_points": angular_points,
+    "softplus": softplus,
+    "softplus_inv": softplus_inv,
+    "tadd": lambda a: tadd(a, a),
+    "tmatmul": lambda a: tmatmul(np.eye(2), a),
+    "construct": lambda a: construct(a, np.full((3, 2), 2.0)),
+    "residuals": lambda a: residuals(_FIVE, Partition.pair(0, 1, 5), a),
+    "estimate_mass": lambda a: estimate_mass(a, 1, 1),
 }
 # far from unit size, where a square or a product of two entries leaves the float64 range
 _SCALES = (1.0, 2.0 ** 600, 2.0 ** -600, 1e200, 1e-200, 1e303, 2.0 ** -1000)
@@ -278,7 +292,10 @@ def _hostile_arrays(draw):
     if a.ndim == 2 and a.shape[0] == a.shape[1] and draw(st.booleans()):
         a = a @ a.T + a.shape[0] * np.eye(a.shape[0])
     scale = draw(st.sampled_from(_SCALES + (None,)))  # every cell is at least 0.01 in size
-    a *= 1.7e308 / np.abs(a).max(initial=0.01) if scale is None else scale
+    if scale is None:  # divided first: 1.7e308 / max|a| overflows for max|a| below 0.95
+        a = a / np.abs(a).max(initial=0.01) * 1.7e308
+    else:
+        a *= scale
     if a.size and draw(st.booleans()):
         a.flat[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     return np.asfortranarray(a) if draw(st.booleans()) else a
@@ -335,10 +352,14 @@ _GRAPH = graph_from_stats(np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 2.0], [1.0, 2.0,
     (lambda: confidence_interval(0.1, np.nan, 10), DegenerateVarianceError),
     (lambda: critical_value("bonferroni", n_pairs=2.5, df=10), DomainError),
     (lambda: ar1_matrix(0.5, 2.5), DomainError),
+    (lambda: ar1_matrix("x", 3), DomainError),
+    (lambda: ar1_matrix(0.5, "x"), DomainError),
+    (lambda: build_graph({}), DataError),
     (lambda: emit_dot(_GRAPH, width_scale=np.nan), DomainError),
     (lambda: emit_dot(_GRAPH, width_scale=np.inf), DomainError),
 ], ids=["t k=2.5", "t tau2=nan", "t sigma_u=nan", "interval tau2=nan", "bonferroni n_pairs=2.5",
-        "ar1 p=2.5", "dot width nan", "dot width inf"])
+        "ar1 p=2.5", "ar1 phi=str", "ar1 p=str", "graph of a dict", "dot width nan",
+        "dot width inf"])
 def test_scalar_argument_rules(call, error):
     with pytest.raises(error):
         call()
@@ -448,6 +469,8 @@ _Q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
 _COND_8E11 = (_Q * np.logspace(0, -11.9, 3)) @ _Q.T  # passes the 1e12 gate, not the 1e-8 check
 _ONE_ROW = ResidualSample(u=np.ones((1, 2)), r=np.ones(1), w=np.full((1, 2), 0.5 ** 0.5),
                           n_total=100, threshold=0.5)
+_NO_ROWS = ResidualSample(u=np.ones((0, 2)), r=np.ones(0), w=np.ones((0, 2)), n_total=100,
+                          threshold=0.5)
 
 REACHED_RAISES = [  # (case, call, documented class, message)
     ("--mass bogus", lambda: main(["tpdm", "--input", "x.csv", "--mass", "bogus",
@@ -494,6 +517,21 @@ REACHED_RAISES = [  # (case, call, documented class, message)
      "^inverse of the inner product matrix lies past the float64 range$"),
     ("non-numeric matrix", lambda: invert_ipm("x"), DataError,
      "^inner product matrix must be numeric, got a str$"),
+    ("weights past the float64 range", lambda: solve_b(
+        [[0.5, 0.9, 0.9], [0.9, 1e-309, 0.0], [0.9, 0.0, 1e-309]], Partition.single(0, 3)),
+     NumericalError, "^prediction weights lie past the float64 range$"),
+    ("residuals past the float64 range", lambda: residuals(
+        _FIVE, Partition.pair(0, 1, 5), np.full((3, 2), 1e308)), NumericalError,
+     "^preimage residuals lie past the float64 range$"),
+    ("moment of no rows", lambda: estimate_sigma_u(_NO_ROWS, mass=1.0),
+     InsufficientExceedancesError,
+     r"^residual estimator: only 0 exceedances \(need >= 1\)$"),
+    ("radii of two axes", lambda: estimate_mass(np.zeros((2, 2)), 1, 1), DataError,
+     "^radii must be a 1-D array of non-negative values$"),
+    ("negative radius", lambda: estimate_mass([-1.0], 1, 1), DataError,
+     "^radii must be a 1-D array of non-negative values$"),
+    ("graph of a dict", lambda: build_graph({}), DataError,
+     "^build_graph needs a PtcTestReport, got a dict$"),
 ]
 
 

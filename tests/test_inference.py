@@ -517,23 +517,26 @@ class TestPtcTestAllPairs:
 
 def _reference_records(sample, q_radial, q_pred, q_res, mode, mass):
     """All pairs through the per-pair complement solve and the public residual
-    estimators, with a Bonferroni cut."""
+    estimators, with a Bonferroni cut: ``(pair, k, t, reject, error)`` per
+    pair, the critical value, and ``{pair: (C, sigma_u)}`` of the tested pairs."""
     sigma = estimate_tpdm(sample, q_radial=q_radial, mode=mode, mass=mass)
-    rows = []
+    rows, fits = [], {}
     for pair in combinations(range(sample.p), 2):
         try:
             part = Partition.pair(*pair, sample.p)
+            C = conditional_ipm(sigma, part)
             res = residuals(sample, part, solve_b(sigma, part), q_pred=q_pred,
-                            m_trace=float(np.trace(conditional_ipm(sigma, part))))
+                            m_trace=float(np.trace(C)))
             sigma_u, m_tilde, k = estimate_sigma_u(res, q_res=q_res, mass="trace")
             t = t_statistic(sigma_u, estimate_tau2(res, m_tilde, q_res=q_res), k)
             rows.append((pair, k, t, None))
+            fits[pair] = (C, sigma_u)
         except TailgraphError as exc:
             rows.append((pair, None, None, f"{type(exc).__name__}: {exc}"))
     df = min(k for _, k, _, err in rows if err is None) - 1
     cv = critical_value("bonferroni", n_pairs=len(rows), df=df)
     return [(pair, k, t, None if err else bool(abs(t) > cv), err)
-            for pair, k, t, err in rows], cv
+            for pair, k, t, err in rows], cv, fits
 
 
 def _duplicated_column_sample(jitter=5e-7):
@@ -549,29 +552,40 @@ class TestPrecisionPathAgreement:
         X = construct(ar1_matrix(0.7, 8), sample_noise(8, 6000, seed=17))
         return TailSample(X)
 
+    @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("q_res", [None, 0.98])
     @pytest.mark.parametrize("mode, mass, q_radial", [("global", "estimate", 0.98),
                                                       ("pairwise", "fixed", 0.95)])
     @pytest.mark.parametrize("which", ["ar1_p8", "duplicated"])
     def test_matches_per_pair_reference(self, ar1_p8, monkeypatch, which, mode, mass, q_radial,
-                                        q_res):
+                                        q_res, forced):
+        """``forced`` makes ``project.invert_ipm`` fail, so every pair falls back."""
         sample = ar1_p8 if which == "ar1_p8" else _duplicated_column_sample()
+        if forced:
+            monkeypatch.setattr(inference.project, "invert_ipm", _singular)
         calls = []
         monkeypatch.setattr(inference, "softplus_inv",
                             lambda x, real=softplus_inv: calls.append(x) or real(x))
         report = ptc_test_all_pairs(sample, q_radial=q_radial, q_pred=0.98, q_res=q_res,
                                     tpdm_mode=mode, tpdm_mass=mass)
         assert len(calls) == 1  # one preimage per run, on either path
-        want, cv = _reference_records(sample, q_radial, 0.98, q_res, mode, mass)
+        want, cv, fits = _reference_records(sample, q_radial, 0.98, q_res, mode, mass)
         # the duplicated column makes the TPDM singular: the runner falls back
-        assert (report.ptc is None) == (which == "duplicated")
+        fallback = which == "duplicated" or forced
+        assert (report.ptc is None) == fallback
         assert report.critical_value == pytest.approx(cv, rel=1e-12)
         assert len(report.records) == len(want)
+        if fallback:
+            sigma = estimate_tpdm(sample, q_radial=q_radial, mode=mode, mass=mass)
+            _, fit = inference._pair_pipeline(sample, sigma, 0.98, q_res)
         for rec, (pair, k, t, reject, err) in zip(report.records, want):
             assert (rec.i, rec.j) == pair
             assert (rec.k, rec.reject, rec.error) == (k, reject, err)
-            if t is not None and which == "duplicated":  # same arithmetic: same bits
-                assert rec.t_stat == t
+            if t is not None and fallback:  # same arithmetic: same bits
+                C, fitted = fit(pair)
+                assert C.tobytes() == fits[pair][0].tobytes()
+                assert (rec.sigma_u, rec.k, rec.t_stat) == (fitted.sigma_u, fitted.k,
+                                                            fitted.t_stat) == (fits[pair][1], k, t)
             elif t is not None:
                 assert abs(rec.t_stat - t) <= 1e-12 * max(1.0, abs(t))
         if which == "duplicated":
@@ -630,9 +644,10 @@ class TestPrecisionPathAgreement:
     def test_estimator_exceedances_found_once_per_pair(self, monkeypatch):
         X = construct(ar1_matrix(0.7, 6), sample_noise(6, 6000, seed=3))
         calls = []
-        real = inference._estimator_mask
-        monkeypatch.setattr(inference, "_estimator_mask",
-                            lambda res, q_res: calls.append(q_res) or real(res, q_res))
+        real = inference._angular_moment
+        monkeypatch.setattr(inference, "_angular_moment",
+                            lambda prod, r, n, mass, q_res=None:
+                            calls.append(q_res) or real(prod, r, n, mass, q_res))
         report = ptc_test_all_pairs(TailSample(X), q_radial=0.98, q_pred=0.98,
                                     q_res=0.99, tpdm_mode="global", tpdm_mass="estimate")
         assert all(r.error is None for r in report.records)
@@ -828,12 +843,12 @@ class TestRunnerInvariance:
             theta, fit = inference._pair_pipeline(sample, sigma, q_pred=0.98, q_res=None)
         assert (theta is None) == forced
         for rec in report.records:
-            swapped = PairRecord(i=rec.j, j=rec.i)
             try:
-                _, swapped.sigma_u, swapped.tau2, swapped.k, swapped.t_stat = fit((rec.j, rec.i))
+                _, swapped = fit((rec.j, rec.i))
             except TailgraphError as exc:
-                swapped.error = f"{type(exc).__name__}: {exc}"
+                swapped = PairRecord(i=rec.j, j=rec.i, error=f"{type(exc).__name__}: {exc}")
             else:
+                assert (swapped.i, swapped.j) == (rec.j, rec.i)
                 swapped.reject = bool(abs(swapped.t_stat) > report.critical_value)
             _assert_same_outcome(swapped, rec)
             assert swapped.reject == rec.reject

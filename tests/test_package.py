@@ -1,5 +1,7 @@
-"""The package's lazy exports: every public name resolves as an eager import would."""
+"""The package's lazy exports: every public name resolves as an eager import
+would, and every module uses what it imports."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -72,3 +74,30 @@ assert PtcTestReport is tailgraph.report.PtcTestReport
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+
+_PACKAGE = os.path.dirname(tailgraph.__file__)
+_MODULES = sorted(name[:-3] for name in os.listdir(_PACKAGE) if name.endswith(".py"))
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_every_import_is_used(module):
+    """Each name a module imports is used in it, listed in its ``__all__``, or
+    imported by a statement marked ``# noqa: F401`` (kept for callers outside)."""
+    with open(os.path.join(_PACKAGE, f"{module}.py"), encoding="utf-8") as fh:
+        source = fh.read()
+    lines, tree = source.splitlines(), ast.parse(source)
+    loaded = tailgraph if module == "__init__" else importlib.import_module(f"tailgraph.{module}")
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(getattr(loaded, "__all__", ()))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        names = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        unused += [f"{module}.py:{node.lineno}: {name}" for name in names if name not in used]
+    assert not unused

@@ -12,6 +12,7 @@ from tailgraph import (
     DegenerateProjectionError,
     DimensionError,
     DomainError,
+    NumericalError,
     Partition,
     ar1_matrix,
     conditional_ipm,
@@ -105,6 +106,21 @@ class TestSolveB:
         b = solve_b(G, Partition.single(0, m + 1))
         assert np.abs(G22 @ b - 1.0).max() < 1e-12
         np.testing.assert_allclose(b, np.linalg.solve(G22, np.ones(m)), rtol=1e-6)
+
+    @pytest.mark.parametrize("G", [
+        [[0.5, 0.9, 0.9], [0.9, 1e-309, 0.0], [0.9, 0.0, 1e-309]],
+        [[0.5, 0.9, 0.9, 0.9], [0.9, 1e-308, 0.0, 0.0], [0.9, 0.0, 1e-308, 0.0],
+         [0.9, 0.0, 0.0, 1e-308]],
+    ], ids=["weights overflow", "C overflows"])
+    @pytest.mark.parametrize("fn", [solve_b, conditional_ipm])
+    def test_weights_past_the_float64_range(self, fn, G):
+        """An indefinite Gamma whose complement block passes the condition gate
+        but lies far below its coupling: b or C leaves the float64 range, which
+        is a NumericalError, not numpy's warning and a NaN or an infinity."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^prediction weights lie past the float64"):
+                fn(np.array(G), Partition.single(0, len(G)))
 
     def test_duplicate_variable_rejected(self):
         # a duplicated column makes the complement block exactly singular

@@ -598,6 +598,15 @@ def _two_kth_threshold(r, q, n=None):
     return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
+def _strict_mask(r, thr, context):
+    """``(mask, k)`` of the radii strictly above ``thr``, at least MIN_EXCEEDANCES of them."""
+    mask = r > thr
+    k = int(np.count_nonzero(mask))
+    if k < MIN_EXCEEDANCES:
+        raise InsufficientExceedancesError(k, MIN_EXCEEDANCES, context)
+    return mask, k
+
+
 def _row_sum_exceedances(s, q, cols, context="", n=None):
     """``_radial_exceedances`` by the reference kernels; ``s`` is taken again
     from the columns."""
@@ -605,14 +614,14 @@ def _row_sum_exceedances(s, q, cols, context="", n=None):
     with np.errstate(over="ignore"):
         r = tpdm._radii(np.sum(X ** 2, axis=1), cols)
     thr = _two_kth_threshold(r, q, n)
-    mask, k = tpdm._strict_exceedances(r, thr, context)
+    mask, k = _strict_mask(r, thr, context)
     return mask.nonzero()[0], r[mask], k, thr
 
 
 def _mask_pair_moment(a, b, s, n, q_radial, mass):
     with np.errstate(over="ignore"):
         r = tpdm._radii(a * a + b * b, (a, b))
-    mask, k = tpdm._strict_exceedances(r, _two_kth_threshold(r, q_radial, n), "pair estimate")
+    mask, k = _strict_mask(r, _two_kth_threshold(r, q_radial, n), "pair estimate")
     rk = r[mask]
     m = tpdm._estimated_mass(float(rk.min()), k, n) if mass is None else mass
     wk = np.column_stack((a[mask], b[mask])) / rk[:, None]
@@ -632,8 +641,8 @@ def _fit_bytes(sample, gamma, q_pred, q_res):
     for pair in itertools.combinations(range(sample.p), 2):
         got = _outcome(fit, pair)
         if not isinstance(got[0], type):  # not an error class: the fit's outputs
-            C, sigma_u, tau2, k, t = got
-            got = (C.tobytes(), np.array([sigma_u, tau2, t]).tobytes(), k)
+            C, rec = got
+            got = (C.tobytes(), np.array([rec.sigma_u, rec.tau2, rec.t_stat]).tobytes(), rec.k)
         out.append(got)
     return out
 

@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 
 from . import tpdm
-from .errors import DataError, DimensionError, DomainError, NumericalError, TailgraphError
+from .errors import DataError, DimensionError, DomainError, NumericalError, TailgraphError, _real
 from .report import _ADJUSTED, PtcTestReport, fixed_critical_value
 from .tpdm import TailSample
 
@@ -200,7 +200,8 @@ def _resolve_seed(args) -> int:
 
 
 def _checked_arg(convert, valid, requirement: str):
-    """Argparse type: ``convert`` the value, then require ``valid`` of it."""
+    """Argparse type: ``convert`` the value, then require ``valid`` of it and, as
+    the library requires of every scalar (``errors._real``), the float64 range."""
     def parse(value: str):
         try:
             v = convert(value)
@@ -209,6 +210,8 @@ def _checked_arg(convert, valid, requirement: str):
                 f"invalid {convert.__name__} value: {value!r}") from None
         if not valid(v):
             raise argparse.ArgumentTypeError(f"must {requirement}, got {value}")
+        if _real(v) is None:  # an int past the float64 range
+            raise argparse.ArgumentTypeError(f"must lie in the float64 range, got {value}")
         return v
     return parse
 

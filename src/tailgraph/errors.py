@@ -1,7 +1,5 @@
 """Exception hierarchy and the argument rules shared across the package."""
 
-import contextlib
-
 import numpy as np
 
 
@@ -66,33 +64,78 @@ def float_array(value, what: str, finite: bool = True) -> np.ndarray:
     return arr
 
 
-def check_unit_interval(**values):
-    """Raise :class:`DomainError` naming the first value not in (0, 1); None is unset."""
-    for name, v in values.items():
-        with contextlib.suppress(TypeError, ValueError):  # a string, an array of several values
-            if v is None or 0.0 < v < 1.0:
-                continue
-        raise DomainError(f"{name} must lie in (0, 1)")
+def _real(value) -> float | None:
+    """``value`` as a Python float if it is one real number inside the float64
+    range (a Python or numpy int or float, or a 0-d array of one), else None.
+    The one place a scalar argument is read: an array of several values is
+    refused before ``float``, which numpy deprecates there."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float64 range
+            pass
+    return None
+
+
+def float_scalar(value, what: str, expected: str = "a real number") -> float:
+    """``value`` as a Python float, the scalar counterpart of :func:`float_array`:
+    NaN and the infinities are read, for the caller's range test.  Anything
+    but one real number (:func:`_real`) is a :class:`DomainError` naming
+    ``what`` and what was ``expected`` of it."""
+    x = _real(value)
+    if x is None:
+        raise DomainError(f"{what} must be {expected}, got {_shown(value)}")
+    return x
+
+
+def _shown(value) -> str:
+    """How a refusal names a value that is not one real number."""
+    if isinstance(value, str):
+        return repr(value)
+    if isinstance(value, int):  # any other int is a real number
+        return "an int past the float64 range"
+    return f"a {type(value).__name__}"
+
+
+def check_unit_interval(**values) -> list:
+    """The values as floats, in order.  Raise :class:`DomainError` naming the
+    first value that is not a real number in (0, 1)."""
+    out = [_real(v) for v in values.values()]
+    for name, x in zip(values, out):
+        if x is None or not 0.0 < x < 1.0:
+            raise DomainError(f"{name} must lie in (0, 1)")
+    return out
 
 
 def check_integer(minimum: int, **values) -> list:
     """The values as ints, in order.  Raise :class:`DomainError` naming the first
-    value that is not an integer at least ``minimum``; None is not one."""
+    value that is not an integer at least ``minimum``."""
     for name, v in values.items():
-        with contextlib.suppress(TypeError, ValueError):  # a string or another non-number
-            if v is not None and float(v).is_integer() and v >= minimum:
-                continue
-        raise DomainError(f"need an integer {name} >= {minimum}, got {v!r}")
+        x = _real(v)
+        if x is None or not (x.is_integer() and x >= minimum):
+            raise DomainError(f"need an integer {name} >= {minimum}, "
+                              f"got {_shown(v) if x is None else repr(v)}")
     return [int(v) for v in values.values()]
+
+
+def as_index(value, p: int) -> int | None:
+    """``value`` as an int in [0, p), or None if it is not one."""
+    x = _real(value)
+    return int(x) if x is not None and x.is_integer() and 0 <= x < p else None
 
 
 def check_names(names, count: int) -> list:
     """``names`` as a list of ``count`` labels, distinct and non-empty once stripped.
 
-    A wrong count is a :class:`DimensionError`; a blank or repeated label a
-    :class:`DataError`.
+    A wrong count is a :class:`DimensionError`; a blank or repeated label, or
+    names that are not a sequence, a :class:`DataError`.
     """
-    names = list(names)
+    try:
+        names = list(names)
+    except TypeError:  # not iterable
+        raise DataError(f"column names must be a sequence, got a {type(names).__name__}") from None
     if len(names) != count:
         raise DimensionError(f"{len(names)} column names for {count} columns")
     seen = set()

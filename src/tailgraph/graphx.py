@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError, DomainError, check_names
+from .errors import DataError, DomainError, check_names, float_scalar
 from .report import PtcTestReport, fixed_critical_value
 from .tpdm import square_matrix
 
@@ -51,13 +51,13 @@ def graph_from_stats(stats_matrix, names, critical: float) -> ExtremalGraph:
 
     ``names`` label the rows, one distinct name each (by default 1..p); a NaN
     cell is a pair without a statistic.  A matrix unequal to its transpose (NaN
-    matching NaN) is a :class:`DataError`.  ``critical`` is any number ``float``
-    accepts, finite and non-negative (:func:`~tailgraph.report.fixed_critical_value`).
+    matching NaN) is a :class:`DataError`.  ``critical`` is a finite non-negative
+    number or "fixed:<c>" (:func:`~tailgraph.report.fixed_critical_value`).
     """
     T = square_matrix(stats_matrix, "test statistic matrix", finite=False)
     if not np.array_equal(T, T.T, equal_nan=True):
         raise DataError("test statistic matrix must be symmetric")
-    critical = fixed_critical_value(float(critical))
+    critical = fixed_critical_value(critical)
     p = T.shape[0]
     names = check_names(names, p) if names is not None else [str(i + 1) for i in range(p)]
     edges = []
@@ -69,6 +69,11 @@ def graph_from_stats(stats_matrix, names, critical: float) -> ExtremalGraph:
     return ExtremalGraph(nodes=names, edges=edges, critical_value=critical)
 
 
+def _check_graph(graph, caller: str) -> None:
+    if not isinstance(graph, ExtremalGraph):
+        raise DataError(f"{caller} needs an ExtremalGraph, got a {type(graph).__name__}")
+
+
 def _quote(name: str) -> str:
     return '"' + str(name).replace('"', '\\"') + '"'
 
@@ -78,7 +83,10 @@ def emit_dot(graph: ExtremalGraph, width_scale: float = 4.0) -> str:
 
     Output is byte-identical across runs for identical input: nodes in order,
     edges sorted by index pair, errored pairs listed in a comment header.
+    Anything but an :class:`ExtremalGraph` is a :class:`DataError`.
     """
+    _check_graph(graph, "emit_dot")
+    width_scale = float_scalar(width_scale, "width_scale")
     if not 0.0 < width_scale < np.inf:
         raise DomainError(f"width_scale must be positive and finite, got {width_scale!r}")
     lines = ["graph extremal {"]
@@ -98,7 +106,9 @@ def emit_dot(graph: ExtremalGraph, width_scale: float = 4.0) -> str:
 
 
 def to_adjacency(graph: ExtremalGraph) -> dict:
-    """JSON-ready adjacency: node list plus [i, j, weight] edge triples."""
+    """JSON-ready adjacency: node list plus [i, j, weight] edge triples; anything
+    but an :class:`ExtremalGraph` is a :class:`DataError`."""
+    _check_graph(graph, "to_adjacency")
     return {
         "nodes": list(graph.nodes),
         "critical_value": graph.critical_value,

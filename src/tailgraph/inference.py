@@ -38,6 +38,7 @@ from .errors import (
     check_integer,
     check_unit_interval,
     float_array,
+    float_scalar,
 )
 # perfbench/tracing.py wraps ptc_matrix, solve_b and conditional_ipm here: keep them importable
 from .project import (Partition, conditional_ipm, ptc_matrix,  # noqa: F401
@@ -111,7 +112,8 @@ def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trac
     (``(R_(k)^2/n) k`` on the residual radii) or a positive number.  ``q_res``
     thresholds the retained rows again (``tpdm._angular_moment``).
     """
-    check_unit_interval(q_res=q_res)
+    if q_res is not None:
+        check_unit_interval(q_res=q_res)
     m = _read_mass(mass, "trace", res.m_trace)
     return _angular_moment(res.w[:, 0] * res.w[:, 1], res.r, res.n_total, m, q_res)[:3]
 
@@ -124,9 +126,10 @@ def estimate_tau2(res: ResidualSample, m_tilde: float, q_res: float | None = Non
     which happens when the angular products carry no spread, and
     :class:`NumericalError` when it lies past the float64 range.
     """
-    check_unit_interval(q_res=q_res)
-    _, _, _, prod = _angular_moment(res.w[:, 0] * res.w[:, 1], res.r, res.n_total,
-                                    float(m_tilde), q_res)
+    if q_res is not None:
+        check_unit_interval(q_res=q_res)
+    m_tilde = float_scalar(m_tilde, "m_tilde")
+    _, _, _, prod = _angular_moment(res.w[:, 0] * res.w[:, 1], res.r, res.n_total, m_tilde, q_res)
     return _tau2(prod, m_tilde)
 
 
@@ -149,23 +152,24 @@ def _tau2(prod, m_tilde: float) -> float:
     return tau2
 
 
-def _check_t_args(sigma_u_hat: float, tau2_hat: float, k: int) -> int:
-    """``k`` as an int, after checking the arguments of a t statistic or interval:
-    a finite ``sigma_u_hat``, a positive finite ``tau2_hat`` (else a
-    :class:`DegenerateVarianceError`) and an integer ``k >= 2``."""
-    if not math.isfinite(sigma_u_hat):
-        raise DomainError(f"sigma_u must be finite, got {sigma_u_hat!r}")
-    if not 0.0 < tau2_hat < math.inf:
-        raise DegenerateVarianceError(f"tau2 must be positive and finite, got {tau2_hat!r}")
-    return check_integer(2, k=k)[0]
+def _check_t_args(sigma_u_hat: float, tau2_hat: float, k: int):
+    """The arguments of a t statistic or interval as ``(sigma_u, tau2, k)``, two
+    floats and an int: a finite ``sigma_u_hat``, a positive finite ``tau2_hat``
+    (else a :class:`DegenerateVarianceError`) and an integer ``k >= 2``."""
+    sigma_u, tau2 = float_scalar(sigma_u_hat, "sigma_u"), float_scalar(tau2_hat, "tau2")
+    if not math.isfinite(sigma_u):
+        raise DomainError(f"sigma_u must be finite, got {sigma_u!r}")
+    if not 0.0 < tau2 < math.inf:
+        raise DegenerateVarianceError(f"tau2 must be positive and finite, got {tau2!r}")
+    return sigma_u, tau2, check_integer(2, k=k)[0]
 
 
 def t_statistic(sigma_u_hat: float, tau2_hat: float, k: int) -> float:
     """Studentized statistic ``sigma_u_hat / sqrt(tau2_hat / k)``; one past the
     float64 range is a :class:`NumericalError`."""
-    _check_t_args(sigma_u_hat, tau2_hat, k)
-    se = math.sqrt(tau2_hat / k)
-    t = float(sigma_u_hat) / se if se > 0.0 else math.inf
+    sigma_u, tau2, k = _check_t_args(sigma_u_hat, tau2_hat, k)
+    se = math.sqrt(tau2 / k)
+    t = sigma_u / se if se > 0.0 else math.inf
     if not math.isfinite(t):
         raise NumericalError(f"t statistic lies past the float64 range (se = {se!r})")
     return t
@@ -309,13 +313,13 @@ def confidence_interval(sigma_u_hat: float, tau2_hat: float, k: int, level: floa
     A level so near 1 that ``(1 + level) / 2`` rounds to 1, where the quantile
     is infinite, is a :class:`NumericalError`.
     """
-    check_unit_interval(level=level)
-    k = _check_t_args(sigma_u_hat, tau2_hat, k)
+    level, = check_unit_interval(level=level)
+    sigma_u, tau2, k = _check_t_args(sigma_u_hat, tau2_hat, k)
     quantile = _t_upper_quantile(k - 1, 1.0 - (1.0 + level) / 2.0)
     if not math.isfinite(quantile):
         raise NumericalError(f"t quantile at level {level!r} (k={k}) is not finite")
-    half = quantile * np.sqrt(tau2_hat / k)
-    return float(sigma_u_hat - half), float(sigma_u_hat + half)
+    half = quantile * math.sqrt(tau2 / k)
+    return sigma_u - half, sigma_u + half
 
 
 def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
@@ -331,10 +335,10 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
     """
     if not (isinstance(method, str) and method in _ADJUSTED):
         return fixed_critical_value(method)
-    check_unit_interval(alpha=alpha)
+    alpha, = check_unit_interval(alpha=alpha)
     df, = check_integer(2, df=df)
     if method == "bonferroni":
-        check_integer(1, n_pairs=n_pairs)
+        n_pairs, = check_integer(1, n_pairs=n_pairs)
         level = 1.0 - alpha / (2.0 * n_pairs)
     else:
         level = 1.0 - alpha / 2.0
@@ -424,7 +428,9 @@ def ptc_test_all_pairs(sample, q_radial: float = 0.95, q_pred: float = 0.98,
     sample = as_sample(sample)
     if sample.p < 3:
         raise DomainError("need at least 3 variables (a pair plus one conditioning variable)")
-    check_unit_interval(q_pred=q_pred, q_res=q_res, alpha=alpha)
+    check_unit_interval(q_pred=q_pred, alpha=alpha)
+    if q_res is not None:
+        check_unit_interval(q_res=q_res)
     adjusted = isinstance(cv_method, str) and cv_method in _ADJUSTED
     # an unknown method fails here, before any pair is fitted; a fixed value (e.g.
     # a studentized-range critical value computed elsewhere) is used verbatim
@@ -516,6 +522,7 @@ def coverage_study(phi: float = 0.7, n: int = 10_000, reps: int = 500,
     estimates are returned per replication.
     """
     reps, n = check_integer(1, reps=reps, n=n)
+    seed, = check_integer(0, seed=seed)
     # these fail here, not in every replication: whether the level's quantile
     # is finite does not depend on k
     check_unit_interval(q_radial=q_radial)
@@ -552,9 +559,9 @@ def size_power_study(phi: float = 0.7, n: int = 10_000, reps: int = 200, p: int 
     that rejected it (every pair) and those in which it errored (the pairs
     that did), and the replications that failed whole, by exception class.
     """
-    if reps < 1 or p < 3:
-        raise DomainError("need reps >= 1 and p >= 3 (a pair plus one conditioning variable)")
-    reps, n, p = check_integer(1, reps=reps, n=n, p=p)
+    reps, n = check_integer(1, reps=reps, n=n)
+    p, = check_integer(3, p=p)  # a pair plus one conditioning variable
+    seed, = check_integer(0, seed=seed)
     # these fail here, not in every replication: whether the critical value is
     # finite does not depend on df
     check_unit_interval(q_radial=q_radial, q_pred=q_pred, alpha=alpha)

@@ -24,6 +24,8 @@ from .errors import (
     DimensionError,
     DomainError,
     NumericalError,
+    as_index,
+    check_integer,
     float_array,
 )
 from .tpdm import IPMatrix, _unit_scale, as_matrix
@@ -46,16 +48,20 @@ class Partition:
 
     @classmethod
     def pair(cls, i: int, j: int, p: int) -> "Partition":
-        if i == j or i not in range(p) or j not in range(p):  # integers in [0, p)
+        p, = check_integer(0, p=p)
+        i, j = as_index(i, p), as_index(j, p)  # integers in [0, p), else None
+        if i is None or j is None or i == j:
             raise DomainError("need two distinct indices inside the vector")
         rest = tuple(k for k in range(p) if k not in (i, j))
-        return cls(target=(int(i), int(j)), complement=rest)
+        return cls(target=(i, j), complement=rest)
 
     @classmethod
     def single(cls, i: int, p: int) -> "Partition":
-        if i not in range(p):
+        p, = check_integer(0, p=p)
+        i = as_index(i, p)
+        if i is None:
             raise DomainError("index out of range")
-        return cls(target=(int(i),), complement=tuple(k for k in range(p) if k != i))
+        return cls(target=(i,), complement=tuple(k for k in range(p) if k != i))
 
 
 def _spd_factor(G: np.ndarray, context: str):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError, check_names
+from .errors import DataError, DomainError, check_integer, check_names, float_scalar
 
 
 _ADJUSTED = ("bonferroni", "none")  # critical values computed from the pairs' df
@@ -20,17 +20,18 @@ _ADJUSTED = ("bonferroni", "none")  # critical values computed from the pairs' d
 def fixed_critical_value(method) -> float:
     """A number, or "fixed:<c>", as a finite non-negative float used verbatim.
 
-    A negative, non-finite or non-numeric value, or any other method, is a
+    A negative or non-finite value, anything but a real number
+    (:func:`~tailgraph.errors.float_scalar`), or any other method, is a
     :class:`DomainError`.
     """
-    if isinstance(method, str) and method.startswith("fixed:"):
+    if isinstance(method, str):
+        if not method.startswith("fixed:"):
+            raise DomainError(f"unknown critical value method {method!r}")
         try:
             method = float(method.split(":", 1)[1])
         except ValueError:
             raise DomainError(f"fixed critical value must be numeric, got {method!r}") from None
-    if not isinstance(method, (int, float)):
-        raise DomainError(f"unknown critical value method {method!r}")
-    cv = float(method)
+    cv = float_scalar(method, "critical value")
     if not 0.0 <= cv < np.inf:
         raise DomainError(f"critical value must be finite and non-negative, got {cv!r}")
     return cv
@@ -90,23 +91,26 @@ class PtcTestReport:
 
         The writer's rules hold or the report is a :class:`DataError`: distinct
         column names, a finite non-negative critical value, every pair i < j
-        exactly once with the names of columns i and j, and each record either
+        exactly once with the names of columns i and j, an integer k >= 2 or
+        null, a finite σ̂_u and τ̂² or null, and each record either
         tested (a finite t, ``reject`` equal to ``|t| > c``) or errored (no t,
         ``reject`` None).  A missing key or an unusable value is one too.
         """
         try:
             columns = list(payload["columns"])
             check_names(columns, len(columns))
-            cv = fixed_critical_value(float(payload["critical_value"]))
+            cv = fixed_critical_value(float_scalar(payload["critical_value"], "critical value"))
             records, seen = [], set()
             for d in payload["pairs"]:
-                rec = PairRecord(i=int(d["i"]), j=int(d["j"]), sigma_u=d["sigma_u"],
-                                 tau2=d["tau2"], k=d["k"],
-                                 t_stat=None if d["t"] is None else float(d["t"]),
-                                 reject=d["reject"], error=d["error"])
+                sigma_u, tau2, t = (None if d[key] is None else float_scalar(d[key], key)
+                                    for key in ("sigma_u", "tau2", "t"))
+                rec = PairRecord(*check_integer(0, i=d["i"], j=d["j"]), sigma_u, tau2,
+                                 None if d["k"] is None else check_integer(2, k=d["k"])[0],
+                                 t, reject=d["reject"], error=d["error"])
                 tested = rec.error is None
                 if not (0 <= rec.i < rec.j < len(columns) and (rec.i, rec.j) not in seen
                         and d["names"] == [columns[rec.i], columns[rec.j]]
+                        and all(np.isfinite(v) for v in (sigma_u, tau2) if v is not None)
                         and (rec.t_stat is not None) == tested
                         and (np.isfinite(rec.t_stat) and rec.reject == (abs(rec.t_stat) > cv)
                              if tested else rec.reject is None)):

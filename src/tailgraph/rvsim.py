@@ -39,15 +39,17 @@ def sample_noise(q: int, n: int, distribution: str = "shifted-pareto", seed=0) -
     :func:`~tailgraph.tpdm.solve_delta`, which keeps moment estimators on
     transformed combinations nearly unbiased.  ``frechet`` draws
     ``(-log U)^(-1/2)``.  Each column uses its own substream spawned from the
-    root seed, so streams stay fixed when q or n change.
+    root seed, so streams stay fixed when q or n change.  ``seed`` is an
+    integer >= 0 or a :class:`numpy.random.SeedSequence`.
     """
     q, n = check_integer(1, q=q, n=n)
-    if distribution not in _DISTRIBUTIONS:
+    if not (isinstance(distribution, str) and distribution in _DISTRIBUTIONS):
         raise DomainError(f"distribution must be one of {_DISTRIBUTIONS}")
     shift = solve_delta() if distribution == "shifted-pareto" else 0.0
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(check_integer(0, seed=seed)[0])
     cols = []
-    for child in root.spawn(q):
+    for child in seed.spawn(q):
         u = np.random.default_rng(child).random(n)
         if distribution == "shifted-pareto":
             cols.append(1.0 / np.sqrt(1.0 - u) - shift)
@@ -72,12 +74,12 @@ def ar1_matrix(phi: float, p: int) -> np.ndarray:
     Entry (i, j) is ``phi^(i-j)`` for i >= j, realizing the recursion
     ``X_i = phi (*) X_{i-1} (+) Z_i`` started from zero.
     """
-    check_unit_interval(phi=phi)
+    phi, = check_unit_interval(phi=phi)
     p, = check_integer(1, p=p)  # a Python int: 8 p^2 cannot wrap
     if 8 * p ** 2 > np.iinfo(np.intp).max:
         raise DomainError(f"a {p} x {p} matrix exceeds the largest array size")
     lag = np.arange(p)[:, None] - np.arange(p)[None, :]
-    return np.where(lag >= 0, float(phi) ** np.maximum(lag, 0), 0.0)
+    return np.where(lag >= 0, phi ** np.maximum(lag, 0), 0.0)
 
 
 def theoretical_ipm(A) -> IPMatrix:

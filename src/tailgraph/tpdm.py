@@ -45,6 +45,7 @@ from .errors import (
     check_names,
     check_unit_interval,
     float_array,
+    float_scalar,
 )
 
 MIN_EXCEEDANCES = 10
@@ -356,17 +357,13 @@ def _read_mass(mass, name: str, value) -> float | None:
     the conditional-IPM trace of the residual test), or a positive number
     used verbatim.
     """
-    if mass == "estimate":
-        return None
-    if mass == name:
+    if isinstance(mass, str) and mass in ("estimate", name):
+        if mass == "estimate":
+            return None
         if value is None:
             raise DomainError(f"mass={name!r} needs a value for this sample")
-        return float(value)
-    try:
-        m = float(mass)
-    except (TypeError, ValueError):
-        raise DomainError(f"mass must be 'estimate', {name!r} or a positive number, "
-                          f"got {mass!r}") from None
+        return float_scalar(value, f"the {name} mass")
+    m = float_scalar(mass, "mass", f"'estimate', {name!r} or a positive number")
     if not 0.0 < m < math.inf:
         raise DomainError("fixed mass must be positive and finite")
     return m
@@ -430,6 +427,8 @@ def estimate_tpdm(sample, q_radial: float = 0.95, mode: str = "pairwise",
     """
     X = as_sample(sample).data
     n, p = X.shape
+    if not (isinstance(mode, str) and mode in ("pairwise", "global")):
+        raise DomainError(f"unknown mode {mode!r}")
     m = _check_estimate_args(q_radial, mass, p if mode == "global" else 2.0,
                              n if mode == "pairwise" else None)
     if mode == "global":
@@ -440,8 +439,6 @@ def estimate_tpdm(sample, q_radial: float = 0.95, mode: str = "pairwise",
         W = X.take(idx, axis=0) / radii[:, None]
         S = (m / k) * (W.T @ W)
         return IPMatrix(S, k_used=np.full((p, p), k))
-    if mode != "pairwise":
-        raise DomainError(f"unknown mode {mode!r}")
     S = np.zeros((p, p))
     K = np.zeros((p, p), dtype=int)
     if p:

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalError, float_array
+from .errors import DimensionError, DomainError, NumericalError, float_array, float_scalar
 
 LOG2 = math.log(2.0)
 
@@ -108,9 +108,10 @@ def tadd(x1, x2):
 
 def tscale(a, x):
     """Scalar multiplication ``a (*) x`` in the transformed space."""
-    if not np.isfinite(a):
+    a = float_scalar(a, "scalar")
+    if not math.isfinite(a):
         raise DomainError("scalar must be finite")
-    return _transformed_linear(lambda y: float(a) * y, x)
+    return _transformed_linear(lambda y: a * y, x)
 
 
 def tmatmul(A, x):

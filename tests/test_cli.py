@@ -532,6 +532,8 @@ def _write_inputs(tmp_path, case):
             payload["pairs"][1] = payload["pairs"][0]
         elif case.endswith("swapped names"):
             payload["pairs"][0]["names"].reverse()
+        elif case.endswith("a fractional pair index"):  # it read as pair 0
+            payload["pairs"][0]["i"] = 0.7
         else:
             payload["pairs"][0]["reject"] = not payload["pairs"][0]["reject"]
         report.write_text(json.dumps(payload))
@@ -569,6 +571,8 @@ def _write_inputs(tmp_path, case):
                                                       "--out", tmp_path / "g.dot"],
         "graph --report with swapped names": ["graph", "--report", report,
                                               "--out", tmp_path / "g.dot"],
+        "graph --report with a fractional pair index": ["graph", "--report", report,
+                                                        "--out", tmp_path / "g.dot"],
         **{f"ptc-test on {h}": ["ptc-test", "--input", prep, "--out-prefix", tmp_path / "t"]
            for h in _BAD_HEADERS},
         **{f"preprocess on {h}": ["preprocess", "--input", prep, "--output", tmp_path / "o.csv"]
@@ -622,6 +626,10 @@ def _write_inputs(tmp_path, case):
         "size-power --phi -2": ["size-power", "--phi", -2, "--out", tmp_path / "s.json"],
         "coverage --reps 10": ["coverage", "--reps", 10, "--out", tmp_path / "c.json"],
         "coverage --reps 0": ["coverage", "--reps", 0, "--out", tmp_path / "c.json"],
+        "coverage --reps 10**400": ["coverage", "--reps", 10 ** 400, "--out", tmp_path / "c.json"],
+        "size-power --reps 10**400": ["size-power", "--reps", 10 ** 400,
+                                      "--out", tmp_path / "s.json"],
+        "simulate --seed 10**400": ["simulate", "--seed", 10 ** 400, "--out", tmp_path / "s.csv"],
         "size-power every replication fails": ["size-power", "--n", 20, "--reps", 3, "--seed", 0,
                                                "--out", tmp_path / "s.json"],
         "size-power --alpha 1e-300": ["size-power", "--alpha", 1e-300, "--seed", 0,
@@ -677,6 +685,10 @@ FAILURE_TABLE = [
     ("coverage --reps 10", 2),
     ("coverage --reps 0", 2),
     ("size-power --reps 0", 2),
+    # counts and seeds past the float64 range, where the library reads no scalar
+    ("coverage --reps 10**400", 2),
+    ("size-power --reps 10**400", 2),
+    ("simulate --seed 10**400", 2),
     ("size-power every replication fails", 4),
     ("size-power --alpha 1e-300", 4),  # as for ptc-test, found before the first sample
     # the coefficient matrix is checked on entry, and its product for overflow, with no warning
@@ -693,6 +705,7 @@ FAILURE_TABLE = [
     ("graph --report with a repeated pair", 3),
     ("graph --report with a flipped reject flag", 3),
     ("graph --report with swapped names", 3),  # the names were written back out as given
+    ("graph --report with a fractional pair index", 3),
 ]
 
 

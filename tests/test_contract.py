@@ -3,10 +3,12 @@ the library, and a wrong value gives a ``TailgraphError``, never a numpy
 exception, a warning or a silently wrong answer."""
 
 import copy
+import inspect
 import json
 import os
 import warnings
 from decimal import Decimal
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import tailgraph
 from conftest import DATA_DIR
 from tailgraph import (
     ConditioningError,
@@ -63,6 +66,7 @@ from tailgraph import (
     theoretical_ipm,
     theoretical_tpdm,
     tmatmul,
+    to_adjacency,
     tpdm,
     tscale,
     zero_clip,
@@ -202,11 +206,17 @@ class TestCriticalValue:
             graph_from_stats(np.zeros((3, 3)), None, -1.0)
         assert len(graph_from_stats(np.full((3, 3), 0.5), None, 0.0).edges) == 3
 
-    @pytest.mark.parametrize("value", [np.float32(0.25), np.int64(0), Decimal("0.25"), "0.25"],
-                             ids=["float32", "int64", "Decimal", "str"])
+    @pytest.mark.parametrize("value", [np.float32(0.25), np.int64(0)], ids=["float32", "int64"])
     def test_graph_takes_any_number_float_takes(self, value):
         graph = graph_from_stats(np.full((3, 3), 0.5), None, value)
         assert len(graph.edges) == 3 and graph.critical_value == float(value)
+
+    @pytest.mark.parametrize("value", [Decimal("0.25"), "0.25", np.array([0.25])],
+                             ids=["Decimal", "str", "1-element array"])
+    def test_graph_refuses_what_is_not_a_real_number(self, value):
+        # "0.25" is not "fixed:0.25"; a Decimal or an array is not a Python or numpy number
+        with pytest.raises(DomainError, match="unknown critical value method|a real number"):
+            graph_from_stats(np.full((3, 3), 0.5), None, value)
 
 
 def _near_copy_report():
@@ -220,6 +230,8 @@ class TestReportReader:
     @pytest.mark.parametrize("breakage", [
         "repeated pair", "missing pair", "flipped reject", "reject on an errored pair",
         "reject missing", "repeated column", "negative critical value", "names contradict columns",
+        "fractional index", "string index", "string k", "k of 1", "list sigma_u", "infinite tau2",
+        "string t",
     ])
     def test_broken_rule_is_data_error(self, breakage):
         payload = copy.deepcopy(_near_copy_report())
@@ -240,6 +252,18 @@ class TestReportReader:
             payload["columns"][1] = payload["columns"][0]
         elif breakage == "names contradict columns":
             tested["names"] = tested["names"][::-1]
+        elif breakage == "fractional index":  # read as its integer part
+            tested["i"] += 0.7
+        elif breakage == "string index":
+            tested["j"] = str(tested["j"])
+        elif breakage in ("string k", "k of 1"):
+            tested["k"] = "x" if breakage == "string k" else 1
+        elif breakage == "list sigma_u":
+            tested["sigma_u"] = [tested["sigma_u"]]
+        elif breakage == "infinite tau2":
+            tested["tau2"] = float("inf")
+        elif breakage == "string t":
+            tested["t"] = str(tested["t"])
         else:
             payload["critical_value"] = -0.01
         with pytest.raises(DataError, match="malformed report"):
@@ -357,12 +381,100 @@ _GRAPH = graph_from_stats(np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 2.0], [1.0, 2.0,
     (lambda: build_graph({}), DataError),
     (lambda: emit_dot(_GRAPH, width_scale=np.nan), DomainError),
     (lambda: emit_dot(_GRAPH, width_scale=np.inf), DomainError),
+    (lambda: emit_dot(None), DataError),
+    (lambda: to_adjacency(None), DataError),
+    (lambda: TailSample(np.ones((5, 3)), columns=5), DataError),
+    (lambda: marginal_transform(np.arange(15.0).reshape(5, 3), columns=5), DataError),
 ], ids=["t k=2.5", "t tau2=nan", "t sigma_u=nan", "interval tau2=nan", "bonferroni n_pairs=2.5",
         "ar1 p=2.5", "ar1 phi=str", "ar1 p=str", "graph of a dict", "dot width nan",
-        "dot width inf"])
+        "dot width inf", "dot of None", "adjacency of None", "sample names=5",
+        "transform names=5"])
 def test_scalar_argument_rules(call, error):
     with pytest.raises(error):
         call()
+
+
+# Each wrong scalar below is read by errors._real, the one scalar reader, or refused
+# as an unknown name by a parameter that takes one (a mode, a method, a mass).
+_WRONG_SCALARS = {"None": None, "str": "x", "numeric str": "0.5", "list": [0.5],
+                  "array": np.array([0.5, 0.5]), "dict": {}, "nan": np.nan, "inf": np.inf,
+                  "-inf": -np.inf, "10**400": 10 ** 400}
+_PAIR_01 = Partition.pair(0, 1, 5)
+_RES = residuals(_FIVE, _PAIR_01, np.zeros((3, 2)), q_pred=0.9, m_trace=2.0)
+_SCALAR_PARAMETERS = {  # callable -> (a call taking the scalars by keyword, a valid value of each)
+    "t_statistic": (t_statistic, {"sigma_u_hat": 0.1, "tau2_hat": 1.0, "k": 10}),
+    "confidence_interval": (confidence_interval,
+                            {"sigma_u_hat": 0.1, "tau2_hat": 1.0, "k": 10, "level": 0.95}),
+    "critical_value": (critical_value,
+                       {"method": "bonferroni", "alpha": 0.05, "n_pairs": 6, "df": 10}),
+    "coverage_study": (coverage_study, {"phi": 0.7, "n": 600, "reps": 1, "q_radial": 0.9,
+                                        "level": 0.95, "seed": 0}),
+    "size_power_study": (size_power_study, {
+        "phi": 0.7, "n": 600, "reps": 1, "p": 3, "q_radial": 0.9, "q_pred": 0.9,
+        "cv_method": "bonferroni", "alpha": 0.05, "seed": 0}),
+    "estimate_sigma_u": (partial(estimate_sigma_u, _RES), {"q_res": 0.95, "mass": "trace"}),
+    "estimate_tau2": (partial(estimate_tau2, _RES), {"m_tilde": 2.0, "q_res": 0.95}),
+    "ptc_test_all_pairs": (partial(ptc_test_all_pairs, _FIVE), {
+        "q_radial": 0.9, "q_pred": 0.9, "q_res": 0.95, "cv_method": "bonferroni", "alpha": 0.05,
+        "tpdm_mode": "pairwise", "tpdm_mass": "fixed"}),
+    "residuals": (partial(residuals, _FIVE, _PAIR_01, np.zeros((3, 2))),
+                  {"q_pred": 0.9, "m_trace": 2.0}),
+    "Partition.pair": (Partition.pair, {"i": 0, "j": 1, "p": 3}),
+    "Partition.single": (Partition.single, {"i": 0, "p": 3}),
+    "ptc": (partial(ptc, np.eye(3)), {"i": 0, "j": 1}),
+    "ptc_from_inverse": (partial(ptc_from_inverse, np.eye(3)), {"i": 0, "j": 1}),
+    "ar1_matrix": (ar1_matrix, {"phi": 0.7, "p": 4}),
+    "sample_noise": (sample_noise, {"q": 2, "n": 5, "distribution": "frechet", "seed": 0}),
+    "estimate_mass": (partial(estimate_mass, np.ones(5)), {"k": 2, "n": 5}),
+    "estimate_sigma_pair": (partial(estimate_sigma_pair, _FIVE.data[:, 0], _FIVE.data[:, 1]),
+                            {"q_radial": 0.9, "mass": "fixed"}),
+    "estimate_tpdm": (partial(estimate_tpdm, _FIVE),
+                      {"q_radial": 0.9, "mode": "pairwise", "mass": "fixed"}),
+    "tscale": (partial(tscale, x=np.ones(2)), {"a": 0.5}),
+    "emit_dot": (partial(emit_dot, _GRAPH), {"width_scale": 4.0}),
+    "graph_from_stats": (partial(graph_from_stats, np.zeros((3, 3)), None), {"critical": 1.0}),
+}
+_SCALAR_ANNOTATIONS = {"float", "int", "str", "float | None", "int | None"}
+
+
+def test_scalar_table_covers_every_exported_scalar_parameter():
+    """Each parameter of an exported function annotated as a number or a string, or
+    whose default is one, is in ``_SCALAR_PARAMETERS``; so are the classmethods of
+    ``Partition``.  Each valid call gives a result."""
+    found = {f"{cls.__name__}.{m}" for cls in (Partition,) for m in ("pair", "single")}
+    missing = []
+    for name in tailgraph.__all__:
+        fn = getattr(tailgraph, name)
+        if not inspect.isfunction(fn):
+            continue
+        for param in inspect.signature(fn).parameters.values():
+            if (param.annotation in _SCALAR_ANNOTATIONS
+                    or isinstance(param.default, (int, float, str))):
+                found.add(name)
+                if param.name not in _SCALAR_PARAMETERS.get(name, ((), {}))[1]:
+                    missing.append(f"{name}({param.name})")
+    assert not missing and found <= set(_SCALAR_PARAMETERS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, valid in _SCALAR_PARAMETERS.values():
+            fn(**valid)
+
+
+@pytest.mark.parametrize("name, param", [(name, param) for name, (_, valid) in
+                                         _SCALAR_PARAMETERS.items() for param in valid])
+def test_wrong_scalar_gives_a_result_or_a_tailgraph_error(name, param):
+    fn, valid = _SCALAR_PARAMETERS[name]
+    escaped = []
+    for label, value in _WRONG_SCALARS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fn(**{**valid, param: value})
+            except TailgraphError:
+                pass
+            except Exception as exc:  # noqa: BLE001 -- every escape is listed, not only the first
+                escaped.append(f"{param}={label}: {type(exc).__name__}: {exc}")
+    assert not escaped
 
 
 @pytest.mark.parametrize("call, match", [
@@ -532,6 +644,22 @@ REACHED_RAISES = [  # (case, call, documented class, message)
      "^radii must be a 1-D array of non-negative values$"),
     ("graph of a dict", lambda: build_graph({}), DataError,
      "^build_graph needs a PtcTestReport, got a dict$"),
+    ("scalar that is not a real number", lambda: t_statistic("x", 1.0, 10), DomainError,
+     "^sigma_u must be a real number, got 'x'$"),
+    ("scalar past the float64 range", lambda: tscale(10 ** 400, np.ones(2)), DomainError,
+     "^scalar must be a real number, got an int past the float64 range$"),
+    ("count past the float64 range", lambda: sample_noise(2, 10 ** 400), DomainError,
+     "^need an integer n >= 1, got an int past the float64 range$"),
+    ("DOT of a dict", lambda: emit_dot({}), DataError,
+     "^emit_dot needs an ExtremalGraph, got a dict$"),
+    ("names of an int", lambda: TailSample(np.ones((5, 3)), columns=5), DataError,
+     "^column names must be a sequence, got a int$"),
+    ("mode of an array", lambda: estimate_tpdm(_FIVE, mode=np.array(["global", "global"])),
+     DomainError, "^unknown mode"),
+    ("noise of an array", lambda: sample_noise(2, 5, distribution=np.array(["a", "b"])),
+     DomainError, "^distribution must be one of"),
+    ("--reps past the float64 range", lambda: main(["size-power", "--reps", str(10 ** 400),
+                                                    "--out", "x.json"]), SystemExit, "^2$"),
 ]
 
 

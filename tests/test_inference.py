@@ -743,7 +743,7 @@ class TestSizePowerStudy:
 
     @pytest.mark.parametrize("kwargs", [{"p": 2}, {"reps": 0}])
     def test_arguments_validated_up_front(self, kwargs):
-        with pytest.raises(DomainError, match="p >= 3"):
+        with pytest.raises(DomainError, match="integer (p >= 3|reps >= 1)"):
             size_power_study(**kwargs)
 
     @pytest.mark.parametrize("kwargs, error, match", [

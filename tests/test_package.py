@@ -1,9 +1,11 @@
 """The package's lazy exports: every public name resolves as an eager import
-would, and every module uses what it imports."""
+would, and every module uses what it imports.  README's library sketch runs,
+and every pytest target of the CI workflow collects a test."""
 
 import ast
 import importlib
 import os
+import shlex
 import subprocess
 import sys
 
@@ -101,3 +103,59 @@ def test_every_import_is_used(module):
         names = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
         unused += [f"{module}.py:{node.lineno}: {name}" for name in names if name not in used]
     assert not unused
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_readme_library_sketch_runs(capsys):
+    """README's "Library sketch" runs as written, so the example cannot go stale."""
+    with open(os.path.join(_ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("## Library sketch", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md (Library sketch)", "exec"), {})
+    assert capsys.readouterr().out.startswith("graph extremal {")
+
+
+def _workflow_pytest_runs():
+    """``{-k expression or None: [targets]}`` of every pytest command in the CI
+    workflow: each argument that is not an option is a file or a node id."""
+    with open(os.path.join(_ROOT, ".github", "workflows", "tests.yml"), encoding="utf-8") as fh:
+        text = fh.read().replace("\\\n", " ")  # join continued shell lines
+    runs = {}
+    for line in text.splitlines():
+        if "-m pytest" not in line:
+            continue
+        args, expression, targets = iter(shlex.split(line.split("-m pytest", 1)[1])), None, []
+        for arg in args:
+            if arg == "-k":
+                expression = next(args)
+            elif arg == "-W":
+                next(args)  # a warning filter
+            elif not arg.startswith("-"):
+                targets.append(arg)
+        known = runs.setdefault(expression, [])
+        known += [t for t in targets if t not in known]
+    return {expression: targets for expression, targets in runs.items() if targets}
+
+
+_CI_RUNS = _workflow_pytest_runs()
+
+
+@pytest.mark.parametrize("expression", list(_CI_RUNS), ids=lambda e: f"-k {e}" if e else "files")
+def test_ci_pytest_targets_collect(expression):
+    """Each file, node id and ``-k`` expression the workflow runs still collects a
+    test here, so a renamed test fails tier-1 and not only on the CI runner."""
+    targets = _CI_RUNS[expression]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(_ROOT, "src")] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         *targets, *(["-k", expression] if expression else [])],
+        cwd=_ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    collected = proc.stdout.splitlines()
+    empty = [t for t in targets
+             if not any(line == t or line.startswith((t + "::", t + "[")) for line in collected)]
+    assert not empty, proc.stdout

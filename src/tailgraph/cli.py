@@ -25,7 +25,8 @@ import tempfile
 import numpy as np
 
 from . import tpdm
-from .errors import DataError, DimensionError, DomainError, NumericalError, TailgraphError, _real
+from .errors import (DataError, DimensionError, DomainError, NumericalError, TailgraphError,
+                     check_array_size, check_integer, check_positive, check_unit_interval)
 from .report import _ADJUSTED, PtcTestReport, fixed_critical_value
 from .tpdm import TailSample
 
@@ -199,28 +200,28 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _checked_arg(convert, valid, requirement: str):
-    """Argparse type: ``convert`` the value, then require ``valid`` of it and, as
-    the library requires of every scalar (``errors._real``), the float64 range."""
-    def parse(value: str):
+def _library_arg(convert, rule):
+    """Argparse type: the text as ``convert`` reads it, passed to the library's
+    ``rule`` for the same argument, whose :class:`DomainError` is the usage
+    message verbatim.  Text ``convert`` refuses is argparse's "invalid <convert> value"."""
+    def parse(text: str):
+        value = convert(text)
         try:
-            v = convert(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {convert.__name__} value: {value!r}") from None
-        if not valid(v):
-            raise argparse.ArgumentTypeError(f"must {requirement}, got {value}")
-        if _real(v) is None:  # an int past the float64 range
-            raise argparse.ArgumentTypeError(f"must lie in the float64 range, got {value}")
-        return v
+            return rule(value)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    parse.__name__ = convert.__name__
     return parse
 
 
-# counts of observations and variables; seeds; quantile levels, alpha and level; scales
-_positive_int_arg = _checked_arg(int, lambda v: v >= 1, "be a positive integer")
-_seed_arg = _checked_arg(int, lambda v: v >= 0, "be a non-negative integer")
-_unit_interval_arg = _checked_arg(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
-_positive_float_arg = _checked_arg(float, lambda v: 0.0 < v < np.inf, "be positive and finite")
+def _unit_arg(name: str):
+    """phi, a quantile, alpha or level, named as the library names it."""
+    return _library_arg(float, lambda v: check_unit_interval(**{name: v})[0])
+
+
+def _integer_arg(name: str, minimum: int):
+    """A size, a count or the seed, named as the library names it."""
+    return _library_arg(int, lambda v: check_integer(minimum, **{name: v})[0])
 
 
 def _mass_arg(value: str):
@@ -231,17 +232,14 @@ def _mass_arg(value: str):
     raise argparse.ArgumentTypeError("mass must be 'fixed2' or 'estimate'")
 
 
-def _critical_arg(value: str, named=_ADJUSTED):
-    """A method in ``named`` as given; 'fixed:<c>' as the float c, parsed by the library."""
+def _critical(value: str, named=_ADJUSTED):
+    """A method in ``named`` as given; 'fixed:<c>' as the float c, read by the library."""
     if value in named:
         return value
     if not value.startswith("fixed:"):
         raise argparse.ArgumentTypeError(
             f"critical must be {' or '.join([*map(repr, named), repr('fixed:<c>')])}")
-    try:
-        return fixed_critical_value(value)
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return fixed_critical_value(value)
 
 
 # Each handler imports the package modules past tpdm that it uses in its own
@@ -397,13 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     model = argparse.ArgumentParser(add_help=False)  # simulate and the simulation studies
-    model.add_argument("--phi", type=_unit_interval_arg, default=0.7)
-    model.add_argument("--n", type=_positive_int_arg, default=10_000)
-    model.add_argument("--seed", type=_seed_arg, default=None)
+    model.add_argument("--phi", type=_unit_arg("phi"), default=0.7)
+    model.add_argument("--n", type=_integer_arg("n", 1), default=10_000)
+    model.add_argument("--seed", type=_integer_arg("seed", 0), default=None)
     model.add_argument("--out", required=True)
 
     sim = sub.add_parser("simulate", parents=[model], help="simulate the autoregressive tail model")
-    sim.add_argument("--p", type=_positive_int_arg, default=4)
+    sim.add_argument("--p", type=_integer_arg("p", 1), default=4)
     sim.add_argument("--noise", choices=("shifted-pareto", "frechet"), default="shifted-pareto")
     sim.add_argument("--a-matrix", default=None, help="CSV coefficient matrix instead of the AR model")
 
@@ -413,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     estimate = argparse.ArgumentParser(add_help=False)  # tpdm and ptc-test
     estimate.add_argument("--input", required=True)
-    estimate.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.95)
+    estimate.add_argument("--radial-quantile", type=_unit_arg("q_radial"), default=0.95)
     estimate.add_argument("--mode", choices=("pairwise", "global"), default="pairwise")
     estimate.add_argument("--mass", type=_mass_arg, default="fixed2",
                           help="fixed2 (default): a total mass of 2 per pair, or p with "
@@ -421,35 +419,34 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--out-prefix", required=True)
 
     test = argparse.ArgumentParser(add_help=False)  # ptc-test and size-power
-    test.add_argument("--pred-quantile", type=_unit_interval_arg, default=0.98)
-    test.add_argument("--alpha", type=_unit_interval_arg, default=0.05)
-    test.add_argument("--critical", type=_critical_arg, default="bonferroni")
+    test.add_argument("--pred-quantile", type=_unit_arg("q_pred"), default=0.98)
+    test.add_argument("--alpha", type=_unit_arg("alpha"), default=0.05)
+    test.add_argument("--critical", type=_library_arg(str, _critical), default="bonferroni")
 
     sub.add_parser("tpdm", parents=[estimate], help="estimate the TPDM and its inverse")
 
     pt = sub.add_parser("ptc-test", parents=[estimate, test],
                         help="all-pairs partial tail correlation test")
-    pt.add_argument("--res-quantile", type=_unit_interval_arg, default=0.98)
+    pt.add_argument("--res-quantile", type=_unit_arg("q_res"), default=0.98)
 
     cov = sub.add_parser("coverage", parents=[model], help="confidence-interval coverage simulation")
-    cov.add_argument("--reps", type=_checked_arg(int, lambda v: v >= 100, "be at least 100"),
-                     default=500)
-    cov.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.98)
-    cov.add_argument("--level", type=_unit_interval_arg, default=0.95)
+    cov.add_argument("--reps", type=_integer_arg("reps", 100), default=500)
+    cov.add_argument("--radial-quantile", type=_unit_arg("q_radial"), default=0.98)
+    cov.add_argument("--level", type=_unit_arg("level"), default=0.95)
 
     sp = sub.add_parser("size-power", parents=[model, test],
                         help="size and power of the all-pairs test on the autoregressive model")
-    sp.add_argument("--p", type=_checked_arg(int, lambda v: v >= 3, "be at least 3"),
-                    default=4)  # a pair plus one conditioning variable
-    sp.add_argument("--reps", type=_positive_int_arg, default=200)
-    sp.add_argument("--radial-quantile", type=_unit_interval_arg, default=0.98)
+    sp.add_argument("--p", type=_integer_arg("p", 3), default=4)  # a pair and a conditioning variable
+    sp.add_argument("--reps", type=_integer_arg("reps", 1), default=200)
+    sp.add_argument("--radial-quantile", type=_unit_arg("q_radial"), default=0.98)
 
     gr = sub.add_parser("graph", help="emit a DOT graph from a report or a statistic matrix")
     source = gr.add_mutually_exclusive_group(required=True)
     source.add_argument("--report", help="report JSON from ptc-test")
     source.add_argument("--stats", help="square CSV of test statistics")
-    gr.add_argument("--critical", type=lambda value: _critical_arg(value, named=()))
-    gr.add_argument("--width-scale", type=_positive_float_arg, default=4.0)
+    gr.add_argument("--critical", type=_library_arg(str, lambda v: _critical(v, named=())))
+    width = _library_arg(float, lambda v: check_positive(v, "width_scale"))
+    gr.add_argument("--width-scale", type=width, default=4.0)
     gr.add_argument("--out", required=True)
     gr.add_argument("--json", default=None, help="also write JSON adjacency here")
 
@@ -462,8 +459,10 @@ def main(argv=None) -> int:
     if getattr(args, "stats", None) is not None and args.critical is None:
         parser.error("graph --stats needs --critical fixed:<c>")
     n, p = getattr(args, "n", 1), getattr(args, "p", 4)  # coverage samples four variables
-    if 8 * max(n * p, p * p) > np.iinfo(np.intp).max:  # float64 sample, coefficient matrix
-        parser.error(f"--n {n} and --p {p} exceed the largest array size")
+    try:  # the n x p sample and the p x p coefficient matrix
+        check_array_size(max(n, p), p)
+    except DomainError as exc:
+        parser.error(f"--n {n} and --p {p}: {exc}")
     try:
         # looked up when it runs, so a wrapper installed on this module's attribute is called
         return globals()["cmd_" + args.command.replace("-", "_")](args)

@@ -90,6 +90,16 @@ def float_scalar(value, what: str, expected: str = "a real number") -> float:
     return x
 
 
+def check_positive(value, what: str, error=DomainError) -> float:
+    """``value`` as a Python float, positive and finite.  What is not a real
+    number is :func:`float_scalar`'s :class:`DomainError`; a number outside
+    (0, inf) is an ``error`` naming ``what``."""
+    x = float_scalar(value, what)
+    if not 0.0 < x < np.inf:
+        raise error(f"{what} must be positive and finite, got {x!r}")
+    return x
+
+
 def _shown(value) -> str:
     """How a refusal names a value that is not one real number."""
     if isinstance(value, str):
@@ -118,6 +128,22 @@ def check_integer(minimum: int, **values) -> list:
             raise DomainError(f"need an integer {name} >= {minimum}, "
                               f"got {_shown(v) if x is None else repr(v)}")
     return [int(v) for v in values.values()]
+
+
+def check_array_size(rows: int, cols: int) -> None:
+    """Raise :class:`DomainError` if a float64 array of rows x cols (Python ints,
+    as :func:`check_integer` returns them, so the product cannot wrap) would
+    exceed the largest array size, ``np.iinfo(np.intp).max`` bytes."""
+    if 8 * rows * cols > np.iinfo(np.intp).max:
+        raise DomainError(f"a {rows} x {cols} float64 array exceeds the largest array size")
+
+
+def check_type(value, cls, caller: str) -> None:
+    """Raise :class:`DataError` "<caller> needs a <cls>, got a <type>" unless
+    ``value`` is a ``cls``: the one refusal of a record argument."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DataError(f"{caller} needs {article} {cls.__name__}, got a {type(value).__name__}")
 
 
 def as_index(value, p: int) -> int | None:

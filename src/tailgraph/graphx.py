@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError, DomainError, check_names, float_scalar
+from .errors import DataError, DomainError, as_index, check_names, check_positive, check_type
 from .report import PtcTestReport, fixed_critical_value
 from .tpdm import square_matrix
 
@@ -30,20 +30,29 @@ def build_graph(report: PtcTestReport) -> ExtremalGraph:
     """Edges are the pairs whose |t| exceeds the report's critical value.
 
     Pairs that errored during testing yield no edge and are listed in
-    ``skipped``.  Anything but a :class:`PtcTestReport` is a :class:`DataError`.
+    ``skipped``.  Anything but a :class:`PtcTestReport`, or a record whose
+    pair is not integers i < j below the column count, is a :class:`DataError`.
     """
-    if not isinstance(report, PtcTestReport):
-        raise DataError(f"build_graph needs a PtcTestReport, got a {type(report).__name__}")
-    T = np.full((len(report.columns),) * 2, np.nan)  # an errored pair stays NaN: no edge
+    check_type(report, PtcTestReport, "build_graph")
+    p = len(report.columns)
+    T = np.full((p, p), np.nan)  # an errored pair stays NaN: no edge
     skipped = []
     for rec in report.records:
-        i, j = min(rec.i, rec.j), max(rec.i, rec.j)
+        i, j = _pair(rec.i, rec.j, p, "build_graph", "record")
         if rec.error is None:
             T[i, j] = T[j, i] = rec.t_stat
         else:
             skipped.append((i, j, rec.error))
     return replace(graph_from_stats(T, report.columns, report.critical_value),
                    skipped=sorted(skipped))
+
+
+def _pair(i, j, p: int, caller: str, what: str) -> tuple[int, int]:
+    """``(i, j)`` as ints with 0 <= i < j < p, else a :class:`DataError`."""
+    a, b = as_index(i, p), as_index(j, p)
+    if a is None or b is None or a >= b:
+        raise DataError(f"{caller}: {what} ({i!r}, {j!r}) is not a pair i < j of {p} columns")
+    return a, b
 
 
 def graph_from_stats(stats_matrix, names, critical: float) -> ExtremalGraph:
@@ -69,13 +78,32 @@ def graph_from_stats(stats_matrix, names, critical: float) -> ExtremalGraph:
     return ExtremalGraph(nodes=names, edges=edges, critical_value=critical)
 
 
-def _check_graph(graph, caller: str) -> None:
-    if not isinstance(graph, ExtremalGraph):
-        raise DataError(f"{caller} needs an ExtremalGraph, got a {type(graph).__name__}")
+def _read_graph(graph, caller: str):
+    """``(critical, edges, skipped)`` of an :class:`ExtremalGraph`, held to the
+    rules :func:`build_graph` keeps: the critical value read by
+    :func:`~tailgraph.report.fixed_critical_value`, and every edge and
+    skipped pair integers i < j below the node count.  Anything else is a
+    :class:`DataError`."""
+    check_type(graph, ExtremalGraph, caller)
+    try:
+        critical = fixed_critical_value(graph.critical_value)
+    except DomainError as exc:
+        raise DataError(f"{caller}: {exc}") from None
+    p = len(graph.nodes)
+    edges = [(*_pair(i, j, p, caller, "edge"), w) for i, j, w in graph.edges]
+    skipped = [(*_pair(i, j, p, caller, "skipped pair"), why) for i, j, why in graph.skipped]
+    return critical, edges, skipped
 
 
-def _quote(name: str) -> str:
-    return '"' + str(name).replace('"', '\\"') + '"'
+def _quote(name) -> str:
+    """A DOT quoted string: a backslash or double quote in the name is escaped."""
+    return '"' + str(name).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _comment(text: str) -> str:
+    """A DOT comment line: a CR or LF in ``text`` is written as ``\\r`` or ``\\n``,
+    so that the comment ends where its line does."""
+    return "  // " + text.replace("\r", "\\r").replace("\n", "\\n")
 
 
 def emit_dot(graph: ExtremalGraph, width_scale: float = 4.0) -> str:
@@ -83,21 +111,19 @@ def emit_dot(graph: ExtremalGraph, width_scale: float = 4.0) -> str:
 
     Output is byte-identical across runs for identical input: nodes in order,
     edges sorted by index pair, errored pairs listed in a comment header.
-    Anything but an :class:`ExtremalGraph` is a :class:`DataError`.
+    Anything but an :class:`ExtremalGraph` held to :func:`_read_graph`'s
+    rules is a :class:`DataError`.
     """
-    _check_graph(graph, "emit_dot")
-    width_scale = float_scalar(width_scale, "width_scale")
-    if not 0.0 < width_scale < np.inf:
-        raise DomainError(f"width_scale must be positive and finite, got {width_scale!r}")
-    lines = ["graph extremal {"]
-    lines.append(f"  // critical value: {graph.critical_value:g}")
-    for i, j, why in graph.skipped:
-        lines.append(f"  // skipped pair ({graph.nodes[i]}, {graph.nodes[j]}): {why}")
+    critical, edges, skipped = _read_graph(graph, "emit_dot")
+    width_scale = check_positive(width_scale, "width_scale")
+    lines = ["graph extremal {", _comment(f"critical value: {critical:g}")]
+    for i, j, why in skipped:
+        lines.append(_comment(f"skipped pair ({graph.nodes[i]}, {graph.nodes[j]}): {why}"))
     lines.append("  node [shape=circle];")
     for name in graph.nodes:
         lines.append(f"  {_quote(name)};")
-    max_w = max((w for _, _, w in graph.edges), default=0.0)
-    for i, j, w in sorted(graph.edges):
+    max_w = max((w for _, _, w in edges), default=0.0)
+    for i, j, w in sorted(edges):
         pen = width_scale * (w / max_w) if max_w > 0 else width_scale  # at most width_scale
         lines.append(f"  {_quote(graph.nodes[i])} -- {_quote(graph.nodes[j])}"
                      f" [penwidth={pen:.4f}, label=\"{w:.2f}\"];")
@@ -107,12 +133,13 @@ def emit_dot(graph: ExtremalGraph, width_scale: float = 4.0) -> str:
 
 def to_adjacency(graph: ExtremalGraph) -> dict:
     """JSON-ready adjacency: node list plus [i, j, weight] edge triples; anything
-    but an :class:`ExtremalGraph` is a :class:`DataError`."""
-    _check_graph(graph, "to_adjacency")
+    but an :class:`ExtremalGraph` held to :func:`_read_graph`'s rules is a
+    :class:`DataError`."""
+    critical, edges, skipped = _read_graph(graph, "to_adjacency")
     return {
         "nodes": list(graph.nodes),
-        "critical_value": graph.critical_value,
-        "edges": [[i, j, w] for i, j, w in sorted(graph.edges)],
-        "skipped_pairs": [[i, j, why] for i, j, why in graph.skipped],
+        "critical_value": critical,
+        "edges": [[i, j, w] for i, j, w in sorted(edges)],
+        "skipped_pairs": [[i, j, why] for i, j, why in skipped],
     }
 

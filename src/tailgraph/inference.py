@@ -35,7 +35,10 @@ from .errors import (
     DomainError,
     NumericalError,
     TailgraphError,
+    check_array_size,
     check_integer,
+    check_positive,
+    check_type,
     check_unit_interval,
     float_array,
     float_scalar,
@@ -74,6 +77,7 @@ def residuals(sample, part: Partition, b, q_pred: float = 0.98,
     TailSample or an array held to its rule.
     """
     data = as_sample(sample).data
+    check_type(part, Partition, "residuals")
     if len(part.target) != 2:
         raise DomainError("residual inference needs exactly two target variables")
     check_unit_interval(q_pred=q_pred)
@@ -112,6 +116,7 @@ def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trac
     (``(R_(k)^2/n) k`` on the residual radii) or a positive number.  ``q_res``
     thresholds the retained rows again (``tpdm._angular_moment``).
     """
+    check_type(res, ResidualSample, "estimate_sigma_u")
     if q_res is not None:
         check_unit_interval(q_res=q_res)
     m = _read_mass(mass, "trace", res.m_trace)
@@ -126,6 +131,7 @@ def estimate_tau2(res: ResidualSample, m_tilde: float, q_res: float | None = Non
     which happens when the angular products carry no spread, and
     :class:`NumericalError` when it lies past the float64 range.
     """
+    check_type(res, ResidualSample, "estimate_tau2")
     if q_res is not None:
         check_unit_interval(q_res=q_res)
     m_tilde = float_scalar(m_tilde, "m_tilde")
@@ -156,12 +162,10 @@ def _check_t_args(sigma_u_hat: float, tau2_hat: float, k: int):
     """The arguments of a t statistic or interval as ``(sigma_u, tau2, k)``, two
     floats and an int: a finite ``sigma_u_hat``, a positive finite ``tau2_hat``
     (else a :class:`DegenerateVarianceError`) and an integer ``k >= 2``."""
-    sigma_u, tau2 = float_scalar(sigma_u_hat, "sigma_u"), float_scalar(tau2_hat, "tau2")
+    sigma_u = float_scalar(sigma_u_hat, "sigma_u")
     if not math.isfinite(sigma_u):
         raise DomainError(f"sigma_u must be finite, got {sigma_u!r}")
-    if not 0.0 < tau2 < math.inf:
-        raise DegenerateVarianceError(f"tau2 must be positive and finite, got {tau2!r}")
-    return sigma_u, tau2, check_integer(2, k=k)[0]
+    return sigma_u, check_positive(tau2_hat, "tau2", DegenerateVarianceError), check_integer(2, k=k)[0]
 
 
 def t_statistic(sigma_u_hat: float, tau2_hat: float, k: int) -> float:
@@ -522,6 +526,7 @@ def coverage_study(phi: float = 0.7, n: int = 10_000, reps: int = 500,
     estimates are returned per replication.
     """
     reps, n = check_integer(1, reps=reps, n=n)
+    check_array_size(n, 4)  # here, not as "every replication failed"
     seed, = check_integer(0, seed=seed)
     # these fail here, not in every replication: whether the level's quantile
     # is finite does not depend on k
@@ -561,6 +566,7 @@ def size_power_study(phi: float = 0.7, n: int = 10_000, reps: int = 200, p: int 
     """
     reps, n = check_integer(1, reps=reps, n=n)
     p, = check_integer(3, p=p)  # a pair plus one conditioning variable
+    check_array_size(max(n, p), p)  # the sample and the coefficient matrix, not in a replication
     seed, = check_integer(0, seed=seed)
     # these fail here, not in every replication: whether the critical value is
     # finite does not depend on df

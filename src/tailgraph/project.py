@@ -25,7 +25,9 @@ from .errors import (
     DomainError,
     NumericalError,
     as_index,
+    check_array_size,
     check_integer,
+    check_type,
     float_array,
 )
 from .tpdm import IPMatrix, _unit_scale, as_matrix
@@ -49,6 +51,7 @@ class Partition:
     @classmethod
     def pair(cls, i: int, j: int, p: int) -> "Partition":
         p, = check_integer(0, p=p)
+        check_array_size(p, p)  # the p x p inner product matrix the partition splits
         i, j = as_index(i, p), as_index(j, p)  # integers in [0, p), else None
         if i is None or j is None or i == j:
             raise DomainError("need two distinct indices inside the vector")
@@ -58,6 +61,7 @@ class Partition:
     @classmethod
     def single(cls, i: int, p: int) -> "Partition":
         p, = check_integer(0, p=p)
+        check_array_size(p, p)
         i = as_index(i, p)
         if i is None:
             raise DomainError("index out of range")
@@ -133,6 +137,7 @@ def solve_b(gamma, part: Partition) -> np.ndarray:
     target yields a 1-D vector.  Raises :class:`ConditioningError` when the
     complement block is singular or has condition number above 1e12.
     """
+    check_type(part, Partition, "solve_b")
     b, _ = _schur(gamma, part)
     return b[:, 0] if len(part.target) == 1 else b
 
@@ -151,6 +156,7 @@ def conditional_ipm(gamma, part: Partition) -> np.ndarray:
     May carry negative off-diagonal entries; no nonnegativity is assumed or
     enforced; raises :class:`ConditioningError` where :func:`solve_b` does.
     """
+    check_type(part, Partition, "conditional_ipm")
     return _schur(gamma, part)[1]
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_integer, check_unit_interval
+from .errors import DomainError, check_array_size, check_integer, check_unit_interval
 from .tpdm import IPMatrix, solve_delta
 # perfbench/tracing.py wraps softplus and softplus_inv here: keep them importable
 from .xlinear import _coefficients, _gram, softplus, softplus_inv, tail_ratio, tmatmul, zero_clip  # noqa: F401
@@ -43,6 +43,7 @@ def sample_noise(q: int, n: int, distribution: str = "shifted-pareto", seed=0) -
     integer >= 0 or a :class:`numpy.random.SeedSequence`.
     """
     q, n = check_integer(1, q=q, n=n)
+    check_array_size(n, q)
     if not (isinstance(distribution, str) and distribution in _DISTRIBUTIONS):
         raise DomainError(f"distribution must be one of {_DISTRIBUTIONS}")
     shift = solve_delta() if distribution == "shifted-pareto" else 0.0
@@ -75,9 +76,8 @@ def ar1_matrix(phi: float, p: int) -> np.ndarray:
     ``X_i = phi (*) X_{i-1} (+) Z_i`` started from zero.
     """
     phi, = check_unit_interval(phi=phi)
-    p, = check_integer(1, p=p)  # a Python int: 8 p^2 cannot wrap
-    if 8 * p ** 2 > np.iinfo(np.intp).max:
-        raise DomainError(f"a {p} x {p} matrix exceeds the largest array size")
+    p, = check_integer(1, p=p)
+    check_array_size(p, p)
     lag = np.arange(p)[:, None] - np.arange(p)[None, :]
     return np.where(lag >= 0, phi ** np.maximum(lag, 0), 0.0)
 

@@ -43,6 +43,7 @@ from .errors import (
     NumericalError,
     check_integer,
     check_names,
+    check_positive,
     check_unit_interval,
     float_array,
     float_scalar,
@@ -363,10 +364,8 @@ def _read_mass(mass, name: str, value) -> float | None:
         if value is None:
             raise DomainError(f"mass={name!r} needs a value for this sample")
         return float_scalar(value, f"the {name} mass")
-    m = float_scalar(mass, "mass", f"'estimate', {name!r} or a positive number")
-    if not 0.0 < m < math.inf:
-        raise DomainError("fixed mass must be positive and finite")
-    return m
+    return check_positive(float_scalar(mass, "mass", f"'estimate', {name!r} or a positive number"),
+                          "fixed mass")
 
 
 def _pair_moment(a, b, s, n: int, q_radial: float, mass: float | None):

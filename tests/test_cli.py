@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import csv
@@ -20,6 +21,8 @@ from tailgraph import (CoverageResult, DomainError, PairRecord, PtcTestReport, T
                        sample_noise, solve_delta)
 from tailgraph import cli, inference
 from tailgraph.cli import _format_matrix_csv, _read_csv_checked, main, read_csv_matrix
+from tailgraph.errors import check_integer, check_positive, check_unit_interval
+from tailgraph.report import fixed_critical_value
 
 from conftest import assert_singular_but_testable, with_copied_column
 
@@ -723,6 +726,64 @@ def test_failure_table(tmp_path, case, code):
         return
     assert len(err.splitlines()) == 1 and "error:" in err
     assert set(tmp_path.iterdir()) == before
+
+
+# A value each numeric flag refuses, and the library rule for the same argument:
+# the one the library applies to it, with the flag's own minimum for a count.
+REFUSED = {
+    **{(cmd, "--phi"): ("1.5", lambda: check_unit_interval(phi=1.5))
+       for cmd in ("simulate", "coverage", "size-power")},
+    ("simulate", "--n"): ("0", lambda: check_integer(1, n=0)),
+    ("simulate", "--seed"): ("-1", lambda: check_integer(0, seed=-1)),
+    ("simulate", "--p"): ("0", lambda: check_integer(1, p=0)),
+    ("tpdm", "--radial-quantile"): ("0", lambda: check_unit_interval(q_radial=0.0)),
+    ("ptc-test", "--radial-quantile"): ("1", lambda: check_unit_interval(q_radial=1.0)),
+    ("ptc-test", "--pred-quantile"): ("nan", lambda: check_unit_interval(q_pred=np.nan)),
+    ("ptc-test", "--alpha"): ("-0.5", lambda: check_unit_interval(alpha=-0.5)),
+    ("ptc-test", "--res-quantile"): ("2", lambda: check_unit_interval(q_res=2.0)),
+    ("ptc-test", "--critical"): ("fixed:-1", lambda: fixed_critical_value("fixed:-1")),
+    ("coverage", "--n"): (str(10 ** 400), lambda: check_integer(1, n=10 ** 400)),
+    ("coverage", "--seed"): ("-5", lambda: check_integer(0, seed=-5)),
+    ("coverage", "--reps"): ("99", lambda: check_integer(100, reps=99)),
+    ("coverage", "--radial-quantile"): ("inf", lambda: check_unit_interval(q_radial=np.inf)),
+    ("coverage", "--level"): ("1", lambda: check_unit_interval(level=1.0)),
+    ("size-power", "--n"): ("0", lambda: check_integer(1, n=0)),
+    ("size-power", "--seed"): (str(10 ** 400), lambda: check_integer(0, seed=10 ** 400)),
+    ("size-power", "--pred-quantile"): ("1e-400", lambda: check_unit_interval(q_pred=0.0)),
+    ("size-power", "--alpha"): ("1", lambda: check_unit_interval(alpha=1.0)),
+    ("size-power", "--critical"): ("fixed:nan", lambda: fixed_critical_value("fixed:nan")),
+    ("size-power", "--p"): ("2", lambda: check_integer(3, p=2)),
+    ("size-power", "--reps"): ("0", lambda: check_integer(1, reps=0)),
+    ("size-power", "--radial-quantile"): ("1.5", lambda: check_unit_interval(q_radial=1.5)),
+    ("graph", "--critical"): ("fixed:inf", lambda: fixed_critical_value("fixed:inf")),
+    ("graph", "--width-scale"): ("0", lambda: check_positive(0.0, "width_scale")),
+}
+
+
+def _numeric_flags():
+    """``(command, flag)`` of every option the parser converts, but ``--mass``,
+    which takes a name."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0]) for command, parser in sub.choices.items()
+            for action in parser._actions if action.type not in (None, cli._mass_arg)]
+
+
+_FLAGS = _numeric_flags()
+
+
+@pytest.mark.parametrize("command, flag", _FLAGS, ids=[" ".join(f) for f in _FLAGS])
+def test_every_flag_reads_as_in_the_library(capsys, command, flag):
+    """A refused value exits 2 with one stderr line that ends in the message of
+    the library's own rule for that value: the parser keeps no copy of a rule."""
+    text, rule = REFUSED[command, flag]
+    with pytest.raises(DomainError) as lib:
+        rule()
+    with pytest.raises(SystemExit) as exit_info:
+        run(command, flag, text)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.rstrip().endswith(f"argument {flag}: {lib.value}")
 
 
 class TestCsvCodec:

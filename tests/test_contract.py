@@ -24,9 +24,11 @@ from tailgraph import (
     DegenerateVarianceError,
     DimensionError,
     DomainError,
+    ExtremalGraph,
     InsufficientExceedancesError,
     IPMatrix,
     NumericalError,
+    PairRecord,
     Partition,
     PtcTestReport,
     ResidualSample,
@@ -502,6 +504,72 @@ def test_integer_valued_indices_are_indices():
     assert ptc(np.eye(3), 0.0, 2.0) == 0.0
 
 
+# each size is refused by errors.check_array_size before anything is allocated
+@pytest.mark.parametrize("call", [
+    lambda: Partition.pair(0, 1, 10 ** 18),
+    lambda: Partition.single(0, 4 * 10 ** 9),
+    lambda: sample_noise(1, 10 ** 19),
+    lambda: coverage_study(n=10 ** 19, reps=1),
+    lambda: size_power_study(n=10 ** 19, reps=1),
+    lambda: size_power_study(p=4 * 10 ** 9, n=10, reps=1),
+], ids=["pair p=1e18", "single p=4e9", "noise n=1e19", "coverage n=1e19",
+        "size-power n=1e19", "size-power p=4e9"])
+def test_size_past_any_array_is_refused_on_entry(call):
+    """Not numpy's "Maximum allowed dimension exceeded", a ``MemoryError`` after a
+    long build, or a study's "every replication failed"."""
+    with pytest.raises(DomainError, match=r"^a \d+ x \d+ float64 array exceeds the largest array size$"):
+        call()
+
+
+_REPORT_3 = PtcTestReport(records=[PairRecord(0, 7, t_stat=5.0, k=40, reject=True)],
+                          critical_value=2.0, adjustment="fixed", alpha=0.05,
+                          columns=["a", "b", "c"])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve_b(np.eye(3), None), "^solve_b needs a Partition, got a NoneType$"),
+    (lambda: conditional_ipm(np.eye(3), (0, 1)), "^conditional_ipm needs a Partition, got a tuple$"),
+    (lambda: residuals(_FIVE, None, np.zeros((3, 2))), "^residuals needs a Partition, got a NoneType$"),
+    (lambda: estimate_sigma_u(None), "^estimate_sigma_u needs a ResidualSample, got a NoneType$"),
+    (lambda: estimate_tau2(None, 1.0), "^estimate_tau2 needs a ResidualSample, got a NoneType$"),
+    (lambda: emit_dot(ExtremalGraph(["a"], [], "x")),
+     "^emit_dot: unknown critical value method 'x'$"),
+    (lambda: to_adjacency(ExtremalGraph(["a"], [], "x")),
+     "^to_adjacency: unknown critical value method 'x'$"),
+    (lambda: to_adjacency(ExtremalGraph(["a"], [], -1.0)),
+     "^to_adjacency: critical value must be finite and non-negative, got -1.0$"),
+    (lambda: emit_dot(ExtremalGraph(["a", "b"], [(0, 5, 1.0)], 1.0)),
+     r"^emit_dot: edge \(0, 5\) is not a pair i < j of 2 columns$"),
+    (lambda: to_adjacency(ExtremalGraph(["a", "b"], [(1, 0, 1.0)], 1.0)),
+     r"^to_adjacency: edge \(1, 0\) is not a pair i < j of 2 columns$"),
+    (lambda: emit_dot(ExtremalGraph(["a", "b"], [], 1.0, skipped=[(0, 0.5, "x")])),
+     r"^emit_dot: skipped pair \(0, 0.5\) is not a pair i < j of 2 columns$"),
+    (lambda: build_graph(_REPORT_3), r"^build_graph: record \(0, 7\) is not a pair i < j of 3 columns$"),
+], ids=["solve_b of None", "conditional_ipm of a tuple", "residuals of None",
+        "sigma_u of None", "tau2 of None", "DOT critical 'x'", "adjacency critical 'x'",
+        "adjacency critical -1", "edge past the nodes", "edge j < i", "skipped pair j=0.5",
+        "record past the columns"])
+def test_record_arguments_and_fields_are_data_errors(call, message):
+    """A record argument of another type, or a graph or report whose fields break
+    the rules :func:`build_graph` and the report reader keep, is a
+    :class:`DataError`, never an ``AttributeError``, ``IndexError`` or
+    ``ValueError`` from inside, nor a file written with the bad field."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=message):
+            call()
+
+
+def test_graph_fields_are_read_as_written():
+    """Indices read by ``errors.as_index`` (a numpy int, an integer-valued float)
+    and a numpy critical value are written as Python numbers."""
+    graph = ExtremalGraph(["a", "b", "c"], [(np.int64(0), 2.0, 3.5)], np.float64(2.0),
+                          skipped=[(1.0, np.int32(2), "x")])
+    assert to_adjacency(graph) == {"nodes": ["a", "b", "c"], "critical_value": 2.0,
+                                   "edges": [[0, 2, 3.5]], "skipped_pairs": [[1, 2, "x"]]}
+    assert '"a" -- "c"' in emit_dot(graph)
+
+
 @pytest.mark.parametrize("call", [
     lambda A: tmatmul(A, np.ones(2)),
     lambda A: predict(A[0], np.ones(2)),
@@ -660,6 +728,12 @@ REACHED_RAISES = [  # (case, call, documented class, message)
      DomainError, "^distribution must be one of"),
     ("--reps past the float64 range", lambda: main(["size-power", "--reps", str(10 ** 400),
                                                     "--out", "x.json"]), SystemExit, "^2$"),
+    ("edge past the node count", lambda: emit_dot(ExtremalGraph(["a", "b"], [(0, 5, 1.0)], 1.0)),
+     DataError, r"^emit_dot: edge \(0, 5\) is not a pair i < j of 2 columns$"),
+    ("graph critical value that is not one", lambda: to_adjacency(ExtremalGraph(["a"], [], "x")),
+     DataError, "^to_adjacency: unknown critical value method 'x'$"),
+    ("--n and --p past any array", lambda: main(["simulate", "--p", str(10 ** 10),
+                                                 "--out", "x.csv"]), SystemExit, "^2$"),
 ]
 
 

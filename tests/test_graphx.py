@@ -1,9 +1,12 @@
 import os
+import re
+from functools import partial
 
 import numpy as np
 import pytest
 
 from tailgraph import (
+    ExtremalGraph,
     PairRecord,
     PtcTestReport,
     build_graph,
@@ -161,6 +164,28 @@ class TestEmitDot:
         report.records[0].reject = None
         dot = emit_dot(build_graph(report))
         assert "// skipped pair (1, 2): x" in dot
+
+    def test_backslash_and_quote_are_escaped(self):
+        """A quoted DOT string ends at the first ``"`` that no backslash escapes:
+        each name reads back whole, and no part of one is read as DOT."""
+        names = ["a\\", 'b"', 'c\\"d', "e"]
+        T = np.zeros((4, 4))
+        T[0, 1] = T[1, 0] = 5.0
+        dot = emit_dot(graph_from_stats(T, names, 1.0))
+        quoted = r'"((?:[^"\\]|\\.)*)"'  # a backslash escapes the character after it
+        unescape = partial(re.sub, r"\\(.)", r"\1")
+        assert [unescape(q) for q in re.findall(rf"^  {quoted};$", dot, re.M)] == names
+        edge = re.search(rf'^  {quoted} -- {quoted} \[penwidth=4\.0000, label="5\.00"\];$',
+                         dot, re.M)
+        assert [unescape(q) for q in edge.groups()] == names[:2]
+
+    def test_line_breaks_stay_inside_their_comment(self):
+        graph = ExtremalGraph(["a\nb -- c", "d\re", "f"], [], 1.0,
+                              skipped=[(0, 1, "ValueError: x\ny")])
+        lines = emit_dot(graph).split("\n")
+        assert lines[1:3] == ["  // critical value: 1",
+                              "  // skipped pair (a\\nb -- c, d\\re): ValueError: x\\ny"]
+        assert lines[3] == "  node [shape=circle];"  # a quoted name may hold a line break
 
 
 class TestAdjacency:

@@ -1,10 +1,12 @@
 """The package's lazy exports: every public name resolves as an eager import
 would, and every module uses what it imports.  README's library sketch runs,
-and every pytest target of the CI workflow collects a test."""
+every pytest target of the CI workflow collects a test, and every source file
+parses at the oldest supported Python."""
 
 import ast
 import importlib
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -159,3 +161,26 @@ def test_ci_pytest_targets_collect(expression):
     empty = [t for t in targets
              if not any(line == t or line.startswith((t + "::", t + "[")) for line in collected)]
     assert not empty, proc.stdout
+
+
+def _python_floor() -> tuple:
+    """``(3, minor)`` of ``requires-python = ">=3.minor"`` in pyproject.toml (read
+    with a pattern: ``tomllib`` is not in the 3.10 standard library)."""
+    with open(os.path.join(_ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        minor = re.search(r'^requires-python = ">=3\.(\d+)"$', fh.read(), re.MULTILINE).group(1)
+    return 3, int(minor)
+
+
+def test_sources_parse_at_the_oldest_supported_python():
+    """Every ``.py`` file under src/, tests/ and perfbench/ parses with the grammar
+    of the oldest Python that pyproject.toml supports, so syntax newer than the
+    floor fails here and not only on that interpreter."""
+    floor, checked = _python_floor(), 0
+    for top in ("src", "tests", "perfbench"):
+        for directory, _, files in os.walk(os.path.join(_ROOT, top)):
+            for name in sorted(f for f in files if f.endswith(".py")):
+                path = os.path.join(directory, name)
+                with open(path, encoding="utf-8") as fh:
+                    ast.parse(fh.read(), filename=path, feature_version=floor)
+                checked += 1
+    assert floor >= (3, 10) and checked >= 20

@@ -90,6 +90,13 @@ def float_scalar(value, what: str, expected: str = "a real number") -> float:
     return x
 
 
+def is_finite_real(value) -> bool:
+    """Whether ``value`` is one finite real number, read as :func:`float_scalar`
+    reads it; unlike :func:`float_scalar`, it refuses nothing."""
+    x = _real(value)
+    return x is not None and abs(x) < np.inf
+
+
 def check_positive(value, what: str, error=DomainError) -> float:
     """``value`` as a Python float, positive and finite.  What is not a real
     number is :func:`float_scalar`'s :class:`DomainError`; a number outside

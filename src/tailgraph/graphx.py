@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError, DomainError, as_index, check_names, check_positive, check_type
-from .report import PtcTestReport, fixed_critical_value
+from .errors import DataError, DomainError, check_names, check_positive, check_type, float_scalar
+from .report import PtcTestReport, check_pair, check_records, fixed_critical_value
 from .tpdm import square_matrix
 
 
@@ -30,29 +30,21 @@ def build_graph(report: PtcTestReport) -> ExtremalGraph:
     """Edges are the pairs whose |t| exceeds the report's critical value.
 
     Pairs that errored during testing yield no edge and are listed in
-    ``skipped``.  Anything but a :class:`PtcTestReport`, or a record whose
-    pair is not integers i < j below the column count, is a :class:`DataError`.
+    ``skipped``.  Anything but a :class:`PtcTestReport`, or records that break
+    :func:`~tailgraph.report.check_records`' rule, is a :class:`DataError`.
     """
     check_type(report, PtcTestReport, "build_graph")
     p = len(report.columns)
+    pairs = check_records(report.records, p, "build_graph")
     T = np.full((p, p), np.nan)  # an errored pair stays NaN: no edge
     skipped = []
-    for rec in report.records:
-        i, j = _pair(rec.i, rec.j, p, "build_graph", "record")
+    for (i, j), rec in zip(pairs, report.records):
         if rec.error is None:
             T[i, j] = T[j, i] = rec.t_stat
         else:
             skipped.append((i, j, rec.error))
     return replace(graph_from_stats(T, report.columns, report.critical_value),
                    skipped=sorted(skipped))
-
-
-def _pair(i, j, p: int, caller: str, what: str) -> tuple[int, int]:
-    """``(i, j)`` as ints with 0 <= i < j < p, else a :class:`DataError`."""
-    a, b = as_index(i, p), as_index(j, p)
-    if a is None or b is None or a >= b:
-        raise DataError(f"{caller}: {what} ({i!r}, {j!r}) is not a pair i < j of {p} columns")
-    return a, b
 
 
 def graph_from_stats(stats_matrix, names, critical: float) -> ExtremalGraph:
@@ -81,17 +73,29 @@ def graph_from_stats(stats_matrix, names, critical: float) -> ExtremalGraph:
 def _read_graph(graph, caller: str):
     """``(critical, edges, skipped)`` of an :class:`ExtremalGraph`, held to the
     rules :func:`build_graph` keeps: the critical value read by
-    :func:`~tailgraph.report.fixed_critical_value`, and every edge and
-    skipped pair integers i < j below the node count.  Anything else is a
-    :class:`DataError`."""
+    :func:`~tailgraph.report.fixed_critical_value`, distinct node names
+    (:func:`~tailgraph.errors.check_names`), each edge or skipped pair three
+    fields with integers i < j below the node count
+    (:func:`~tailgraph.report.check_pair`), no pair twice, and each edge weight
+    finite and non-negative (read by :func:`float_scalar`).  Anything else is a
+    :class:`DataError` naming ``caller``."""
     check_type(graph, ExtremalGraph, caller)
     try:
         critical = fixed_critical_value(graph.critical_value)
-    except DomainError as exc:
+        p = len(check_names(graph.nodes, len(graph.nodes)))
+        for what, entries in (("edge", graph.edges), ("skipped pair", graph.skipped)):
+            bad = next((e for e in entries if len(e) != 3), None)
+            if bad is not None:
+                raise DataError(f"{what} {bad!r} is not three fields")
+        edges = [(*check_pair(i, j, p, "edge"), float_scalar(w, "edge weight"))
+                 for i, j, w in graph.edges]
+        skipped = [(*check_pair(i, j, p, "skipped pair"), why) for i, j, why in graph.skipped]
+        if not all(0.0 <= w < np.inf for _, _, w in edges):
+            raise DataError("edge weights must be finite and non-negative")
+        if len({e[:2] for e in edges + skipped}) < len(edges + skipped):
+            raise DataError("a pair appears twice among the edges and skipped pairs")
+    except (DataError, DomainError) as exc:
         raise DataError(f"{caller}: {exc}") from None
-    p = len(graph.nodes)
-    edges = [(*_pair(i, j, p, caller, "edge"), w) for i, j, w in graph.edges]
-    skipped = [(*_pair(i, j, p, caller, "skipped pair"), why) for i, j, why in graph.skipped]
     return critical, edges, skipped
 
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError, check_integer, check_names, float_scalar
+from .errors import (DataError, DomainError, as_index, check_integer, check_names, float_scalar,
+                     is_finite_real)
 
 
 _ADJUSTED = ("bonferroni", "none")  # critical values computed from the pairs' df
@@ -49,6 +50,36 @@ class PairRecord:
     t_stat: float | None = None
     reject: bool | None = None
     error: str | None = None
+
+
+def check_pair(i, j, p: int, what: str) -> tuple[int, int]:
+    """``(i, j)`` as ints with 0 <= i < j < p (:func:`~tailgraph.errors.as_index`),
+    else a :class:`DataError` naming ``what``: the one pair rule of report
+    records and of a graph's edges and skipped pairs."""
+    a, b = as_index(i, p), as_index(j, p)
+    if a is None or b is None or a >= b:
+        raise DataError(f"{what} ({i!r}, {j!r}) is not a pair i < j of {p} columns")
+    return a, b
+
+
+def check_records(records, p: int, caller: str) -> list[tuple[int, int]]:
+    """The pair-record rule, kept by :meth:`PtcTestReport.from_dict` and by
+    :func:`~tailgraph.graphx.build_graph`: each of the p(p-1)/2 pairs of p
+    columns appears once (:func:`check_pair`); σ̂_u and τ̂² are finite or None;
+    and each record is tested (no error, a finite t) or errored (a non-empty
+    error message, no t).  Returns the records' pairs as ints, in order; a
+    record that breaks the rule is a :class:`DataError` naming ``caller``."""
+    pairs = [check_pair(r.i, r.j, p, f"{caller}: record") for r in records]
+    if len(pairs) != p * (p - 1) // 2 or len(set(pairs)) != len(pairs):
+        raise DataError(f"{caller}: {len(set(pairs))} distinct pairs in {len(pairs)} records "
+                        f"for {p} columns")
+    for (i, j), r in zip(pairs, records):
+        if not ((r.sigma_u is None or is_finite_real(r.sigma_u))
+                and (r.tau2 is None or is_finite_real(r.tau2))
+                and (is_finite_real(r.t_stat) if r.error is None
+                     else r.t_stat is None and isinstance(r.error, str) and r.error != "")):
+            raise DataError(f"{caller}: record ({i}, {j}) breaks the record rule: {r}")
+    return pairs
 
 
 @dataclass
@@ -90,36 +121,28 @@ class PtcTestReport:
         """Rebuild a report from :meth:`to_dict` output (``ptc`` is not read back).
 
         The writer's rules hold or the report is a :class:`DataError`: distinct
-        column names, a finite non-negative critical value, every pair i < j
-        exactly once with the names of columns i and j, an integer k >= 2 or
-        null, a finite σ̂_u and τ̂² or null, and each record either
-        tested (a finite t, ``reject`` equal to ``|t| > c``) or errored (no t,
-        ``reject`` None).  A missing key or an unusable value is one too.
+        column names, a finite non-negative critical value, integer ``i``, ``j``
+        and ``k`` (k >= 2, or null), records that keep :func:`check_records`'
+        rule, each with the names of columns i and j, and ``reject`` equal to
+        ``|t| > c`` on a tested pair and None on an errored one.  A missing key
+        or an unusable value is one too.
         """
         try:
             columns = list(payload["columns"])
             check_names(columns, len(columns))
             cv = fixed_critical_value(float_scalar(payload["critical_value"], "critical value"))
-            records, seen = [], set()
+            records = []
             for d in payload["pairs"]:
                 sigma_u, tau2, t = (None if d[key] is None else float_scalar(d[key], key)
                                     for key in ("sigma_u", "tau2", "t"))
-                rec = PairRecord(*check_integer(0, i=d["i"], j=d["j"]), sigma_u, tau2,
-                                 None if d["k"] is None else check_integer(2, k=d["k"])[0],
-                                 t, reject=d["reject"], error=d["error"])
-                tested = rec.error is None
-                if not (0 <= rec.i < rec.j < len(columns) and (rec.i, rec.j) not in seen
-                        and d["names"] == [columns[rec.i], columns[rec.j]]
-                        and all(np.isfinite(v) for v in (sigma_u, tau2) if v is not None)
-                        and (rec.t_stat is not None) == tested
-                        and (np.isfinite(rec.t_stat) and rec.reject == (abs(rec.t_stat) > cv)
-                             if tested else rec.reject is None)):
+                records.append(PairRecord(*check_integer(0, i=d["i"], j=d["j"]), sigma_u, tau2,
+                                          None if d["k"] is None else check_integer(2, k=d["k"])[0],
+                                          t, reject=d["reject"], error=d["error"]))
+            check_records(records, len(columns), "from_dict")
+            for d, rec in zip(payload["pairs"], records):
+                if (d["names"] != [columns[rec.i], columns[rec.j]]
+                        or rec.reject != (None if rec.t_stat is None else abs(rec.t_stat) > cv)):
                     raise ValueError(f"inconsistent pair record {d}")
-                seen.add((rec.i, rec.j))
-                records.append(rec)
-            p = len(columns)
-            if len(seen) != p * (p - 1) // 2:
-                raise ValueError(f"{len(seen)} pair records for {p} columns")
             return cls(records=records, critical_value=cv,
                        adjustment=payload["adjustment"], alpha=payload["alpha"],
                        columns=columns, quantiles=dict(payload["quantiles"]))

@@ -123,6 +123,11 @@ class TestMatrixEntryPoints:
                 with pytest.raises(TailgraphError, match="nonpositive diagonal"):
                     fn(G)
 
+    def test_ipmatrix_converts_to_the_dtype_asked_for(self):
+        gamma = IPMatrix([[1.0, 0.5], [0.5, 1.0]])
+        arr = np.asarray(gamma, dtype=np.float32)
+        assert arr.dtype == np.float32 and np.array_equal(arr, gamma.entries)
+
     def test_ipmatrix_refuses_non_finite_entries(self):
         with pytest.raises(DataError, match="must be finite"):
             IPMatrix(np.full((2, 2), np.inf))
@@ -504,6 +509,14 @@ def test_integer_valued_indices_are_indices():
     assert ptc(np.eye(3), 0.0, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("kwargs", [{"phi": np.array(0.5), "p": 3}, {"phi": 0.5, "p": np.array(3)}],
+                         ids=["0-d phi", "0-d p"])
+def test_zero_dimensional_array_is_read_as_its_number(kwargs):
+    """``errors._real`` reads a 0-d array as the number it holds: here phi, a
+    unit-interval argument, and p, an integer one."""
+    assert np.array_equal(ar1_matrix(**kwargs), ar1_matrix(0.5, 3))
+
+
 # each size is refused by errors.check_array_size before anything is allocated
 @pytest.mark.parametrize("call", [
     lambda: Partition.pair(0, 1, 10 ** 18),
@@ -526,6 +539,12 @@ _REPORT_3 = PtcTestReport(records=[PairRecord(0, 7, t_stat=5.0, k=40, reject=Tru
                           columns=["a", "b", "c"])
 
 
+def _report(columns, *records):
+    """A report at critical value 1 holding ``records`` as given."""
+    return PtcTestReport(records=list(records), critical_value=1.0, adjustment="fixed",
+                         alpha=0.05, columns=columns)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: solve_b(np.eye(3), None), "^solve_b needs a Partition, got a NoneType$"),
     (lambda: conditional_ipm(np.eye(3), (0, 1)), "^conditional_ipm needs a Partition, got a tuple$"),
@@ -545,10 +564,37 @@ _REPORT_3 = PtcTestReport(records=[PairRecord(0, 7, t_stat=5.0, k=40, reject=Tru
     (lambda: emit_dot(ExtremalGraph(["a", "b"], [], 1.0, skipped=[(0, 0.5, "x")])),
      r"^emit_dot: skipped pair \(0, 0.5\) is not a pair i < j of 2 columns$"),
     (lambda: build_graph(_REPORT_3), r"^build_graph: record \(0, 7\) is not a pair i < j of 3 columns$"),
+    (lambda: build_graph(_report(["a", "b"], PairRecord(0, 1, t_stat=5.0, k=40),
+                                 PairRecord(0, 1, t_stat=0.5, k=40))),
+     "^build_graph: 1 distinct pairs in 2 records for 2 columns$"),
+    (lambda: build_graph(_report(["a", "b"], PairRecord(0, 1, k=40))),
+     r"^build_graph: record \(0, 1\) breaks the record rule: PairRecord\(i=0, j=1, .*t_stat=None"),
+    (lambda: build_graph(_report(["a", "b", "c"], PairRecord(0, 1, t_stat=5.0, k=40),
+                                 PairRecord(0, 2, t_stat=5.0, k=40))),
+     "^build_graph: 2 distinct pairs in 2 records for 3 columns$"),
+    (lambda: emit_dot(ExtremalGraph(["a", "b"], [(0, 1, "x")], 1.0)),
+     "^emit_dot: edge weight must be a real number, got 'x'$"),
+    (lambda: to_adjacency(ExtremalGraph(["a", "b"], [(0, 1, np.nan)], 1.0)),
+     "^to_adjacency: edge weights must be finite and non-negative$"),
+    (lambda: emit_dot(ExtremalGraph(["a", "b"], [(0, 1, -3.0)], 1.0)),
+     "^emit_dot: edge weights must be finite and non-negative$"),
+    (lambda: emit_dot(ExtremalGraph(["a", "b"], [(0, 1)], 1.0)),
+     r"^emit_dot: edge \(0, 1\) is not three fields$"),
+    (lambda: emit_dot(ExtremalGraph(["a", "a"], [(0, 1, 5.0)], 1.0)),
+     "^emit_dot: column name 'a' is repeated$"),
+    (lambda: emit_dot(ExtremalGraph(["a", "b"], [(0, 1, 5.0), (0, 1, 5.0)], 1.0)),
+     "^emit_dot: a pair appears twice among the edges and skipped pairs$"),
+    (lambda: to_adjacency(ExtremalGraph(["a", "b"], [(0, 1, 5.0)], 1.0, skipped=[(0, 1, "x")])),
+     "^to_adjacency: a pair appears twice among the edges and skipped pairs$"),
+    (lambda: build_graph(_report(["a", "b"], PairRecord(0, 1, error=""))),
+     r"^build_graph: record \(0, 1\) breaks the record rule: PairRecord\(.*error=''\)$"),
 ], ids=["solve_b of None", "conditional_ipm of a tuple", "residuals of None",
         "sigma_u of None", "tau2 of None", "DOT critical 'x'", "adjacency critical 'x'",
         "adjacency critical -1", "edge past the nodes", "edge j < i", "skipped pair j=0.5",
-        "record past the columns"])
+        "record past the columns", "record pair repeated", "tested record without t",
+        "record pair missing", "edge weight 'x'", "edge weight NaN", "edge weight -3",
+        "edge of two fields", "node name repeated", "edge repeated", "edge also skipped",
+        "record error ''"])
 def test_record_arguments_and_fields_are_data_errors(call, message):
     """A record argument of another type, or a graph or report whose fields break
     the rules :func:`build_graph` and the report reader keep, is a

@@ -161,6 +161,7 @@ class TestEmitDot:
         columns, T = no2
         report = report_from_matrix(columns, T, 4.797)
         report.records[0].error = "x"
+        report.records[0].t_stat = None
         report.records[0].reject = None
         dot = emit_dot(build_graph(report))
         assert "// skipped pair (1, 2): x" in dot

@@ -60,6 +60,12 @@ def test_unknown_attribute_is_attribute_error():
     assert not hasattr(tailgraph, "bogus")
 
 
+def test_cli_resolves_through_the_package_getattr():
+    """``cli`` exports no name; the package's ``__getattr__`` still returns the
+    module, whether or not an earlier import has bound it already."""
+    assert tailgraph.__getattr__("cli") is importlib.import_module("tailgraph.cli")
+
+
 def test_submodule_after_bare_import():
     """In a fresh interpreter, ``import tailgraph`` loads no submodule, and a
     submodule or an exported name loads its module on first use."""

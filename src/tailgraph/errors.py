@@ -90,11 +90,13 @@ def float_scalar(value, what: str, expected: str = "a real number") -> float:
     return x
 
 
-def is_finite_real(value) -> bool:
-    """Whether ``value`` is one finite real number, read as :func:`float_scalar`
-    reads it; unlike :func:`float_scalar`, it refuses nothing."""
+def as_real(value) -> float | None:
+    """None as None, one real number (:func:`_real`) as its float, and anything
+    else as NaN, which no range test accepts: how a record field is read."""
+    if value is None:
+        return None
     x = _real(value)
-    return x is not None and abs(x) < np.inf
+    return np.nan if x is None else x
 
 
 def check_positive(value, what: str, error=DomainError) -> float:

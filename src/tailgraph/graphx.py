@@ -7,7 +7,7 @@ is deterministic, with edge thickness proportional to the weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,28 +27,26 @@ class ExtremalGraph:
 
 
 def build_graph(report: PtcTestReport) -> ExtremalGraph:
-    """Edges are the pairs whose |t| exceeds the report's critical value.
+    """Edges are the pairs whose |t| exceeds the report's critical value
+    (:func:`_edges`).
 
     Pairs that errored during testing yield no edge and are listed in
-    ``skipped``.  Anything but a :class:`PtcTestReport`, or records that break
-    :func:`~tailgraph.report.check_records`' rule, is a :class:`DataError`.
+    ``skipped``.  Anything but a :class:`PtcTestReport`, columns that are not a
+    sequence, or records that break :func:`~tailgraph.report.check_records`'
+    rule, is a :class:`DataError`.
     """
     check_type(report, PtcTestReport, "build_graph")
-    p = len(report.columns)
-    pairs = check_records(report.records, p, "build_graph")
-    T = np.full((p, p), np.nan)  # an errored pair stays NaN: no edge
-    skipped = []
-    for (i, j), rec in zip(pairs, report.records):
-        if rec.error is None:
-            T[i, j] = T[j, i] = rec.t_stat
-        else:
-            skipped.append((i, j, rec.error))
-    return replace(graph_from_stats(T, report.columns, report.critical_value),
-                   skipped=sorted(skipped))
+    nodes = check_names(report.columns, len(_sequence(report.columns, "build_graph: columns")))
+    critical = fixed_critical_value(report.critical_value)
+    records = check_records(report.records, len(nodes), "build_graph")
+    edges = _edges(((r.i, r.j, abs(r.t_stat)) for r in records if r.error is None), critical)
+    skipped = [(r.i, r.j, r.error) for r in records if r.error is not None]
+    return ExtremalGraph(nodes, sorted(edges), critical, sorted(skipped))
 
 
 def graph_from_stats(stats_matrix, names, critical: float) -> ExtremalGraph:
-    """Edges are the pairs whose |t| is finite and exceeds ``critical``.
+    """Edges are the pairs of the upper triangle whose |t| is finite and exceeds
+    ``critical`` (:func:`_edges`).
 
     ``names`` label the rows, one distinct name each (by default 1..p); a NaN
     cell is a pair without a statistic.  A matrix unequal to its transpose (NaN
@@ -61,13 +59,22 @@ def graph_from_stats(stats_matrix, names, critical: float) -> ExtremalGraph:
     critical = fixed_critical_value(critical)
     p = T.shape[0]
     names = check_names(names, p) if names is not None else [str(i + 1) for i in range(p)]
-    edges = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            w = abs(T[i, j])
-            if np.isfinite(w) and w > critical:
-                edges.append((i, j, float(w)))
-    return ExtremalGraph(nodes=names, edges=edges, critical_value=critical)
+    upper = ((i, j, float(abs(T[i, j]))) for i in range(p) for j in range(i + 1, p))
+    return ExtremalGraph(nodes=names, edges=_edges(upper, critical), critical_value=critical)
+
+
+def _edges(weights, critical: float) -> list[tuple[int, int, float]]:
+    """The ``(i, j, w)`` of ``weights`` whose w is finite and above ``critical``:
+    the one edge rule, by which a graph is built and read back."""
+    return [(i, j, w) for i, j, w in weights if critical < w < np.inf]
+
+
+def _sequence(value, what: str):
+    """``value`` if it has a length; anything else, not a sequence, is a
+    :class:`DataError` naming ``what``."""
+    if not hasattr(value, "__len__"):
+        raise DataError(f"{what} {value!r} is not a sequence")
+    return value
 
 
 def _read_graph(graph, caller: str):
@@ -76,22 +83,25 @@ def _read_graph(graph, caller: str):
     :func:`~tailgraph.report.fixed_critical_value`, distinct node names
     (:func:`~tailgraph.errors.check_names`), each edge or skipped pair three
     fields with integers i < j below the node count
-    (:func:`~tailgraph.report.check_pair`), no pair twice, and each edge weight
-    finite and non-negative (read by :func:`float_scalar`).  Anything else is a
-    :class:`DataError` naming ``caller``."""
+    (:func:`~tailgraph.report.check_pair`), no pair twice, each edge weight
+    read by :func:`float_scalar` and kept by :func:`_edges`, and each skipped
+    pair's reason a non-empty str.  Anything else is a :class:`DataError`
+    naming ``caller``."""
     check_type(graph, ExtremalGraph, caller)
     try:
         critical = fixed_critical_value(graph.critical_value)
-        p = len(check_names(graph.nodes, len(graph.nodes)))
+        p = len(check_names(graph.nodes, len(_sequence(graph.nodes, "nodes"))))
         for what, entries in (("edge", graph.edges), ("skipped pair", graph.skipped)):
-            bad = next((e for e in entries if len(e) != 3), None)
-            if bad is not None:
-                raise DataError(f"{what} {bad!r} is not three fields")
+            for e in _sequence(entries, f"{what}s"):
+                if len(_sequence(e, what)) != 3:
+                    raise DataError(f"{what} {e!r} is not three fields")
         edges = [(*check_pair(i, j, p, "edge"), float_scalar(w, "edge weight"))
                  for i, j, w in graph.edges]
         skipped = [(*check_pair(i, j, p, "skipped pair"), why) for i, j, why in graph.skipped]
-        if not all(0.0 <= w < np.inf for _, _, w in edges):
-            raise DataError("edge weights must be finite and non-negative")
+        if len(_edges(edges, critical)) < len(edges):
+            raise DataError("edge weights must be finite and above the critical value")
+        if not all(isinstance(why, str) and why for *_, why in skipped):
+            raise DataError("a skipped pair's reason must be a non-empty str")
         if len({e[:2] for e in edges + skipped}) < len(edges + skipped):
             raise DataError("a pair appears twice among the edges and skipped pairs")
     except (DataError, DomainError) as exc:
@@ -128,7 +138,7 @@ def emit_dot(graph: ExtremalGraph, width_scale: float = 4.0) -> str:
         lines.append(f"  {_quote(name)};")
     max_w = max((w for _, _, w in edges), default=0.0)
     for i, j, w in sorted(edges):
-        pen = width_scale * (w / max_w) if max_w > 0 else width_scale  # at most width_scale
+        pen = width_scale * (w / max_w)  # each w is above critical >= 0: at most width_scale
         lines.append(f"  {_quote(graph.nodes[i])} -- {_quote(graph.nodes[j])}"
                      f" [penwidth={pen:.4f}, label=\"{w:.2f}\"];")
     lines.append("}")

@@ -293,7 +293,10 @@ def _t_upper_quantile(df: int, tail: float) -> float:
     t >= 0, so a tangent taken below the root meets ``tail`` at or below the
     root, and the iterates increase to it.  Within a few ulp of the exact
     quantile for tails up to 1/4; nearer 1/2, where t tends to 0, to about
-    1e-16 absolutely.
+    1e-16 absolutely.  :func:`critical_value` and :func:`confidence_interval`
+    pass a tail of 0 or at least 2**-53, which takes at most 50 steps (at df = 2,
+    the slowest); a tail that 100 steps do not reach (``_t_upper_quantile(2, 1e-50)``
+    would stop at 5.3e17, against 7.1e24) is a :class:`NumericalError`.
     """
     if tail <= 0.0:
         return math.inf
@@ -308,7 +311,7 @@ def _t_upper_quantile(df: int, tail: float) -> float:
         if step <= 1e-10 * t:
             return max(t + step, 0.0)
         t += step
-    return t
+    raise NumericalError(f"t quantile (df={df}, tail={tail!r}) not reached in 100 Newton steps")
 
 
 def confidence_interval(sigma_u_hat: float, tau2_hat: float, k: int, level: float = 0.95):

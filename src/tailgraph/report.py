@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DataError, DomainError, as_index, check_integer, check_names, float_scalar,
-                     is_finite_real)
+from .errors import (DataError, DomainError, as_index, as_real, check_names, check_type,
+                     check_unit_interval, float_scalar)
 
 
 _ADJUSTED = ("bonferroni", "none")  # critical values computed from the pairs' df
@@ -62,24 +62,34 @@ def check_pair(i, j, p: int, what: str) -> tuple[int, int]:
     return a, b
 
 
-def check_records(records, p: int, caller: str) -> list[tuple[int, int]]:
-    """The pair-record rule, kept by :meth:`PtcTestReport.from_dict` and by
-    :func:`~tailgraph.graphx.build_graph`: each of the p(p-1)/2 pairs of p
-    columns appears once (:func:`check_pair`); σ̂_u and τ̂² are finite or None;
-    and each record is tested (no error, a finite t) or errored (a non-empty
-    error message, no t).  Returns the records' pairs as ints, in order; a
-    record that breaks the rule is a :class:`DataError` naming ``caller``."""
-    pairs = [check_pair(r.i, r.j, p, f"{caller}: record") for r in records]
-    if len(pairs) != p * (p - 1) // 2 or len(set(pairs)) != len(pairs):
-        raise DataError(f"{caller}: {len(set(pairs))} distinct pairs in {len(pairs)} records "
+def _read_record(r, p: int, caller: str) -> PairRecord:
+    """One record held to :func:`check_records`' rule and returned as read."""
+    check_type(r, PairRecord, caller)
+    i, j = check_pair(r.i, r.j, p, f"{caller}: record")
+    sigma_u, tau2, k, t = map(as_real, (r.sigma_u, r.tau2, r.k, r.t_stat))
+    if not ((sigma_u is None or abs(sigma_u) < np.inf) and (tau2 is None or abs(tau2) < np.inf)
+            and (k is None or k >= 2 and k.is_integer())
+            and (t is not None and abs(t) < np.inf if r.error is None
+                 else t is None and isinstance(r.error, str) and r.error != "")):
+        raise DataError(f"{caller}: record ({i}, {j}) breaks the record rule: {r}")
+    return PairRecord(i, j, sigma_u, tau2, None if k is None else int(k), t, r.reject, r.error)
+
+
+def check_records(records, p: int, caller: str) -> list[PairRecord]:
+    """The one reader of pair records, kept by :meth:`PtcTestReport.from_dict`
+    and by :func:`~tailgraph.graphx.build_graph`: each record is a
+    :class:`PairRecord`; each of the p(p-1)/2 pairs of p columns appears once
+    (:func:`check_pair`); k is an integer >= 2 or None; σ̂_u and τ̂² are finite
+    or None; and each record is tested (no error, a finite t) or errored (a
+    non-empty error message, no t).  Returns the records as read, in order: i,
+    j and k as ints, σ̂_u, τ̂² and t as floats.  A record that breaks the rule is
+    a :class:`DataError` naming ``caller``."""
+    out = [_read_record(r, p, caller) for r in records]
+    pairs = {(r.i, r.j) for r in out}
+    if len(out) != p * (p - 1) // 2 or len(pairs) != len(out):
+        raise DataError(f"{caller}: {len(pairs)} distinct pairs in {len(out)} records "
                         f"for {p} columns")
-    for (i, j), r in zip(pairs, records):
-        if not ((r.sigma_u is None or is_finite_real(r.sigma_u))
-                and (r.tau2 is None or is_finite_real(r.tau2))
-                and (is_finite_real(r.t_stat) if r.error is None
-                     else r.t_stat is None and isinstance(r.error, str) and r.error != "")):
-            raise DataError(f"{caller}: record ({i}, {j}) breaks the record rule: {r}")
-    return pairs
+    return out
 
 
 @dataclass
@@ -121,31 +131,30 @@ class PtcTestReport:
         """Rebuild a report from :meth:`to_dict` output (``ptc`` is not read back).
 
         The writer's rules hold or the report is a :class:`DataError`: distinct
-        column names, a finite non-negative critical value, integer ``i``, ``j``
-        and ``k`` (k >= 2, or null), records that keep :func:`check_records`'
-        rule, each with the names of columns i and j, and ``reject`` equal to
-        ``|t| > c`` on a tested pair and None on an errored one.  A missing key
-        or an unusable value is one too.
+        column names, a finite non-negative critical value, ``alpha`` in (0, 1),
+        a non-empty ``adjustment``, ``quantiles`` a mapping of names to null or
+        a number in (0, 1), records that keep :func:`check_records`' rule, each
+        with the names of columns i and j, and ``reject`` equal to ``|t| > c``
+        on a tested pair and None on an errored one.  A missing key or an
+        unusable value is one too.
         """
         try:
-            columns = list(payload["columns"])
-            check_names(columns, len(columns))
+            columns = check_names(payload["columns"], len(payload["columns"]))
             cv = fixed_critical_value(float_scalar(payload["critical_value"], "critical value"))
-            records = []
-            for d in payload["pairs"]:
-                sigma_u, tau2, t = (None if d[key] is None else float_scalar(d[key], key)
-                                    for key in ("sigma_u", "tau2", "t"))
-                records.append(PairRecord(*check_integer(0, i=d["i"], j=d["j"]), sigma_u, tau2,
-                                          None if d["k"] is None else check_integer(2, k=d["k"])[0],
-                                          t, reject=d["reject"], error=d["error"]))
-            check_records(records, len(columns), "from_dict")
+            alpha = check_unit_interval(alpha=payload["alpha"])[0]
+            adjustment, quantiles = payload["adjustment"], payload["quantiles"]
+            if not (isinstance(adjustment, str) and adjustment and isinstance(quantiles, dict)):
+                raise ValueError(f"adjustment {adjustment!r} or quantiles {quantiles!r} unusable")
+            check_unit_interval(**{f"q_{n}": q for n, q in quantiles.items() if q is not None})
+            records = check_records([PairRecord(d["i"], d["j"], d["sigma_u"], d["tau2"], d["k"],
+                                                d["t"], d["reject"], d["error"])
+                                     for d in payload["pairs"]], len(columns), "from_dict")
             for d, rec in zip(payload["pairs"], records):
                 if (d["names"] != [columns[rec.i], columns[rec.j]]
                         or rec.reject != (None if rec.t_stat is None else abs(rec.t_stat) > cv)):
                     raise ValueError(f"inconsistent pair record {d}")
-            return cls(records=records, critical_value=cv,
-                       adjustment=payload["adjustment"], alpha=payload["alpha"],
-                       columns=columns, quantiles=dict(payload["quantiles"]))
+            return cls(records=records, critical_value=cv, adjustment=adjustment, alpha=alpha,
+                       columns=columns, quantiles=dict(quantiles))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed report: {type(exc).__name__}: {exc}") from None
 

@@ -75,7 +75,7 @@ from tailgraph import (
 )
 from tailgraph.cli import _read_csv_checked, main
 from tailgraph.project import project_onto_span, ptc_matrix_from_inverse
-from tailgraph.report import fixed_critical_value
+from tailgraph.report import check_records, fixed_critical_value
 
 NAN_3X3 = np.full((3, 3), np.nan)
 ASYMMETRIC = np.array([[2.0, 1.0, 0.2], [0.0, 2.0, 0.3], [0.2, 0.3, 2.0]])
@@ -238,7 +238,8 @@ class TestReportReader:
         "repeated pair", "missing pair", "flipped reject", "reject on an errored pair",
         "reject missing", "repeated column", "negative critical value", "names contradict columns",
         "fractional index", "string index", "string k", "k of 1", "list sigma_u", "infinite tau2",
-        "string t",
+        "string t", "string alpha", "numeric adjustment", "quantiles as pairs",
+        "reject at |t| = c",
     ])
     def test_broken_rule_is_data_error(self, breakage):
         payload = copy.deepcopy(_near_copy_report())
@@ -271,10 +272,29 @@ class TestReportReader:
             tested["tau2"] = float("inf")
         elif breakage == "string t":
             tested["t"] = str(tested["t"])
+        elif breakage == "string alpha":
+            payload["alpha"] = "x"
+        elif breakage == "numeric adjustment":
+            payload["adjustment"] = 7
+        elif breakage == "quantiles as pairs":
+            payload["quantiles"] = [["a", 1]]
+        elif breakage == "reject at |t| = c":  # |t| > c rejects; |t| = c does not
+            tested["t"], tested["reject"] = -payload["critical_value"], True
         else:
             payload["critical_value"] = -0.01
         with pytest.raises(DataError, match="malformed report"):
             PtcTestReport.from_dict(payload)
+
+    def test_quantiles_may_be_empty(self):
+        payload = dict(_near_copy_report(), quantiles={})
+        assert PtcTestReport.from_dict(payload).quantiles == {}
+
+    def test_csv_rows_carry_k_and_the_error_message(self):
+        payload = _near_copy_report()
+        rows = list(PtcTestReport.from_dict(payload).to_csv_rows())
+        assert any(d["error"] for d in payload["pairs"]) and any(d["k"] for d in payload["pairs"])
+        assert [(row[6], row[9]) for row in rows] == [
+            ("" if d["k"] is None else d["k"], d["error"] or "") for d in payload["pairs"]]
 
 
 _SHAPES = [(), (0,), (3,), (300,), (0, 0), (1, 1), (2, 3), (3, 2), (3, 3), (4, 4), (300, 2),
@@ -575,9 +595,9 @@ def _report(columns, *records):
     (lambda: emit_dot(ExtremalGraph(["a", "b"], [(0, 1, "x")], 1.0)),
      "^emit_dot: edge weight must be a real number, got 'x'$"),
     (lambda: to_adjacency(ExtremalGraph(["a", "b"], [(0, 1, np.nan)], 1.0)),
-     "^to_adjacency: edge weights must be finite and non-negative$"),
+     "^to_adjacency: edge weights must be finite and above the critical value$"),
     (lambda: emit_dot(ExtremalGraph(["a", "b"], [(0, 1, -3.0)], 1.0)),
-     "^emit_dot: edge weights must be finite and non-negative$"),
+     "^emit_dot: edge weights must be finite and above the critical value$"),
     (lambda: emit_dot(ExtremalGraph(["a", "b"], [(0, 1)], 1.0)),
      r"^emit_dot: edge \(0, 1\) is not three fields$"),
     (lambda: emit_dot(ExtremalGraph(["a", "a"], [(0, 1, 5.0)], 1.0)),
@@ -588,13 +608,41 @@ def _report(columns, *records):
      "^to_adjacency: a pair appears twice among the edges and skipped pairs$"),
     (lambda: build_graph(_report(["a", "b"], PairRecord(0, 1, error=""))),
      r"^build_graph: record \(0, 1\) breaks the record rule: PairRecord\(.*error=''\)$"),
+    (lambda: build_graph(_report(["a", "b"], {"i": 0})), "^build_graph needs a PairRecord, got a dict$"),
+    (lambda: build_graph(_report(None, PairRecord(0, 1, t_stat=5.0, k=40))),
+     "^build_graph: columns None is not a sequence$"),
+    (lambda: build_graph(_report(["a", "b"], PairRecord(0, 1, t_stat=5.0, k="x"))),
+     r"^build_graph: record \(0, 1\) breaks the record rule: PairRecord\(.*k='x'"),
+    (lambda: build_graph(_report(["a", "b"], PairRecord(1, 1, t_stat=5.0, k=40))),
+     r"^build_graph: record \(1, 1\) is not a pair i < j of 2 columns$"),
+    (lambda: emit_dot(ExtremalGraph(["a", "b"], [5], 1.0)), "^emit_dot: edge 5 is not a sequence$"),
+    (lambda: emit_dot(ExtremalGraph(None, [], 1.0)), "^emit_dot: nodes None is not a sequence$"),
+    (lambda: to_adjacency(ExtremalGraph(["a", "b"], None, 1.0)),
+     "^to_adjacency: edges None is not a sequence$"),
+    (lambda: to_adjacency(ExtremalGraph(["a", "b"], [], 1.0, skipped=[5])),
+     "^to_adjacency: skipped pair 5 is not a sequence$"),
+    (lambda: emit_dot(ExtremalGraph(["a", "b"], [], 1.0, skipped=[(0, 1, "")])),
+     "^emit_dot: a skipped pair's reason must be a non-empty str$"),
+    (lambda: to_adjacency(ExtremalGraph(["a", "b"], [(0, 1, 0.5)], 2.0)),
+     "^to_adjacency: edge weights must be finite and above the critical value$"),
+    (lambda: emit_dot(ExtremalGraph(["a", "b"], [(0, 1, 2.0)], 2.0)),
+     "^emit_dot: edge weights must be finite and above the critical value$"),
+    (lambda: emit_dot(ExtremalGraph(["a", "b"], [(0, 1, np.inf)], 2.0)),
+     "^emit_dot: edge weights must be finite and above the critical value$"),
+    (lambda: to_adjacency(ExtremalGraph(["a", "b"], [(0, 0, 5.0)], 1.0)),
+     r"^to_adjacency: edge \(0, 0\) is not a pair i < j of 2 columns$"),
+    (lambda: build_graph(_report(["a", "b"], PairRecord(0, 1, np.inf, 1.0, 40, 5.0))),
+     r"^build_graph: record \(0, 1\) breaks the record rule: PairRecord\(i=0, j=1, sigma_u=inf"),
 ], ids=["solve_b of None", "conditional_ipm of a tuple", "residuals of None",
         "sigma_u of None", "tau2 of None", "DOT critical 'x'", "adjacency critical 'x'",
         "adjacency critical -1", "edge past the nodes", "edge j < i", "skipped pair j=0.5",
         "record past the columns", "record pair repeated", "tested record without t",
         "record pair missing", "edge weight 'x'", "edge weight NaN", "edge weight -3",
         "edge of two fields", "node name repeated", "edge repeated", "edge also skipped",
-        "record error ''"])
+        "record error ''", "record not a PairRecord", "columns None", "record k 'x'",
+        "record (1, 1)", "edge 5", "nodes None", "edges None", "skipped pair 5",
+        "skipped reason ''", "edge weight 0.5 at critical 2", "edge weight at the critical value",
+        "edge weight inf", "edge (0, 0)", "record sigma_u inf"])
 def test_record_arguments_and_fields_are_data_errors(call, message):
     """A record argument of another type, or a graph or report whose fields break
     the rules :func:`build_graph` and the report reader keep, is a
@@ -604,6 +652,17 @@ def test_record_arguments_and_fields_are_data_errors(call, message):
         warnings.simplefilter("error")
         with pytest.raises(DataError, match=message):
             call()
+
+
+def test_records_are_returned_as_read():
+    """``check_records`` reads each field once and returns it as read: i, j and k
+    as ints, σ̂_u, τ̂² and t as floats; k = 2 is the least it takes."""
+    records = [PairRecord(np.int64(0), 1.0, np.float32(0.5), 2, 2.0, np.float64(-3.0), True),
+               PairRecord(0, 2, error="x"), PairRecord(1, 2, 0.25, 0.5, 40, 1.5, False)]
+    out = check_records(records, 3, "reader")
+    assert out == [PairRecord(0, 1, 0.5, 2.0, 2, -3.0, True), records[1], records[2]]
+    assert [type(v) for v in vars(out[0]).values()] == [int, int, float, float, int, float,
+                                                        bool, type(None)]
 
 
 def test_graph_fields_are_read_as_written():

@@ -116,6 +116,11 @@ class TestGraphFromStats:
         via_report = build_graph(report_from_matrix(columns, T, 4.797))
         assert edge_set(direct) == edge_set(via_report)
 
+    def test_statistic_at_the_critical_value_is_no_edge(self):
+        T = np.array([[np.nan, 2.0, 3.0], [2.0, np.nan, -2.0], [3.0, -2.0, np.nan]])
+        assert graph_from_stats(T, None, 2.0).edges == [(0, 2, 3.0)]
+        assert build_graph(report_from_matrix(["a", "b", "c"], T, 2.0)).edges == [(0, 2, 3.0)]
+
 
 class TestEmitDot:
     def test_structure_and_edge_lines(self, no2):

@@ -366,6 +366,14 @@ class TestCriticalValue:
             critical_value(method, alpha=1e-300, n_pairs=n_pairs, df=100)
 
 
+def test_unconverged_quantile_is_numerical_error():
+    """Far below the 2**-53 tail its callers pass, 100 Newton steps from t = 0 stop
+    short of the quantile (about 1/sqrt(2 tail) at df = 2): an error, not a t
+    that is 1e7 times too small."""
+    with pytest.raises(NumericalError, match="not reached in 100 Newton steps"):
+        inference._t_upper_quantile(2, 1e-50)
+
+
 def test_quantile_takes_few_tail_evaluations(monkeypatch):
     """Newton from t = 0 needs at most 30 tail probabilities per quantile at every
     level the CLI can reach (alpha 1e-3...0.5 over 1...435 pairs, CI levels up to

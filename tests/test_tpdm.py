@@ -349,6 +349,10 @@ class TestEstimateTpdm:
         X = 1.0 + np.random.default_rng(0).random((60, 2))
         with pytest.raises(InsufficientExceedancesError):
             estimate_tpdm(TailSample(X), 0.95, mode="pairwise")
+        # no rows: the global threshold is an order statistic of no radii
+        with pytest.raises(InsufficientExceedancesError,
+                           match=r"^global TPDM: only 0 exceedances \(need >= 10\)$"):
+            estimate_tpdm(np.empty((0, 3)), mode="global")
 
     def test_inverse_of_estimate_is_near_tridiagonal(self):
         from tailgraph import invert_ipm

@@ -153,7 +153,8 @@ def read_csv_matrix(path: str):
 
 
 def _read_csv_checked(path: str):
-    """Row-by-row reader: skips blank rows, parses every cell with ``float``."""
+    """Row-by-row reader: skips blank rows, parses every cell once with ``float``
+    and names the first cell it refuses."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -168,11 +169,10 @@ def _read_csv_checked(path: str):
                     continue
                 if len(row) != len(columns):
                     raise DataError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}")
-                try:
-                    data.append([float(c) for c in row])
-                except ValueError as exc:
-                    bad = next(c for c in row if not _is_float(c))
-                    raise DataError(f"{path}:{lineno}: non-numeric cell {bad!r}") from exc
+                try:  # the walrus binds cell here: after a ValueError, the cell float refused
+                    data.append([float(cell := c) for c in row])
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -182,14 +182,6 @@ def _read_csv_checked(path: str):
     if not data:
         raise DataError(f"{path}: no data rows")
     return columns, np.asarray(data, dtype=float)
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def _resolve_seed(args) -> int:

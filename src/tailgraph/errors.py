@@ -1,5 +1,7 @@
 """Exception hierarchy and the argument rules shared across the package."""
 
+from collections.abc import Mapping, Set
+
 import numpy as np
 
 
@@ -161,16 +163,25 @@ def as_index(value, p: int) -> int | None:
     return int(x) if x is not None and x.is_integer() and 0 <= x < p else None
 
 
+def check_sequence(value, what: str) -> list:
+    """The entries of ``value`` as a list, if it has a length and is not a str
+    or bytes (entries are characters), a mapping or a set (entries in key or
+    hash order) or a 0-d array.  Anything else is a :class:`DataError`
+    "<what> <value!r> is not a sequence".  The one reader of a list a caller
+    hands in: names, records, graph entries and partition fields."""
+    if (not hasattr(value, "__len__") or isinstance(value, (str, bytes, Mapping, Set))
+            or isinstance(value, np.ndarray) and value.ndim == 0):
+        raise DataError(f"{what} {value!r} is not a sequence")
+    return list(value)
+
+
 def check_names(names, count: int) -> list:
     """``names`` as a list of ``count`` labels, distinct and non-empty once stripped.
 
     A wrong count is a :class:`DimensionError`; a blank or repeated label, or
-    names that are not a sequence, a :class:`DataError`.
+    names that are not a sequence (:func:`check_sequence`), a :class:`DataError`.
     """
-    try:
-        names = list(names)
-    except TypeError:  # not iterable
-        raise DataError(f"column names must be a sequence, got a {type(names).__name__}") from None
+    names = check_sequence(names, "column names")
     if len(names) != count:
         raise DimensionError(f"{len(names)} column names for {count} columns")
     seen = set()

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError, check_names, check_positive, check_type, float_scalar
+from .errors import (DataError, DomainError, check_names, check_positive, check_sequence,
+                     check_type, float_scalar)
 from .report import PtcTestReport, check_pair, check_records, fixed_critical_value
 from .tpdm import square_matrix
 
@@ -36,7 +37,7 @@ def build_graph(report: PtcTestReport) -> ExtremalGraph:
     rule, is a :class:`DataError`.
     """
     check_type(report, PtcTestReport, "build_graph")
-    nodes = check_names(report.columns, len(_sequence(report.columns, "build_graph: columns")))
+    nodes = check_names(report.columns, len(check_sequence(report.columns, "build_graph: columns")))
     critical = fixed_critical_value(report.critical_value)
     records = check_records(report.records, len(nodes), "build_graph")
     edges = _edges(((r.i, r.j, abs(r.t_stat)) for r in records if r.error is None), critical)
@@ -69,19 +70,13 @@ def _edges(weights, critical: float) -> list[tuple[int, int, float]]:
     return [(i, j, w) for i, j, w in weights if critical < w < np.inf]
 
 
-def _sequence(value, what: str):
-    """``value`` if it has a length; anything else, not a sequence, is a
-    :class:`DataError` naming ``what``."""
-    if not hasattr(value, "__len__"):
-        raise DataError(f"{what} {value!r} is not a sequence")
-    return value
-
-
 def _read_graph(graph, caller: str):
     """``(critical, edges, skipped)`` of an :class:`ExtremalGraph`, held to the
     rules :func:`build_graph` keeps: the critical value read by
     :func:`~tailgraph.report.fixed_critical_value`, distinct node names
-    (:func:`~tailgraph.errors.check_names`), each edge or skipped pair three
+    (:func:`~tailgraph.errors.check_names`), the nodes, edges and skipped pairs,
+    and each edge or skipped pair, a sequence
+    (:func:`~tailgraph.errors.check_sequence`), each edge or skipped pair three
     fields with integers i < j below the node count
     (:func:`~tailgraph.report.check_pair`), no pair twice, each edge weight
     read by :func:`float_scalar` and kept by :func:`_edges`, and each skipped
@@ -90,14 +85,15 @@ def _read_graph(graph, caller: str):
     check_type(graph, ExtremalGraph, caller)
     try:
         critical = fixed_critical_value(graph.critical_value)
-        p = len(check_names(graph.nodes, len(_sequence(graph.nodes, "nodes"))))
-        for what, entries in (("edge", graph.edges), ("skipped pair", graph.skipped)):
-            for e in _sequence(entries, f"{what}s"):
-                if len(_sequence(e, what)) != 3:
+        p = len(check_names(graph.nodes, len(check_sequence(graph.nodes, "nodes"))))
+        edges = check_sequence(graph.edges, "edges")
+        skipped = check_sequence(graph.skipped, "skipped pairs")
+        for what, entries in (("edge", edges), ("skipped pair", skipped)):
+            for e in entries:
+                if len(check_sequence(e, what)) != 3:
                     raise DataError(f"{what} {e!r} is not three fields")
-        edges = [(*check_pair(i, j, p, "edge"), float_scalar(w, "edge weight"))
-                 for i, j, w in graph.edges]
-        skipped = [(*check_pair(i, j, p, "skipped pair"), why) for i, j, why in graph.skipped]
+        edges = [(*check_pair(i, j, p, "edge"), float_scalar(w, "edge weight")) for i, j, w in edges]
+        skipped = [(*check_pair(i, j, p, "skipped pair"), why) for i, j, why in skipped]
         if len(_edges(edges, critical)) < len(edges):
             raise DataError("edge weights must be finite and above the critical value")
         if not all(isinstance(why, str) and why for *_, why in skipped):

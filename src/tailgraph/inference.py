@@ -74,12 +74,14 @@ def residuals(sample, part: Partition, b, q_pred: float = 0.98,
 
     Residuals are computed for every observation; rows whose residual radius
     exceeds the empirical ``q_pred`` quantile are retained.  ``sample`` is a
-    TailSample or an array held to its rule.
+    TailSample or an array held to its rule, and ``part`` splits its columns.
     """
     data = as_sample(sample).data
     check_type(part, Partition, "residuals")
     if len(part.target) != 2:
         raise DomainError("residual inference needs exactly two target variables")
+    if len(part.target) + len(part.complement) != data.shape[1]:  # as in project._schur
+        raise DomainError("partition must cover all indices exactly once")
     check_unit_interval(q_pred=q_pred)
     B = float_array(b, "weights")
     if B.shape != (len(part.complement), 2):
@@ -357,7 +359,9 @@ def critical_value(method, alpha: float = 0.05, n_pairs: int | None = None,
 
 
 def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
-    """``(Theta, fit)``; ``fit(pair)`` returns the pair's C and its :class:`PairRecord`.
+    """``(inverse, fit)``: ``Theta`` as the :class:`~tailgraph.tpdm.IPMatrix`
+    :func:`~tailgraph.project.invert_ipm` returns, or None, and ``fit(pair)``,
+    which returns the pair's C and its :class:`PairRecord`.
 
     ``Y = t^-1(X)``, ``Theta = Gamma^-1`` and ``Zt = Theta Y^T``, the columns
     of ``Z = Y Theta`` as rows, are computed once.  The pair T then has
@@ -370,9 +374,9 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
 
     A pair takes the reference path, where one complement factorization gives
     its weights b and C and its residuals are the rows ``Y^T[T] - b^T Y^T[R]``,
-    when Gamma fails the inversion gate (Theta is then None) or when a column
-    of Z it needs is not finite: cells near the float64 maximum can overflow
-    ``Y Theta`` where the complement solve does not.  There a pair whose
+    when Gamma fails the inversion gate (the inverse is then None) or when a
+    column of Z it needs is not finite: cells near the float64 maximum can
+    overflow ``Y Theta`` where the complement solve does not.  There a pair whose
     target lies in the span of its complement is a
     :class:`DegenerateProjectionError`; the precision path needs no such gate
     (see ``project._check_projection``).  The callers check every argument.
@@ -381,13 +385,13 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
     gamma_max = np.abs(as_matrix(sigma_hat)).max()
     try:
         # looked up on the module, so a wrapper installed on project.invert_ipm sees it
-        theta = project.invert_ipm(sigma_hat).entries
+        inverse = project.invert_ipm(sigma_hat)
     except ConditioningError:
-        theta = None
+        inverse = None
         fast = [False] * sample.p
         Yt = np.ascontiguousarray(Y.T)  # every pair gathers rows of it
     else:
-        Yt = Y.T
+        theta, Yt = inverse.entries, Y.T
         with np.errstate(over="ignore", invalid="ignore"):
             Zt = theta @ Yt
         fast = np.isfinite(Zt).all(axis=1).tolist()  # per column: can a pair read it off Z
@@ -416,7 +420,7 @@ def _pair_pipeline(sample: TailSample, sigma_hat, q_pred, q_res):
         tau2 = _tau2(prod, m_trace)  # positive, with k >= 2
         return C, PairRecord(i, j, sigma_u, tau2, k, t_statistic(sigma_u, tau2, k))
 
-    return theta, fit
+    return inverse, fit
 
 
 def ptc_test_all_pairs(sample, q_radial: float = 0.95, q_pred: float = 0.98,
@@ -443,7 +447,7 @@ def ptc_test_all_pairs(sample, q_radial: float = 0.95, q_pred: float = 0.98,
     # a studentized-range critical value computed elsewhere) is used verbatim
     cv = None if adjusted else critical_value(cv_method)
     sigma_hat = estimate_tpdm(sample, q_radial=q_radial, mode=tpdm_mode, mass=tpdm_mass)
-    theta, fit = _pair_pipeline(sample, sigma_hat, q_pred, q_res)
+    inverse, fit = _pair_pipeline(sample, sigma_hat, q_pred, q_res)
     records = []
     for i, j in combinations(range(sample.p), 2):
         try:
@@ -464,7 +468,7 @@ def ptc_test_all_pairs(sample, q_radial: float = 0.95, q_pred: float = 0.98,
                          adjustment=cv_method if adjusted else "tukey-reference",
                          alpha=alpha, columns=list(sample.columns),
                          quantiles={"radial": q_radial, "pred": q_pred, "res": q_res},
-                         ptc=None if theta is None else ptc_matrix_from_inverse(theta))
+                         ptc=None if inverse is None else ptc_matrix_from_inverse(inverse))
 
 
 def _replicate(A, n, seeds, run_rep):

@@ -27,6 +27,7 @@ from .errors import (
     as_index,
     check_array_size,
     check_integer,
+    check_sequence,
     check_type,
     float_array,
 )
@@ -38,15 +39,27 @@ COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class Partition:
-    """Split of {0..p-1} into target indices and the ordered complement."""
+    """Split of {0..p-1} into target indices and the ordered complement.
+
+    The one partition rule: both fields are sequences
+    (:func:`~tailgraph.errors.check_sequence`, else a :class:`DataError`)
+    whose entries, each read by :func:`~tailgraph.errors.as_index` against
+    p = len(target) + len(complement), list each of 0..p-1 once; anything
+    else is a :class:`DomainError`.  Both are stored as tuples of ints.
+    """
 
     target: tuple[int, ...]
     complement: tuple[int, ...]
 
     def __post_init__(self):
-        seen = set(self.target) | set(self.complement)
-        if len(self.target) + len(self.complement) != len(seen):
-            raise DomainError("target and complement must be disjoint and duplicate-free")
+        target = check_sequence(self.target, "partition target")
+        entries = target + check_sequence(self.complement, "partition complement")
+        index = [as_index(v, len(entries)) for v in entries]
+        if None in index or len(set(index)) < len(index):
+            raise DomainError("target and complement must be disjoint and duplicate-free integers "
+                              f"in [0, {len(entries)}), got {self.target!r} and {self.complement!r}")
+        object.__setattr__(self, "target", tuple(index[:len(target)]))  # frozen: set once here
+        object.__setattr__(self, "complement", tuple(index[len(target):]))
 
     @classmethod
     def pair(cls, i: int, j: int, p: int) -> "Partition":
@@ -55,8 +68,7 @@ class Partition:
         i, j = as_index(i, p), as_index(j, p)  # integers in [0, p), else None
         if i is None or j is None or i == j:
             raise DomainError("need two distinct indices inside the vector")
-        rest = tuple(k for k in range(p) if k not in (i, j))
-        return cls(target=(i, j), complement=rest)
+        return cls(target=(i, j), complement=tuple(k for k in range(p) if k not in (i, j)))
 
     @classmethod
     def single(cls, i: int, p: int) -> "Partition":
@@ -107,9 +119,9 @@ def _schur(gamma, part: Partition):
     float64 range (an indefinite Gamma only) a :class:`NumericalError`.
     """
     G, e = _unit_scale(as_matrix(gamma))
-    t, c = list(part.target), list(part.complement)
-    if sorted(t + c) != list(range(G.shape[0])):
+    if len(part.target) + len(part.complement) != G.shape[0]:  # it splits {0..size-1}
         raise DomainError("partition must cover all indices exactly once")
+    t, c = list(part.target), list(part.complement)
     G11, G12, G22 = G[np.ix_(t, t)], G[np.ix_(t, c)], G[np.ix_(c, c)]
     b = np.zeros((0, len(t)))  # an empty complement: C is Gamma_11
     with np.errstate(over="ignore", invalid="ignore"):  # the range is checked below

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DataError, DomainError, as_index, as_real, check_names, check_type,
-                     check_unit_interval, float_scalar)
+from .errors import (DataError, DomainError, as_index, as_real, check_names, check_sequence,
+                     check_type, check_unit_interval, float_scalar)
 
 
 _ADJUSTED = ("bonferroni", "none")  # critical values computed from the pairs' df
@@ -77,14 +77,15 @@ def _read_record(r, p: int, caller: str) -> PairRecord:
 
 def check_records(records, p: int, caller: str) -> list[PairRecord]:
     """The one reader of pair records, kept by :meth:`PtcTestReport.from_dict`
-    and by :func:`~tailgraph.graphx.build_graph`: each record is a
+    and by :func:`~tailgraph.graphx.build_graph`: the records are a sequence
+    (:func:`~tailgraph.errors.check_sequence`); each record is a
     :class:`PairRecord`; each of the p(p-1)/2 pairs of p columns appears once
     (:func:`check_pair`); k is an integer >= 2 or None; σ̂_u and τ̂² are finite
     or None; and each record is tested (no error, a finite t) or errored (a
     non-empty error message, no t).  Returns the records as read, in order: i,
     j and k as ints, σ̂_u, τ̂² and t as floats.  A record that breaks the rule is
     a :class:`DataError` naming ``caller``."""
-    out = [_read_record(r, p, caller) for r in records]
+    out = [_read_record(r, p, caller) for r in check_sequence(records, f"{caller}: records")]
     pairs = {(r.i, r.j) for r in out}
     if len(out) != p * (p - 1) // 2 or len(pairs) != len(out):
         raise DataError(f"{caller}: {len(pairs)} distinct pairs in {len(out)} records "
@@ -146,10 +147,11 @@ class PtcTestReport:
             if not (isinstance(adjustment, str) and adjustment and isinstance(quantiles, dict)):
                 raise ValueError(f"adjustment {adjustment!r} or quantiles {quantiles!r} unusable")
             check_unit_interval(**{f"q_{n}": q for n, q in quantiles.items() if q is not None})
+            pairs = check_sequence(payload["pairs"], "pairs")
             records = check_records([PairRecord(d["i"], d["j"], d["sigma_u"], d["tau2"], d["k"],
                                                 d["t"], d["reject"], d["error"])
-                                     for d in payload["pairs"]], len(columns), "from_dict")
-            for d, rec in zip(payload["pairs"], records):
+                                     for d in pairs], len(columns), "from_dict")
+            for d, rec in zip(pairs, records):
                 if (d["names"] != [columns[rec.i], columns[rec.j]]
                         or rec.reject != (None if rec.t_stat is None else abs(rec.t_stat) > cv)):
                     raise ValueError(f"inconsistent pair record {d}")

@@ -67,10 +67,8 @@ class TailSample:
         self.data = _observations(self.data, "sample", finite=False)  # checked below, with > 0
         if not np.all(np.isfinite(self.data)) or np.any(self.data <= 0.0):
             raise DataError("sample entries must be finite and strictly positive")
-        if self.columns is None:
-            self.columns = [f"X{i + 1}" for i in range(self.data.shape[1])]
-        else:
-            self.columns = check_names(self.columns, self.data.shape[1])
+        self.columns = ([f"X{i + 1}" for i in range(self.p)] if self.columns is None
+                        else check_names(self.columns, self.p))
 
     @property
     def n(self) -> int:

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tailgraph import (CoverageResult, DomainError, PairRecord, PtcTestReport, TailSample,
-                       ar1_matrix, construct, critical_value, marginal_transform,
+from tailgraph import (CoverageResult, DataError, DomainError, PairRecord, PtcTestReport,
+                       TailSample, ar1_matrix, construct, critical_value, marginal_transform,
                        sample_noise, solve_delta)
 from tailgraph import cli, inference
 from tailgraph.cli import _format_matrix_csv, _read_csv_checked, main, read_csv_matrix
@@ -814,6 +814,17 @@ class TestCsvCodec:
 
         monkeypatch.setattr(cli, "_read_csv_checked", fail)
         assert self.outcome(read_csv_matrix, path) == want
+
+    def test_checked_parser_reads_each_cell_once(self, tmp_path, monkeypatch):
+        """The checked parser calls ``float`` once per cell up to the first it
+        refuses, and names that cell: here the second of its row."""
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"a,b\n1,2\n3,x\n4,5\n")
+        cells = []
+        monkeypatch.setattr(cli, "float", lambda c: cells.append(c) or float(c), raising=False)
+        with pytest.raises(DataError, match=r"m\.csv:3: non-numeric cell 'x'$"):
+            _read_csv_checked(str(path))
+        assert cells == ["1", "2", "3", "x"]
 
     def test_format_matches_float_repr(self):
         M = np.array([[0.1, -0.0, 5e-324], [np.nan, -np.inf, 1e300]])

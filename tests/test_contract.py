@@ -199,6 +199,26 @@ class TestColumnNames:
             graph_from_stats(T, ["a", "b", "a"], 1.0)
         assert graph_from_stats(T, None, 1.0).nodes == ["1", "2", "3"]
 
+    @staticmethod
+    def _from_dict(names):
+        payload = _report(["a", "b"], PairRecord(0, 1, t_stat=5.0, k=40, reject=True)).to_dict()
+        return PtcTestReport.from_dict(dict(payload, columns=names))
+
+    @pytest.mark.parametrize("names", ["ab", b"ab", {"a", "b"}, {"a": 0, "b": 1}],
+                             ids=["str", "bytes", "set", "dict"])
+    @pytest.mark.parametrize("call", [
+        lambda names: TailSample(np.ones((5, 2)), columns=names),
+        lambda names: graph_from_stats(np.zeros((2, 2)), names, 1.0),
+        lambda names: build_graph(_report(names, PairRecord(0, 1, t_stat=5.0, k=40))),
+        lambda names: emit_dot(ExtremalGraph(names, [], 1.0)),
+        lambda names: TestColumnNames._from_dict(names),
+    ], ids=["TailSample", "graph_from_stats", "build_graph", "emit_dot", "from_dict"])
+    def test_names_without_an_order_of_their_own_are_refused(self, call, names):
+        """A str or bytes (one name per character) and a set or mapping (hash or
+        key order) are not a sequence of names (``errors.check_sequence``)."""
+        with pytest.raises(DataError, match=r"(column names|columns|nodes) .* is not a sequence$"):
+            call(names)
+
 
 class TestCriticalValue:
     @pytest.mark.parametrize("value", [-1.0, "fixed:-1", "fixed:-1e-300", -np.inf])
@@ -633,6 +653,13 @@ def _report(columns, *records):
      r"^to_adjacency: edge \(0, 0\) is not a pair i < j of 2 columns$"),
     (lambda: build_graph(_report(["a", "b"], PairRecord(0, 1, np.inf, 1.0, 40, 5.0))),
      r"^build_graph: record \(0, 1\) breaks the record rule: PairRecord\(i=0, j=1, sigma_u=inf"),
+    (lambda: build_graph(PtcTestReport(records=None, critical_value=1.0, adjustment="fixed",
+                                       alpha=0.05, columns=["a", "b"])),
+     "^build_graph: records None is not a sequence$"),
+    (lambda: PtcTestReport.from_dict(dict(_report(["a", "b"]).to_dict(), pairs="xy")),
+     "^malformed report: DataError: pairs 'xy' is not a sequence$"),
+    (lambda: emit_dot(ExtremalGraph(["a", "b"], [], 1.0, skipped=["0,1"])),
+     "^emit_dot: skipped pair '0,1' is not a sequence$"),
 ], ids=["solve_b of None", "conditional_ipm of a tuple", "residuals of None",
         "sigma_u of None", "tau2 of None", "DOT critical 'x'", "adjacency critical 'x'",
         "adjacency critical -1", "edge past the nodes", "edge j < i", "skipped pair j=0.5",
@@ -642,7 +669,8 @@ def _report(columns, *records):
         "record error ''", "record not a PairRecord", "columns None", "record k 'x'",
         "record (1, 1)", "edge 5", "nodes None", "edges None", "skipped pair 5",
         "skipped reason ''", "edge weight 0.5 at critical 2", "edge weight at the critical value",
-        "edge weight inf", "edge (0, 0)", "record sigma_u inf"])
+        "edge weight inf", "edge (0, 0)", "record sigma_u inf", "records None", "pairs 'xy'",
+        "skipped pair a str"])
 def test_record_arguments_and_fields_are_data_errors(call, message):
     """A record argument of another type, or a graph or report whose fields break
     the rules :func:`build_graph` and the report reader keep, is a
@@ -826,7 +854,15 @@ REACHED_RAISES = [  # (case, call, documented class, message)
     ("DOT of a dict", lambda: emit_dot({}), DataError,
      "^emit_dot needs an ExtremalGraph, got a dict$"),
     ("names of an int", lambda: TailSample(np.ones((5, 3)), columns=5), DataError,
-     "^column names must be a sequence, got a int$"),
+     "^column names 5 is not a sequence$"),
+    ("names of a generator", lambda: TailSample(np.ones((5, 3)), columns=(c for c in "abc")),
+     DataError, "^column names <generator object .*> is not a sequence$"),
+    ("residuals of a wider partition", lambda: residuals(
+        np.ones((60, 3)), Partition.pair(0, 1, 5), np.zeros((3, 2))),
+     DomainError, "^partition must cover all indices exactly once$"),
+    ("residuals dropping a column", lambda: residuals(
+        _FIVE, Partition.pair(0, 1, 4), np.zeros((2, 2))),
+     DomainError, "^partition must cover all indices exactly once$"),
     ("mode of an array", lambda: estimate_tpdm(_FIVE, mode=np.array(["global", "global"])),
      DomainError, "^unknown mode"),
     ("noise of an array", lambda: sample_noise(2, 5, distribution=np.array(["a", "b"])),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tailgraph import (
     LOG2,
     ConditioningError,
+    DataError,
     DegenerateProjectionError,
     DimensionError,
     DomainError,
@@ -58,6 +59,33 @@ class TestPartition:
     def test_rejects_equal_pair(self):
         with pytest.raises(DomainError):
             Partition.pair(2, 2, 4)
+
+    @pytest.mark.parametrize("target, complement, error, match", [
+        (None, (), DataError, "^partition target None is not a sequence$"),
+        ((0, 1), "2", DataError, "^partition complement '2' is not a sequence$"),
+        (([0], 1), (2,), DomainError, r"in \[0, 3\), got \(\[0\], 1\) and \(2,\)$"),
+        ((0, 1), (3,), DomainError, r"in \[0, 3\), got \(0, 1\) and \(3,\)$"),
+        ((0, 0.5), (2,), DomainError, r"in \[0, 3\), got \(0, 0.5\) and \(2,\)$"),
+        ((0, 1), [-1], DomainError, r"in \[0, 3\), got \(0, 1\) and \[-1\]$"),
+        ((0, 1), (1, 2), DomainError, r"^target and complement must be disjoint and "
+                                      r"duplicate-free integers in \[0, 4\), got"),
+    ], ids=["target None", "complement a str", "entry a list", "gap", "fractional entry",
+            "negative entry", "overlap"])
+    def test_entries_list_each_index_once(self, target, complement, error, match):
+        """Each entry is an index of {0..p-1}, p the number of entries; a gap
+        (3 of three entries) is refused when the partition is made."""
+        with pytest.raises(error, match=match):
+            Partition(target, complement)
+
+    def test_entries_are_read_as_ints(self):
+        """An integer-valued float or numpy int is stored as the int it is, so a
+        hand-built partition indexes as ``Partition.pair``'s does."""
+        part = Partition([0, 1.0], np.array([2]))
+        assert part == Partition.pair(0, 1, 3)
+        assert [type(k) for k in part.target + part.complement] == [int, int, int]
+        G = theoretical_ipm(ar1_matrix(0.5, 3))
+        assert solve_b(G, Partition((0, 1.0), (2,))).tobytes() == \
+            solve_b(G, Partition.pair(0, 1, 3)).tobytes()
 
 
 class TestSolveB:

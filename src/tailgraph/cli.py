@@ -46,7 +46,7 @@ def _atomic_write(path: str, text: str, staged: list):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tailgraph-")
     staged.append((tmp, path))
-    with os.fdopen(fd, "w", newline="") as fh:
+    with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -129,7 +129,9 @@ def _format_matrix_csv(matrix: np.ndarray, columns) -> str:
 
 
 def read_csv_matrix(path: str):
-    """Read a numeric CSV with a header row; returns (columns, n x p array).
+    """Read a numeric CSV with a header row; returns (header, n x p array), the
+    header cells as ``csv`` parses them (a name is stripped where it is read,
+    by :func:`~tailgraph.errors.check_names`).
 
     The body goes through numpy's C parser.  A file that parser rejects (a
     blank-celled or ragged row, a quoted cell, a spelling only ``float``
@@ -141,10 +143,9 @@ def read_csv_matrix(path: str):
             header = next(csv.reader(fh), None)
             body = fh.read()
         if header is not None and body and not body.isspace():
-            columns = [h.strip() for h in header]
             data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-            if data.shape[1] == len(columns):
-                return columns, data
+            if data.shape[1] == len(header):
+                return header, data
     except (ValueError, csv.Error):
         pass
     except OSError as exc:
@@ -162,13 +163,12 @@ def _read_csv_checked(path: str):
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
-            columns = [h.strip() for h in header]
             data = []
             for lineno, row in enumerate(reader, start=2):
                 if not row or all(not c.strip() for c in row):
                     continue
-                if len(row) != len(columns):
-                    raise DataError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}")
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
                 try:  # the walrus binds cell here: after a ValueError, the cell float refused
                     data.append([float(cell := c) for c in row])
                 except ValueError:
@@ -181,7 +181,7 @@ def _read_csv_checked(path: str):
         raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if not data:
         raise DataError(f"{path}: no data rows")
-    return columns, np.asarray(data, dtype=float)
+    return header, np.asarray(data, dtype=float)
 
 
 def _resolve_seed(args) -> int:
@@ -355,7 +355,7 @@ def cmd_graph(args) -> int:
     from . import graphx
     if args.report is not None:
         try:
-            with open(args.report) as fh:
+            with open(args.report, encoding="utf-8") as fh:
                 report = PtcTestReport.from_dict(json.load(fh))
         except ValueError as exc:  # bad JSON, or a malformed report (a DataError)
             raise DataError(f"{args.report}: {exc}") from None

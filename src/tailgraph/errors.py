@@ -176,18 +176,18 @@ def check_sequence(value, what: str) -> list:
 
 
 def check_names(names, count: int) -> list:
-    """``names`` as a list of ``count`` labels, distinct and non-empty once stripped.
+    """``names`` as a list of ``count`` strs, each ``str(name).strip()``: distinct
+    and non-empty, as tested and as kept.
 
     A wrong count is a :class:`DimensionError`; a blank or repeated label, or
     names that are not a sequence (:func:`check_sequence`), a :class:`DataError`.
     """
-    names = check_sequence(names, "column names")
+    names = [str(name).strip() for name in check_sequence(names, "column names")]
     if len(names) != count:
         raise DimensionError(f"{len(names)} column names for {count} columns")
     seen = set()
     for name in names:
-        key = str(name).strip()
-        if not key or key in seen:
-            raise DataError(f"column name {name!r} is {'repeated' if key else 'blank'}")
-        seen.add(key)
+        if not name or name in seen:
+            raise DataError(f"column name {name!r} is {'repeated' if name else 'blank'}")
+        seen.add(name)
     return names

@@ -71,11 +71,11 @@ def _edges(weights, critical: float) -> list[tuple[int, int, float]]:
 
 
 def _read_graph(graph, caller: str):
-    """``(critical, edges, skipped)`` of an :class:`ExtremalGraph`, held to the
+    """``(critical, nodes, edges, skipped)`` of an :class:`ExtremalGraph`, held to the
     rules :func:`build_graph` keeps: the critical value read by
-    :func:`~tailgraph.report.fixed_critical_value`, distinct node names
-    (:func:`~tailgraph.errors.check_names`), the nodes, edges and skipped pairs,
-    and each edge or skipped pair, a sequence
+    :func:`~tailgraph.report.fixed_critical_value`, the node names read by
+    :func:`~tailgraph.errors.check_names` (stripped strs, distinct), the nodes,
+    edges and skipped pairs, and each edge or skipped pair, a sequence
     (:func:`~tailgraph.errors.check_sequence`), each edge or skipped pair three
     fields with integers i < j below the node count
     (:func:`~tailgraph.report.check_pair`), no pair twice, each edge weight
@@ -85,7 +85,8 @@ def _read_graph(graph, caller: str):
     check_type(graph, ExtremalGraph, caller)
     try:
         critical = fixed_critical_value(graph.critical_value)
-        p = len(check_names(graph.nodes, len(check_sequence(graph.nodes, "nodes"))))
+        nodes = check_names(graph.nodes, len(check_sequence(graph.nodes, "nodes")))
+        p = len(nodes)
         edges = check_sequence(graph.edges, "edges")
         skipped = check_sequence(graph.skipped, "skipped pairs")
         for what, entries in (("edge", edges), ("skipped pair", skipped)):
@@ -102,12 +103,12 @@ def _read_graph(graph, caller: str):
             raise DataError("a pair appears twice among the edges and skipped pairs")
     except (DataError, DomainError) as exc:
         raise DataError(f"{caller}: {exc}") from None
-    return critical, edges, skipped
+    return critical, nodes, edges, skipped
 
 
-def _quote(name) -> str:
+def _quote(name: str) -> str:
     """A DOT quoted string: a backslash or double quote in the name is escaped."""
-    return '"' + str(name).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _comment(text: str) -> str:
@@ -124,18 +125,18 @@ def emit_dot(graph: ExtremalGraph, width_scale: float = 4.0) -> str:
     Anything but an :class:`ExtremalGraph` held to :func:`_read_graph`'s
     rules is a :class:`DataError`.
     """
-    critical, edges, skipped = _read_graph(graph, "emit_dot")
+    critical, nodes, edges, skipped = _read_graph(graph, "emit_dot")
     width_scale = check_positive(width_scale, "width_scale")
     lines = ["graph extremal {", _comment(f"critical value: {critical:g}")]
     for i, j, why in skipped:
-        lines.append(_comment(f"skipped pair ({graph.nodes[i]}, {graph.nodes[j]}): {why}"))
+        lines.append(_comment(f"skipped pair ({nodes[i]}, {nodes[j]}): {why}"))
     lines.append("  node [shape=circle];")
-    for name in graph.nodes:
+    for name in nodes:
         lines.append(f"  {_quote(name)};")
     max_w = max((w for _, _, w in edges), default=0.0)
     for i, j, w in sorted(edges):
         pen = width_scale * (w / max_w)  # each w is above critical >= 0: at most width_scale
-        lines.append(f"  {_quote(graph.nodes[i])} -- {_quote(graph.nodes[j])}"
+        lines.append(f"  {_quote(nodes[i])} -- {_quote(nodes[j])}"
                      f" [penwidth={pen:.4f}, label=\"{w:.2f}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -145,9 +146,9 @@ def to_adjacency(graph: ExtremalGraph) -> dict:
     """JSON-ready adjacency: node list plus [i, j, weight] edge triples; anything
     but an :class:`ExtremalGraph` held to :func:`_read_graph`'s rules is a
     :class:`DataError`."""
-    critical, edges, skipped = _read_graph(graph, "to_adjacency")
+    critical, nodes, edges, skipped = _read_graph(graph, "to_adjacency")
     return {
-        "nodes": list(graph.nodes),
+        "nodes": nodes,
         "critical_value": critical,
         "edges": [[i, j, w] for i, j, w in sorted(edges)],
         "skipped_pairs": [[i, j, why] for i, j, why in skipped],

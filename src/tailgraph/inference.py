@@ -82,7 +82,7 @@ def residuals(sample, part: Partition, b, q_pred: float = 0.98,
         raise DomainError("residual inference needs exactly two target variables")
     if len(part.target) + len(part.complement) != data.shape[1]:  # as in project._schur
         raise DomainError("partition must cover all indices exactly once")
-    check_unit_interval(q_pred=q_pred)
+    q_pred, = check_unit_interval(q_pred=q_pred)
     B = float_array(b, "weights")
     if B.shape != (len(part.complement), 2):
         raise DimensionError(f"weights must be ({len(part.complement)}, 2), got {B.shape}")
@@ -120,7 +120,7 @@ def estimate_sigma_u(res: ResidualSample, q_res: float | None = None, mass="trac
     """
     check_type(res, ResidualSample, "estimate_sigma_u")
     if q_res is not None:
-        check_unit_interval(q_res=q_res)
+        q_res, = check_unit_interval(q_res=q_res)
     m = _read_mass(mass, "trace", res.m_trace)
     return _angular_moment(res.w[:, 0] * res.w[:, 1], res.r, res.n_total, m, q_res)[:3]
 
@@ -135,7 +135,7 @@ def estimate_tau2(res: ResidualSample, m_tilde: float, q_res: float | None = Non
     """
     check_type(res, ResidualSample, "estimate_tau2")
     if q_res is not None:
-        check_unit_interval(q_res=q_res)
+        q_res, = check_unit_interval(q_res=q_res)
     m_tilde = float_scalar(m_tilde, "m_tilde")
     _, _, _, prod = _angular_moment(res.w[:, 0] * res.w[:, 1], res.r, res.n_total, m_tilde, q_res)
     return _tau2(prod, m_tilde)
@@ -439,9 +439,9 @@ def ptc_test_all_pairs(sample, q_radial: float = 0.95, q_pred: float = 0.98,
     sample = as_sample(sample)
     if sample.p < 3:
         raise DomainError("need at least 3 variables (a pair plus one conditioning variable)")
-    check_unit_interval(q_pred=q_pred, alpha=alpha)
+    q_radial, q_pred, alpha = check_unit_interval(q_radial=q_radial, q_pred=q_pred, alpha=alpha)
     if q_res is not None:
-        check_unit_interval(q_res=q_res)
+        q_res, = check_unit_interval(q_res=q_res)
     adjusted = isinstance(cv_method, str) and cv_method in _ADJUSTED
     # an unknown method fails here, before any pair is fitted; a fixed value (e.g.
     # a studentized-range critical value computed elsewhere) is used verbatim
@@ -537,7 +537,7 @@ def coverage_study(phi: float = 0.7, n: int = 10_000, reps: int = 500,
     seed, = check_integer(0, seed=seed)
     # these fail here, not in every replication: whether the level's quantile
     # is finite does not depend on k
-    check_unit_interval(q_radial=q_radial)
+    q_radial, level, phi = check_unit_interval(q_radial=q_radial, level=level, phi=phi)
     confidence_interval(0.0, 1.0, 2, level)
     A = ar1_matrix(phi, 4)
     part = Partition.pair(1, 3, 4)
@@ -577,7 +577,7 @@ def size_power_study(phi: float = 0.7, n: int = 10_000, reps: int = 200, p: int 
     seed, = check_integer(0, seed=seed)
     # these fail here, not in every replication: whether the critical value is
     # finite does not depend on df
-    check_unit_interval(q_radial=q_radial, q_pred=q_pred, alpha=alpha)
+    q_radial, q_pred, alpha = check_unit_interval(q_radial=q_radial, q_pred=q_pred, alpha=alpha)
     critical_value(cv_method, alpha=alpha, n_pairs=p * (p - 1) // 2, df=2)
 
     def run_rep(sample):

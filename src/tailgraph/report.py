@@ -135,7 +135,8 @@ class PtcTestReport:
         column names, a finite non-negative critical value, ``alpha`` in (0, 1),
         a non-empty ``adjustment``, ``quantiles`` a mapping of names to null or
         a number in (0, 1), records that keep :func:`check_records`' rule, each
-        with the names of columns i and j, and ``reject`` equal to ``|t| > c``
+        with the names of columns i and j (both read by
+        :func:`~tailgraph.errors.check_names`), and ``reject`` equal to ``|t| > c``
         on a tested pair and None on an errored one.  A missing key or an
         unusable value is one too.
         """
@@ -146,17 +147,18 @@ class PtcTestReport:
             adjustment, quantiles = payload["adjustment"], payload["quantiles"]
             if not (isinstance(adjustment, str) and adjustment and isinstance(quantiles, dict)):
                 raise ValueError(f"adjustment {adjustment!r} or quantiles {quantiles!r} unusable")
-            check_unit_interval(**{f"q_{n}": q for n, q in quantiles.items() if q is not None})
+            quantiles = {n: None if q is None else check_unit_interval(**{f"q_{n}": q})[0]
+                         for n, q in quantiles.items()}
             pairs = check_sequence(payload["pairs"], "pairs")
             records = check_records([PairRecord(d["i"], d["j"], d["sigma_u"], d["tau2"], d["k"],
                                                 d["t"], d["reject"], d["error"])
                                      for d in pairs], len(columns), "from_dict")
             for d, rec in zip(pairs, records):
-                if (d["names"] != [columns[rec.i], columns[rec.j]]
+                if (check_names(d["names"], 2) != [columns[rec.i], columns[rec.j]]
                         or rec.reject != (None if rec.t_stat is None else abs(rec.t_stat) > cv)):
                     raise ValueError(f"inconsistent pair record {d}")
             return cls(records=records, critical_value=cv, adjustment=adjustment, alpha=alpha,
-                       columns=columns, quantiles=dict(quantiles))
+                       columns=columns, quantiles=quantiles)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed report: {type(exc).__name__}: {exc}") from None
 

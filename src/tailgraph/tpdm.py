@@ -387,19 +387,20 @@ def estimate_sigma_pair(xi, xj, q_radial: float = 0.95, mass="fixed"):
     dropped as in :func:`polar2`.
     """
     a, b, s, _ = _pair_radii(xi, xj)
-    m = _check_estimate_args(q_radial, mass, 2.0, a.size)
+    q_radial, m = _check_estimate_args(q_radial, mass, 2.0, a.size)
     sigma, k, wa, wb = _pair_moment(a, b, s, a.size, q_radial, m)
     return sigma, k, np.column_stack((wa, wb))
 
 
 def _check_estimate_args(q_radial: float, mass, fixed: float, n_pair: int | None = None):
     """An estimate's argument errors in order: q, the mass, too few rows for a
-    pair.  Returns the mass read by :func:`_read_mass`, ``fixed`` for "fixed"."""
-    check_unit_interval(q_radial=q_radial)
+    pair.  Returns ``(q_radial, m)``: q as a float and the mass read by
+    :func:`_read_mass`, ``fixed`` for "fixed"."""
+    q_radial, = check_unit_interval(q_radial=q_radial)
     m = _read_mass(mass, "fixed", fixed)
     if n_pair is not None and n_pair < 50:
         raise DataError("need at least 50 paired observations")
-    return m
+    return q_radial, m
 
 
 def _tail_candidates(cols: np.ndarray, q_radial: float) -> np.ndarray:
@@ -426,8 +427,8 @@ def estimate_tpdm(sample, q_radial: float = 0.95, mode: str = "pairwise",
     n, p = X.shape
     if not (isinstance(mode, str) and mode in ("pairwise", "global")):
         raise DomainError(f"unknown mode {mode!r}")
-    m = _check_estimate_args(q_radial, mass, p if mode == "global" else 2.0,
-                             n if mode == "pairwise" else None)
+    q_radial, m = _check_estimate_args(q_radial, mass, p if mode == "global" else 2.0,
+                                       n if mode == "pairwise" else None)
     if mode == "global":
         with np.errstate(over="ignore"):
             s = np.sum(X ** 2, axis=1)

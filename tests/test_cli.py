@@ -34,11 +34,11 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def run_process(*argv, python_args=("-m", "tailgraph.cli")):
-    """The CLI (or other ``python_args``) in a fresh interpreter; returns
-    (exit code, stderr, stdout)."""
+def run_process(*argv, python_args=("-m", "tailgraph.cli"), env=()):
+    """The CLI (or other ``python_args``) in a fresh interpreter, with the
+    variables ``env`` set too; returns (exit code, stderr, stdout)."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **dict(env), PYTHONPATH=os.pathsep.join(
         [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
     proc = subprocess.run([sys.executable, *python_args, *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=120)
@@ -295,6 +295,30 @@ class TestCliInvariance:
             ref = want[key]
             assert (rec["k"], rec["reject"], rec["error"]) == (ref["k"], ref["reject"], ref["error"])
             assert abs(rec["t"] - ref["t"]) <= 5.6e-15 * abs(ref["t"])
+
+    def test_files_are_utf8_under_an_ascii_locale(self, tmp_path, sample_csv):
+        """Every file is read and written as UTF-8 whatever the locale: under the
+        C locale, with neither locale coercion nor UTF-8 mode, a header name
+        outside ASCII reaches preprocess's, ptc-test's and graph's outputs as
+        its UTF-8 bytes, and graph reads a report holding it unescaped."""
+        columns, X = read_csv_matrix(str(sample_csv))
+        src = tmp_path / "in.csv"
+        src.write_bytes(_format_matrix_csv(X, ["café", *columns[1:]]).encode("utf-8"))
+
+        def run_ascii(*argv):
+            code, err, _ = run_process(*argv, env={"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+                                                   "PYTHONUTF8": "0"})
+            assert code == 0, err
+
+        run_ascii("preprocess", "--input", src, "--output", tmp_path / "p.csv")
+        run_ascii("ptc-test", "--input", src, "--out-prefix", tmp_path / "r")
+        report = tmp_path / "r_report.json"  # rewritten unescaped, as another writer may leave it
+        report.write_bytes(json.dumps(json.loads(report.read_bytes()), ensure_ascii=False).encode())
+        run_ascii("graph", "--report", report, "--out", tmp_path / "g.dot")
+        name = "café".encode("utf-8")
+        assert (tmp_path / "p.csv").read_bytes().startswith(name + b",")
+        for out in ("r_report.csv", "r_graph.dot", "g.dot"):
+            assert name in (tmp_path / out).read_bytes()
 
 
 class TestCoverageCmd:

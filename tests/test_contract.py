@@ -187,6 +187,20 @@ class TestColumnNames:
         with pytest.raises(DataError, match="column name"):
             TailSample(np.ones((5, 3)), columns=names)
 
+    def test_names_are_kept_as_tested(self):
+        """A name is kept as the rule tests it, ``str(name).strip()``, and a blank
+        one is shown so."""
+        assert TailSample(np.ones((5, 3)), columns=[" a", "b\t", 2]).columns == ["a", "b", "2"]
+        with pytest.raises(DataError, match="^column name '' is blank$"):
+            TailSample(np.ones((5, 3)), columns=["a", " ", "b"])
+
+    def test_report_names_are_read_by_the_name_rule(self):
+        """A report file whose columns and pair names are padded alike reads back:
+        both are read by the one name rule, so the padding is stripped from both."""
+        payload = _report(["a", "b"], PairRecord(0, 1, t_stat=5.0, k=40, reject=True)).to_dict()
+        payload["columns"] = payload["pairs"][0]["names"] = [" a", "b "]
+        assert PtcTestReport.from_dict(payload).columns == ["a", "b"]
+
     def test_sample_name_count(self):
         with pytest.raises(DimensionError, match="2 column names for 3 columns"):
             TailSample(np.ones((5, 3)), columns=["a", "b"])
@@ -701,6 +715,42 @@ def test_graph_fields_are_read_as_written():
     assert to_adjacency(graph) == {"nodes": ["a", "b", "c"], "critical_value": 2.0,
                                    "edges": [[0, 2, 3.5]], "skipped_pairs": [[1, 2, "x"]]}
     assert '"a" -- "c"' in emit_dot(graph)
+
+
+_THREE = TailSample(construct(ar1_matrix(0.7, 3), sample_noise(3, 2000, seed=1)))
+_THREE_REPORT = ptc_test_all_pairs(_THREE).to_dict()
+
+
+def _ptc(**kwargs):
+    return ptc_test_all_pairs(_THREE, **kwargs).to_dict()
+
+
+def _coverage(**kwargs):
+    return coverage_study(n=2000, reps=2, **kwargs).to_dict()
+
+
+# (what is written, given one argument's value): each argument is numpy-typed here
+@pytest.mark.parametrize("write, value", [
+    (lambda v: _ptc(q_radial=v), np.float32(0.9)),
+    (lambda v: _ptc(alpha=v), np.float32(0.05)),
+    (lambda v: _ptc(q_pred=v), np.array(0.9)),
+    (lambda v: _ptc(q_res=v), np.float32(0.95)),
+    (lambda v: ptc_test_all_pairs(TailSample(_THREE.data, columns=v)).to_dict(), np.arange(3)),
+    (lambda v: _coverage(phi=v), np.float32(0.7)),
+    (lambda v: _coverage(level=v), np.float32(0.95)),
+    (lambda v: to_adjacency(ExtremalGraph(v, [], 1.0)), np.arange(3)),
+    (lambda v: PtcTestReport.from_dict({**_THREE_REPORT, "quantiles": {"radial": v}}).to_dict(),
+     np.float32(0.9)),
+], ids=["ptc q_radial", "ptc alpha", "ptc 0-d q_pred", "ptc q_res", "sample columns",
+        "coverage phi", "coverage level", "graph nodes", "report quantiles"])
+def test_numpy_typed_arguments_are_written_as_python_ones(write, value):
+    """Every entry point keeps the values its argument rules return, so a numpy
+    scalar, a 0-d array or numpy names reach the result as the Python float or
+    the stripped str the rule read: the result writes as JSON, byte for byte as
+    the run given that float or those strs does."""
+    text = json.dumps(write(value), allow_nan=False)
+    python = float(value) if value.ndim == 0 else [str(v) for v in value]
+    assert text == json.dumps(write(python), allow_nan=False)
 
 
 @pytest.mark.parametrize("call", [

@@ -1,7 +1,8 @@
 """The package's lazy exports: every public name resolves as an eager import
 would, and every module uses what it imports.  README's library sketch runs,
-every pytest target of the CI workflow collects a test, and every source file
-parses at the oldest supported Python."""
+every pytest target of the CI workflow collects a test, every source file
+parses at the oldest supported Python, and no source statement throws away
+what an argument rule read."""
 
 import ast
 import importlib
@@ -190,3 +191,28 @@ def test_sources_parse_at_the_oldest_supported_python():
                     ast.parse(fh.read(), filename=path, feature_version=floor)
                 checked += 1
     assert floor >= (3, 10) and checked >= 20
+
+
+# The argument rules that return what they read: a caller keeps the returned
+# value, so the value it tested is the value used downstream.
+_READING_RULES = {"check_unit_interval", "check_integer", "float_scalar", "check_positive",
+                  "check_names", "check_sequence", "as_index", "as_real", "float_array",
+                  "fixed_critical_value", "_check_estimate_args", "_read_mass", "square_matrix",
+                  "as_sample", "as_matrix"}
+
+
+def test_no_reading_rule_result_is_discarded():
+    """No statement under src/ is a bare call of a reading rule: a read value
+    thrown away leaves the raw argument (a numpy scalar, an unstripped name)
+    to travel on, where a report or graph may not be able to write it."""
+    bare = []
+    for name in sorted(f for f in os.listdir(_PACKAGE) if f.endswith(".py")):
+        with open(os.path.join(_PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+                func = node.value.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in _READING_RULES:
+                    bare.append(f"{name}:{node.lineno}: {called}")
+    assert not bare
